@@ -13,7 +13,6 @@ from .algebra import (
     eval_bipoly,
     exact_div_monomial,
     falling_factorial,
-    poly_mul,
     poly_pow,
     series_exp,
     series_log,
@@ -57,7 +56,6 @@ from .graphs import (
     subgraph,
 )
 from .invariants import (
-    InvariantResult,
     chi_delcon,
     chi_dual_from_tutte,
     chi_from_tutte,

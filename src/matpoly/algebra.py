@@ -21,7 +21,6 @@ Representations:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import BadConstantTerm, BadParams, NonIntegral, NotDivisible
 
@@ -157,11 +156,6 @@ class IntPoly:
         return f"IntPoly({self.coeffs!r})"
 
 
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact product of two integer polynomials."""
-    return a * b
-
-
 def poly_pow(a: IntPoly, k: int) -> IntPoly:
     """a**k for integer k >= 0, by repeated squaring."""
     if k < 0:
@@ -287,25 +281,26 @@ class BiPoly:
 
     def translate(self, cx: int, cy: int) -> "BiPoly":
         """p(x + cx, y + cy), expanded exactly."""
-        out = {}
+
+        def pascal(c, top):
+            # rows[k] = coefficients of (z + c)^k in ascending degree
+            rows = [[1]]
+            for _ in range(top):
+                prev = rows[-1]
+                rows.append([c * a + b for a, b in zip(prev + [0], [0] + prev)])
+            return rows
+
+        xrows = pascal(cx, max((i for i, _ in self.terms), default=0))
+        yrows = pascal(cy, max((j for _, j in self.terms), default=0))
+        out: dict = {}
         for (i, j), c in self.terms.items():
-            for s in range(i + 1):
-                xi = comb(i, s) * cx ** (i - s)
-                if xi == 0:
-                    continue
-                for t in range(j + 1):
-                    w = c * xi * comb(j, t) * cy ** (j - t)
-                    if w == 0:
-                        continue
-                    k = (s, t)
-                    v = out.get(k, 0) + w
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-        res = BiPoly.__new__(BiPoly)
-        res.terms = out
-        return res
+            ys = yrows[j]
+            for s, xs in enumerate(xrows[i]):
+                if xs:
+                    w = c * xs
+                    for t, yt in enumerate(ys):
+                        out[s, t] = out.get((s, t), 0) + w * yt
+        return BiPoly(out)
 
     def __call__(self, u, v):
         return eval_bipoly(self, u, v)

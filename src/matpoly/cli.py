@@ -17,17 +17,12 @@ All results are printed as JSON on stdout with sorted keys and decimal
 string coefficients, so output is byte-stable.  Exit codes: 0 success,
 2 rejected input (bad parameters or size guards), 3 an identity or
 cross-method check failed.
-
-MATPOLY_THREADS is honored as metadata (reported in bench output); the
-computations themselves are deterministic single-threaded exact
-arithmetic regardless of its value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from time import monotonic
@@ -229,8 +224,7 @@ def cmd_bench(args) -> int:
             )
             sums.setdefault(n, set()).add(poly_checksum(poly))
     consistent = all(len(s) == 1 for s in sums.values())
-    workers = int(os.environ.get("MATPOLY_THREADS", "1") or "1")
-    _emit({"consistent": consistent, "rows": rows, "workers": workers})
+    _emit({"consistent": consistent, "rows": rows})
     return 0 if consistent else 3
 
 

@@ -157,7 +157,7 @@ def chi_restrict_table(m: Matroid, ranks: list[int] | None = None) -> list[IntPo
     """
     n = m.ground_size
     ranks = ranks if ranks is not None else rank_table(m)
-    rfull = ranks[-1] if n >= 0 else 0
+    rfull = ranks[-1]
     vals: list = [
         IntPoly.monomial(-1 if mask.bit_count() % 2 else 1, rfull - ranks[mask])
         for mask in range(1 << n)
@@ -259,10 +259,6 @@ def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
     if len(g.edges) % 2:
         acc = -acc
     return exact_div_monomial(acc, g.n)
-
-
-def _fmt_frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _check_samples_q(samples) -> list[Fraction]:
@@ -421,23 +417,21 @@ def _verify_convolution(m: Matroid):
       T_{M|A}(0,y)      = (-1)^r(A) sum_{B sub A} (-1)^r(B) (y-1)^(|B|-r(B))
       T_{M.(E-A)}(x,0)  = (-1)^(|A|+r(A)) sum_{C sup A} (-1)^(|C|-r(C))
                           (x-1)^(r(E)-r(C))
-    so two lattice transforms give every factor at once.
+    so two lattice transforms give every factor at once.  The tables hold
+    monomials in a = x-1 and b = y-1; the summed product is translated
+    back to x and y once at the end.
     """
     n = m.ground_size
     ranks = rank_table(m)
     rfull = ranks[-1]
-    ym1 = IntPoly((-1, 1))
-    xm1 = IntPoly((-1, 1))
-    ypows = [poly_pow(ym1, k) for k in range(n + 1)]
-    xpows = [poly_pow(xm1, k) for k in range(rfull + 1)]
     pvals = [
-        ypows[mask.bit_count() - ranks[mask]].scale(-1 if ranks[mask] % 2 else 1)
+        IntPoly.monomial(-1 if ranks[mask] % 2 else 1, mask.bit_count() - ranks[mask])
         for mask in range(1 << n)
     ]
     subset_zeta(pvals, n)
     qvals = [
-        xpows[rfull - ranks[mask]].scale(
-            -1 if (mask.bit_count() - ranks[mask]) % 2 else 1
+        IntPoly.monomial(
+            -1 if (mask.bit_count() - ranks[mask]) % 2 else 1, rfull - ranks[mask]
         )
         for mask in range(1 << n)
     ]
@@ -464,7 +458,7 @@ def _verify_convolution(m: Matroid):
                     terms[k] = v
                 elif k in terms:
                     del terms[k]
-    rhs = BiPoly(terms)
+    rhs = BiPoly(terms).translate(-1, -1)
     lhs = tutte(m)
     if lhs != rhs:
         return f"lhs={lhs} rhs={rhs}"

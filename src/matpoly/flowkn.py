@@ -45,13 +45,14 @@ from .algebra import (
     _qp_mul,
     _qp_scale,
     exact_div_monomial,
+    falling_factorial,
     intpoly_from_rational_coeffs,
     series_exp,
     series_log,
 )
 from .errors import BadParams
 from .graphs import complete_graph
-from .invariants import flow_poly
+from .invariants import _chi_from_counts, flow_poly
 from .matroids import make_graphic
 
 
@@ -150,16 +151,7 @@ def flow_kn_partitions(n: int) -> IntPoly:
     for (s, l), w in classes.items():
         by_s.setdefault(s, {})[l] = w
 
-    # falling factorial coefficient lists, ff[l] = x(x-1)...(x-l+1)
-    ff = [[1]]
-    for l in range(1, n + 1):
-        prev = ff[-1]
-        c = -(l - 1)
-        nxt = [0] * (len(prev) + 1)
-        for i, a in enumerate(prev):
-            nxt[i] += a * c
-            nxt[i + 1] += a
-        ff.append(nxt)
+    ff = [falling_factorial(l).coeffs for l in range(n + 1)]
 
     acc: list = []
     for s in range(max(by_s), -1, -1):
@@ -227,11 +219,7 @@ def flow_kn_tutte(n: int, budget_s: float | None = None) -> IntPoly:
     deadline = monotonic() + budget_s
     m = make_graphic(g)
     counts = m.dual().rank_size_counts(deadline=deadline)
-    rdual = len(g.edges) - (n - 1)
-    coeffs = [0] * (rdual + 1)
-    for (a, rho), c in counts.items():
-        coeffs[rdual - rho] += c if a % 2 == 0 else -c
-    return IntPoly(coeffs)
+    return _chi_from_counts(counts, len(g.edges) - (n - 1))
 
 
 def leading_binomial_check(f: IntPoly, n_choices: int, count: int) -> bool:

@@ -141,26 +141,6 @@ def quotient(g: MultiGraph, mask: int) -> MultiGraph:
     return MultiGraph(len(relab), es)
 
 
-def _block_connected(g: MultiGraph, block: tuple) -> bool:
-    if len(block) <= 1:
-        return True
-    bs = set(block)
-    parent = {v: v for v in bs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        if u in bs and v in bs:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    return len({find(v) for v in bs}) == 1
-
-
 def connected_partitions(g: MultiGraph):
     """Yield (blocks, mask) for every partition of the vertex set whose
     blocks all induce connected subgraphs.
@@ -168,7 +148,9 @@ def connected_partitions(g: MultiGraph):
     ``blocks`` is a tuple of vertex tuples and ``mask`` collects every
     edge with both endpoints in the same block.  Partitions are
     enumerated by restricted-growth strings; connectivity is a filter at
-    the leaves, with no pruning attempted.
+    the leaves, with no pruning attempted: a partition into k blocks is
+    connected exactly when (V, intra-block edges) has k components,
+    isolated vertices included.
     """
     n = g.n
     if n == 0:
@@ -177,19 +159,18 @@ def connected_partitions(g: MultiGraph):
     assign = [0] * n
 
     def emit():
-        k = max(assign) + 1
-        blocks = [[] for _ in range(k)]
-        for v, b in enumerate(assign):
-            blocks[b].append(v)
-        blocks = tuple(tuple(b) for b in blocks)
-        for b in blocks:
-            if not _block_connected(g, b):
-                return None
         mask = 0
         for i, (u, v) in enumerate(g.edges):
             if assign[u] == assign[v]:
                 mask |= 1 << i
-        return blocks, mask
+        k = max(assign) + 1
+        find, _ = _roots_over(g, mask)
+        if len({find(v) for v in range(n)}) != k:
+            return None
+        blocks = [[] for _ in range(k)]
+        for v, b in enumerate(assign):
+            blocks[b].append(v)
+        return tuple(tuple(b) for b in blocks), mask
 
     def rec(i, top):
         if i == n:

@@ -8,20 +8,20 @@ ground set, n = |E| and R = r(E):
     Tutte           T(x, y)  = sum_A (x-1)^(R - r(A)) (y-1)^(|A| - r(A))
     Whitney rank    R(u, v)  = sum_A u^(R - r(A)) v^(|A| - r(A))
 
-and the graph polynomials are substitutions into these for the cycle
-matroid: chromatic P = x^c(G) * chi, flow F = chi of the dual,
+so ``tutte`` is ``whitney_R`` translated by (-1, -1): T(x, y) =
+R(x-1, y-1).  The graph polynomials are read off the same census of the
+cycle matroid: chromatic P = x^c(G) * chi, flow F = chi of the dual,
 dichromatic Q = u^c(G) * R.  Everything is exact integer arithmetic.
 
 The census costs 2^n, so each entry point is guarded at n <= 24.
 ``chi_delcon`` is the independent recursive route (delete/contract) used
-to cross-check ``chi_subset``; for graphic matroids it memoizes on a
-densely re-labeled copy of the graph, which is sound because equal
-labeled graphs have equal cycle matroids.
+to cross-check ``chi_subset``; for graphic matroids it memoizes, for
+the length of one call, on a densely re-labeled copy of the graph, which
+is sound because equal labeled graphs have equal cycle matroids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .algebra import BiPoly, IntPoly, poly_pow
@@ -40,15 +40,18 @@ def _guard(m: Matroid):
         )
 
 
+def _chi_from_counts(counts, rank: int) -> IntPoly:
+    """chi(x) = sum_A (-1)^|A| x^(rank - r(A)) read off a rank-size census."""
+    coeffs = [0] * (rank + 1)
+    for (a, rho), c in counts.items():
+        coeffs[rank - rho] += c if a % 2 == 0 else -c
+    return IntPoly(coeffs)
+
+
 def chi_subset(m: Matroid) -> IntPoly:
     """Characteristic polynomial by direct subset expansion."""
     _guard(m)
-    counts = m.rank_size_counts()
-    rfull = m.full_rank()
-    coeffs = [0] * (rfull + 1)
-    for (a, rho), c in counts.items():
-        coeffs[rfull - rho] += c if a % 2 == 0 else -c
-    return IntPoly(coeffs)
+    return _chi_from_counts(m.rank_size_counts(), m.full_rank())
 
 
 def _delcon(m: Matroid) -> IntPoly:
@@ -64,9 +67,6 @@ def _delcon(m: Matroid) -> IntPoly:
     return poly_pow(IntPoly((-1, 1)), n)
 
 
-_GRAPHIC_CHI_MEMO: dict = {}
-
-
 def _graph_key(g: MultiGraph):
     support = sorted({v for e in g.edges for v in e})
     relab = {v: i for i, v in enumerate(support)}
@@ -77,9 +77,9 @@ def _graph_key(g: MultiGraph):
     return len(support), tuple(edges)
 
 
-def _delcon_graphic(g: MultiGraph) -> IntPoly:
+def _delcon_graphic(g: MultiGraph, memo: dict) -> IntPoly:
     key = _graph_key(g)
-    hit = _GRAPHIC_CHI_MEMO.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     edges = g.edges
@@ -96,8 +96,8 @@ def _delcon_graphic(g: MultiGraph) -> IntPoly:
         else:
             deleted = MultiGraph(g.n, edges[:pick] + edges[pick + 1 :])
             contracted = quotient(g, 1 << pick)
-            res = _delcon_graphic(deleted) - _delcon_graphic(contracted)
-    _GRAPHIC_CHI_MEMO[key] = res
+            res = _delcon_graphic(deleted, memo) - _delcon_graphic(contracted, memo)
+    memo[key] = res
     return res
 
 
@@ -110,35 +110,13 @@ def chi_delcon(m: Matroid) -> IntPoly:
     chi(M) = chi(M delete e) - chi(M contract e).
     """
     if isinstance(m, GraphicMatroid):
-        return _delcon_graphic(m.graph)
+        return _delcon_graphic(m.graph, {})
     return _delcon(m)
 
 
 def tutte(m: Matroid) -> BiPoly:
-    """Tutte polynomial via the rank-size census."""
-    _guard(m)
-    counts = m.rank_size_counts()
-    rfull = m.full_rank()
-    xm1 = IntPoly((-1, 1))
-    ym1 = IntPoly((-1, 1))
-    xpow = [IntPoly.one()]
-    ypow = [IntPoly.one()]
-    terms: dict = {}
-    for (a, rho), c in sorted(counts.items()):
-        i, j = rfull - rho, a - rho
-        while len(xpow) <= i:
-            xpow.append(xpow[-1] * xm1)
-        while len(ypow) <= j:
-            ypow.append(ypow[-1] * ym1)
-        for di, cx in enumerate(xpow[i].coeffs):
-            if not cx:
-                continue
-            for dj, cy in enumerate(ypow[j].coeffs):
-                if not cy:
-                    continue
-                k = (di, dj)
-                terms[k] = terms.get(k, 0) + c * cx * cy
-    return BiPoly(terms)
+    """Tutte polynomial T(x, y) = R(x-1, y-1) via the rank-size census."""
+    return whitney_R(m).translate(-1, -1)
 
 
 def tutte_uniform_closed(m: int, n: int) -> BiPoly:
@@ -212,18 +190,14 @@ def _dedup_parallel(g: MultiGraph) -> MultiGraph:
 
 def chromatic_poly(g: MultiGraph) -> IntPoly:
     """Chromatic polynomial P(x) = x^c(G) * chi of the cycle matroid."""
-    gs = _dedup_parallel(g)
-    m = make_graphic(gs)
-    if m.ground_size <= SUBSET_GUARD:
-        chi = chi_from_tutte(m)
-    else:
-        chi = chi_delcon(m)
+    m = make_graphic(_dedup_parallel(g))
+    chi = chi_subset(m) if m.ground_size <= SUBSET_GUARD else chi_delcon(m)
     return chi.shift(component_count(g))
 
 
 def flow_poly(g: MultiGraph) -> IntPoly:
     """Flow polynomial F(x) = chi of the dual of the cycle matroid."""
-    return chi_dual_from_tutte(make_graphic(g))
+    return chi_subset(make_graphic(g).dual())
 
 
 def dichromatic_Q(g: MultiGraph) -> BiPoly:
@@ -233,13 +207,3 @@ def dichromatic_Q(g: MultiGraph) -> BiPoly:
     c = component_count(g)
     return BiPoly({(i + c, j): v for (i, j), v in r.terms.items()})
 
-
-@dataclass
-class InvariantResult:
-    """A computed invariant bundled with how it was obtained."""
-
-    name: str
-    target: str
-    method: str
-    poly: object
-    meta: dict = field(default_factory=dict)

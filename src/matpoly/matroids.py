@@ -16,9 +16,13 @@ dict: under CPython's GIL each get/set is atomic and racing writers
 can only store the identical deterministic value, so concurrent readers
 are safe without locks.
 
-Graphic matroids override rank with union-find on the edge support and
-override the rank-size census with a backtracking scan that rolls back
-union operations, visiting each edge subset once.
+Graphic matroids compute rank(A) as |support of A| minus the number of
+components of A, through ``graphs.components`` and the one general
+union-find in ``graphs._roots_over`` (path halving).  They override the
+rank-size census with a backtracking scan that keeps its own union-find
+(union by size, no path compression) so each union rolls back in O(1),
+visiting each edge subset once.  Every other matroid class takes its
+census from the generic scan over ``rank``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from itertools import combinations, product
 from time import monotonic
 
 from .errors import BadParams, BudgetExceeded, TooLarge
-from .graphs import MultiGraph, quotient, subgraph
+from .graphs import MultiGraph, components, quotient, subgraph
 
 ENUM_GUARD = 20  # hard cap for circuit/flat enumeration
 
@@ -134,14 +138,8 @@ class DualView(Matroid):
         return out
 
 
-class RestrictView(Matroid):
-    def __init__(self, base: Matroid, mask: int):
-        if not 0 <= mask <= base.full_mask:
-            raise BadParams("restriction mask outside ground set")
-        elements = tuple(_bits(mask))
-        super().__init__(len(elements), f"restrict({base.label},{mask:#x})")
-        self.base = base
-        self.elements = elements
+class _MinorView(Matroid):
+    """A minor whose element i is element ``elements[i]`` of ``base``."""
 
     def _map(self, mask: int) -> int:
         out = 0
@@ -150,11 +148,21 @@ class RestrictView(Matroid):
                 out |= 1 << e
         return out
 
+
+class RestrictView(_MinorView):
+    def __init__(self, base: Matroid, mask: int):
+        if not 0 <= mask <= base.full_mask:
+            raise BadParams("restriction mask outside ground set")
+        elements = tuple(_bits(mask))
+        super().__init__(len(elements), f"restrict({base.label},{mask:#x})")
+        self.base = base
+        self.elements = elements
+
     def _rank_impl(self, mask: int) -> int:
         return self.base.rank(self._map(mask))
 
 
-class ContractView(Matroid):
+class ContractView(_MinorView):
     """Ground set = mask's elements; everything outside is contracted."""
 
     def __init__(self, base: Matroid, mask: int):
@@ -166,13 +174,6 @@ class ContractView(Matroid):
         self.elements = elements
         self._off = base.full_mask & ~mask
         self._off_rank = base.rank(self._off)
-
-    def _map(self, mask: int) -> int:
-        out = 0
-        for i, e in enumerate(self.elements):
-            if mask >> i & 1:
-                out |= 1 << e
-        return out
 
     def _rank_impl(self, mask: int) -> int:
         return self.base.rank(self._off | self._map(mask)) - self._off_rank
@@ -199,27 +200,8 @@ class GraphicMatroid(Matroid):
         self.graph = graph
 
     def _rank_impl(self, mask: int) -> int:
-        parent = list(range(self.graph.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        rank = 0
-        edges = self.graph.edges
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                ru, rv = find(edges[i][0]), find(edges[i][1])
-                if ru != rv:
-                    parent[ru] = rv
-                    rank += 1
-            m >>= 1
-            i += 1
-        return rank
+        count, support = components(self.graph, mask)
+        return support - count
 
     def restrict(self, mask: int) -> "GraphicMatroid":
         return GraphicMatroid(
@@ -243,6 +225,8 @@ class GraphicMatroid(Matroid):
         counts: Counter = Counter()
         calls = [0]
 
+        # Not graphs._roots_over: path compression would rewrite parents
+        # that the rollback below must restore.
         def find(x):
             while parent[x] != x:
                 x = parent[x]

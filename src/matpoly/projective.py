@@ -101,8 +101,8 @@ def tutte_pg(n: int, q: int) -> BiPoly:
     Work with monomials a^i b^j for a = x-1, b = y-1.  Each k-term is a
     polynomial in w = a*b (the product over i of (a*b - q^i)) times a
     binomial expansion of (1+b)^[k], so its monomials are a^i b^(i+t).
-    After summing, every monomial must carry b^n; divide and expand the
-    shift back out.
+    After summing, every monomial must carry b^n; divide, then translate
+    by (-1, -1) to return to x and y.
     """
     _check_pg_params(n, q)
     shifted: dict = {}
@@ -137,31 +137,4 @@ def tutte_pg(n: int, q: int) -> BiPoly:
                 f"monomial a^{i} b^{j} of the PG sum lacks the b^{n} factor"
             )
         quotient[(i, j - n)] = c
-    # expand back: a = x-1, b = y-1
-    xm1 = IntPoly((-1, 1))
-    ym1 = IntPoly((-1, 1))
-    xpows = {0: IntPoly.one()}
-    ypows = {0: IntPoly.one()}
-
-    def power(cache, base, e):
-        if e not in cache:
-            cache[e] = power(cache, base, e - 1) * base
-        return cache[e]
-
-    terms: dict = {}
-    for (i, j), c in quotient.items():
-        px = power(xpows, xm1, i)
-        py = power(ypows, ym1, j)
-        for dx, cx in enumerate(px.coeffs):
-            if not cx:
-                continue
-            for dy, cy in enumerate(py.coeffs):
-                if not cy:
-                    continue
-                key = (dx, dy)
-                v = terms.get(key, 0) + c * cx * cy
-                if v:
-                    terms[key] = v
-                elif key in terms:
-                    del terms[key]
-    return BiPoly(terms)
+    return BiPoly(quotient).translate(-1, -1)

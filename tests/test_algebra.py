@@ -14,7 +14,6 @@ from matpoly.algebra import (
     exact_div_monomial,
     falling_factorial,
     intpoly_from_rational_coeffs,
-    poly_mul,
     poly_pow,
     series_exp,
     series_log,
@@ -57,7 +56,6 @@ def test_addition_and_subtraction():
 def test_multiplication_known_product():
     # (x - 1)(x + 1) = x^2 - 1
     assert IntPoly((-1, 1)) * IntPoly((1, 1)) == IntPoly((-1, 0, 1))
-    assert poly_mul(IntPoly((-1, 1)), IntPoly((1, 1))) == IntPoly((-1, 0, 1))
 
 
 def test_pow_matches_repeated_multiplication():

@@ -214,8 +214,7 @@ def test_oracle_missing_arguments_exit_2(capsys):
         assert json.loads(err)["error"]["type"] == "BadParams"
 
 
-def test_bench_consistent(capsys, monkeypatch):
-    monkeypatch.setenv("MATPOLY_THREADS", "4")
+def test_bench_consistent(capsys):
     code, out, _ = run(
         capsys,
         ["bench", "flow-kn", "--n-max", "5", "--methods", "partitions,egf,tutte"],
@@ -223,13 +222,20 @@ def test_bench_consistent(capsys, monkeypatch):
     assert code == 0
     data = json.loads(out)
     assert data["consistent"] is True
-    assert data["workers"] == 4
+    assert "workers" not in data
     assert len(data["rows"]) == 15
     by_n = {}
     for row in data["rows"]:
         assert row["status"] == "ok"
         by_n.setdefault(row["n"], set()).add(row["checksum"])
     assert all(len(s) == 1 for s in by_n.values())
+
+
+def test_bench_ignores_matpoly_threads(capsys, monkeypatch):
+    monkeypatch.setenv("MATPOLY_THREADS", "abc")
+    code, out, err = run(capsys, ["bench", "flow-kn", "--n-max", "2"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["consistent"] is True
 
 
 def test_bench_budget_exceeded_row(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from matpoly import TooLarge
 from matpoly.algebra import BiPoly, IntPoly, poly_pow
+import matpoly.invariants as invariants_module
 from matpoly.graphs import MultiGraph, complete_graph, component_count
 from matpoly.invariants import (
     chi_delcon,
@@ -73,6 +74,16 @@ def test_chi_of_coloop_direct_sums():
 def test_chi_subset_equals_chi_delcon_everywhere():
     for m in small_matroids(12):
         assert chi_subset(m) == chi_delcon(m), m.label
+
+
+def test_chi_delcon_leaves_no_module_state():
+    chi_delcon(make_graphic(complete_graph(5)))
+    populated = [
+        name
+        for name, value in vars(invariants_module).items()
+        if not name.startswith("__") and isinstance(value, dict) and value
+    ]
+    assert populated == []
 
 
 def test_chi_at_one_is_zero():
