@@ -30,7 +30,6 @@ from .errors import (
     BadParams,
     BudgetExceeded,
     MatpolyError,
-    NonIntegral,
     NotDivisible,
     TooLarge,
 )

@@ -1,9 +1,8 @@
 """Exact polynomial arithmetic kernel.
 
-Python ints carry all integer coefficients (arbitrary precision, so no
-overflow is possible) and ``fractions.Fraction`` carries rationals
-(always normalized, positive denominator), so every operation in this
-module is exact.
+Python ints carry every coefficient (arbitrary precision, so no overflow
+is possible) and every operation in this module is exact; evaluation is
+also exact at rational arguments.
 
 Representations:
 
@@ -12,17 +11,18 @@ Representations:
   polynomial is the empty tuple and reports degree -1.
 * ``BiPoly``: sparse bivariate polynomial over the integers; a dict
   mapping ``(deg_x, deg_y)`` to nonzero coefficients.
-* ``PolySeries``: formal power series in ``z`` truncated at a fixed
-  order; the coefficient of ``z^i`` is a univariate polynomial over
-  Fraction stored as a trimmed tuple.  Ring operations discard every
-  z-degree beyond the truncation order.
+* ``PolySeries``: exponential power series in ``z`` truncated at a fixed
+  order; entry i holds i! times the coefficient of ``z^i`` as an
+  ``IntPoly``, so products, log and exp are integer recurrences with no
+  division.  Ring operations discard every z-degree beyond the
+  truncation order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb
 
-from .errors import BadConstantTerm, BadParams, NonIntegral, NotDivisible
+from .errors import BadConstantTerm, BadParams, NotDivisible
 
 
 class IntPoly:
@@ -125,7 +125,7 @@ class IntPoly:
         return poly_pow(self, k)
 
     def __call__(self, v):
-        """Evaluate by Horner; exact for int and Fraction arguments."""
+        """Evaluate by Horner; exact for int and rational arguments."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
@@ -332,7 +332,7 @@ class BiPoly:
 
 
 def eval_bipoly(p: BiPoly, u, v):
-    """Evaluate p at (u, v); exact for int/Fraction arguments."""
+    """Evaluate p at (u, v); exact for int/rational arguments."""
     total = 0
     up = {0: 1}
     vp = {0: 1}
@@ -347,66 +347,14 @@ def eval_bipoly(p: BiPoly, u, v):
     return total
 
 
-# Rational-coefficient helper polynomials ("qpoly"): trimmed tuples of
-# Fraction in ascending degree, used as series coefficients.
-
-_QZERO = ()
-
-
-def _qp_trim(cs) -> tuple:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(Fraction(c) for c in cs)
-
-
-def _qp_add(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _qp_trim(out)
-
-
-def _qp_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return _QZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _qp_trim(out)
-
-
-def _qp_scale(a: tuple, c) -> tuple:
-    if not c:
-        return _QZERO
-    c = Fraction(c)
-    return tuple(v * c for v in a)
-
-
-def intpoly_from_rational_coeffs(qp) -> IntPoly:
-    """Convert a rational-coefficient polynomial to IntPoly.
-
-    Raises NonIntegral if any coefficient has a denominator other than 1.
-    """
-    out = []
-    for c in qp:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise NonIntegral(f"coefficient {c} is not an integer")
-        out.append(c.numerator)
-    return IntPoly(out)
-
-
 class PolySeries:
-    """Power series in z, truncated at a fixed order, with qpoly coefficients.
+    """Exponential power series in z, truncated at a fixed order.
 
-    ``coeffs[i]`` is the coefficient of ``z^i`` as a trimmed Fraction
-    tuple; the tuple has length ``order + 1``.  Binary operations align
-    at the smaller of the two orders.
+    ``coeffs[i]`` is i! times the coefficient of ``z^i``, as an IntPoly;
+    the tuple has length ``order + 1``.  In this scaling the product is
+    the binomial convolution (ab)_m = sum_k C(m,k) a_k b_(m-k), so every
+    operation stays in the integers.  Binary operations align at the
+    smaller of the two orders.
     """
 
     __slots__ = ("order", "coeffs")
@@ -414,10 +362,10 @@ class PolySeries:
     def __init__(self, order: int, coeffs=()):
         if order < 0:
             raise BadParams("series order must be >= 0")
-        cs = [_qp_trim(c) for c in coeffs]
+        cs = list(coeffs)
         if len(cs) > order + 1:
             raise BadParams("more coefficients than the truncation order allows")
-        cs.extend([_QZERO] * (order + 1 - len(cs)))
+        cs.extend([IntPoly()] * (order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs)
 
@@ -427,9 +375,9 @@ class PolySeries:
 
     @classmethod
     def one(cls, order: int) -> "PolySeries":
-        return cls(order, [(1,)])
+        return cls(order, [IntPoly.one()])
 
-    def coeff(self, i: int) -> tuple:
+    def coeff(self, i: int) -> IntPoly:
         return self.coeffs[i]
 
     def __eq__(self, other) -> bool:
@@ -442,21 +390,19 @@ class PolySeries:
     def __add__(self, other: "PolySeries") -> "PolySeries":
         order = min(self.order, other.order)
         return PolySeries(
-            order,
-            [_qp_add(self.coeffs[i], other.coeffs[i]) for i in range(order + 1)],
+            order, [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)]
         )
 
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         order = min(self.order, other.order)
-        out = [_QZERO] * (order + 1)
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = _qp_add(out[i + j], _qp_mul(a, b))
+        out = []
+        for m in range(order + 1):
+            acc = IntPoly()
+            for k in range(m + 1):
+                a, b = self.coeffs[k], other.coeffs[m - k]
+                if a and b:
+                    acc = acc + (a * b).scale(comb(m, k))
+            out.append(acc)
         return PolySeries(order, out)
 
     def map_coeffs(self, f) -> "PolySeries":
@@ -469,41 +415,37 @@ class PolySeries:
 def series_log(s: PolySeries) -> PolySeries:
     """log of a series with constant term exactly 1.
 
-    Uses the standard quotient-free recurrence obtained from
-    g' = g * (log g)': writing g = sum g_i z^i and log g = sum l_i z^i,
-        n*g_n = sum_{k=1..n} k * l_k * g_{n-k},
-    solved for l_n term by term.
+    From g' = g * (log g)' in the i!-scaled coefficients,
+        g_m = sum_{k=1..m} C(m-1, k-1) l_k g_(m-k),
+    and the k = m term is l_m itself (g_0 = 1), so l_m needs no division.
     """
-    if s.coeffs[0] != (Fraction(1),):
+    if s.coeffs[0] != IntPoly.one():
         raise BadConstantTerm("series_log needs constant term 1")
-    n = s.order
-    l = [_QZERO] * (n + 1)
-    for m in range(1, n + 1):
-        acc = _qp_scale(s.coeffs[m], m)
+    g = s.coeffs
+    l = [IntPoly()]
+    for m in range(1, s.order + 1):
+        acc = g[m]
         for k in range(1, m):
-            g = s.coeffs[m - k]
-            if l[k] and g:
-                acc = _qp_add(acc, _qp_scale(_qp_mul(l[k], g), -k))
-        l[m] = _qp_scale(acc, Fraction(1, m))
-    return PolySeries(n, l)
+            if l[k] and g[m - k]:
+                acc = acc - (l[k] * g[m - k]).scale(comb(m - 1, k - 1))
+        l.append(acc)
+    return PolySeries(s.order, l)
 
 
 def series_exp(s: PolySeries) -> PolySeries:
     """exp of a series with constant term exactly 0.
 
-    Same style of recurrence from e' = h' * e for e = exp(h):
-        n*e_n = sum_{k=1..n} k * h_k * e_{n-k}.
+    From e' = h' * e for e = exp(h), in the i!-scaled coefficients:
+        e_m = sum_{k=1..m} C(m-1, k-1) h_k e_(m-k).
     """
-    if s.coeffs[0] != _QZERO:
+    if s.coeffs[0]:
         raise BadConstantTerm("series_exp needs constant term 0")
-    n = s.order
-    e = [_QZERO] * (n + 1)
-    e[0] = (Fraction(1),)
-    for m in range(1, n + 1):
-        acc = _QZERO
+    h = s.coeffs
+    e = [IntPoly.one()]
+    for m in range(1, s.order + 1):
+        acc = IntPoly()
         for k in range(1, m + 1):
-            h = s.coeffs[k]
-            if h and e[m - k]:
-                acc = _qp_add(acc, _qp_scale(_qp_mul(h, e[m - k]), k))
-        e[m] = _qp_scale(acc, Fraction(1, m))
-    return PolySeries(n, e)
+            if h[k] and e[m - k]:
+                acc = acc + (h[k] * e[m - k]).scale(comb(m - 1, k - 1))
+        e.append(acc)
+    return PolySeries(s.order, e)

@@ -15,8 +15,9 @@ optionally suffixed ":dual".  Graph files hold {"n": ..., "edges": ...}.
 
 All results are printed as JSON on stdout with sorted keys and decimal
 string coefficients, so output is byte-stable.  Exit codes: 0 success,
-2 rejected input (bad parameters or size guards), 3 an identity or
-cross-method check failed.
+1 an internal invariant failed (exact division, blown budget), 2 rejected
+input (bad parameters or size guards), 3 an identity or cross-method
+check failed.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ def parse_matroid_spec(spec: str):
     elif kind == "pg":
         try:
             n_str, p_str = rest.split(",")
+            n, p = int(n_str), int(p_str)
         except ValueError as exc:
             raise BadParams(f"bad pg spec {spec!r}") from exc
-        m = make_pg(int(n_str), int(p_str))
+        m = make_pg(n, p)
         g = None
     elif kind == "graphic":
         g = graph_from_json(rest)

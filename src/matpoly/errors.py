@@ -1,11 +1,12 @@
 """Exception taxonomy shared by all modules.
 
 Domain errors (``BadParams``, ``TooLarge``) reject bad or oversized input
-up front.  Integrality errors (``NotDivisible``, ``NonIntegral``,
-``BadConstantTerm``) signal that an exactness guarantee failed mid
-computation; when an identity promises divisibility, hitting one of these
-means the input violated the identity's hypotheses or there is a bug, so
-they are never silently swallowed.  ``BudgetExceeded`` is raised by
+up front.  Exactness errors (``NotDivisible``, ``BadConstantTerm``) signal
+that an exactness guarantee failed mid computation; when an identity
+promises divisibility, hitting one of these means the input violated the
+identity's hypotheses or there is a bug, so they are never silently
+swallowed.  Series coefficients are integers by construction, so no
+integrality error exists.  ``BudgetExceeded`` is raised by
 cooperatively time-limited computations.
 """
 
@@ -24,10 +25,6 @@ class TooLarge(MatpolyError):
 
 class NotDivisible(MatpolyError):
     """An exact polynomial division left a nonzero remainder."""
-
-
-class NonIntegral(MatpolyError):
-    """A rational quantity expected to be an integer is not."""
 
 
 class BadConstantTerm(MatpolyError):

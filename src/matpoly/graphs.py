@@ -192,16 +192,22 @@ def graph_to_json(g: MultiGraph) -> dict:
 
 def graph_from_json(obj) -> MultiGraph:
     """Build a MultiGraph from {"n": int, "edges": [[u,v], ...]} given as
-    a dict, a JSON string, or a path to a JSON file."""
-    if isinstance(obj, (str, os.PathLike)):
-        text = os.fspath(obj)
-        if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        obj = json.loads(text)
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise BadParams('graph JSON needs keys "n" and "edges"')
-    edges = obj["edges"]
-    if not isinstance(edges, list) or any(len(e) != 2 for e in edges):
-        raise BadParams("edges must be a list of [u, v] pairs")
-    return MultiGraph(int(obj["n"]), [(int(u), int(v)) for u, v in edges])
+    a dict, a JSON string, or a path to a JSON file.  Unreadable files,
+    malformed JSON and non-integer entries all raise BadParams."""
+    try:
+        if isinstance(obj, (str, os.PathLike)):
+            text = os.fspath(obj)
+            if not text.lstrip().startswith("{"):
+                with open(text, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            obj = json.loads(text)
+        if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+            raise BadParams('graph JSON needs keys "n" and "edges"')
+        edges = obj["edges"]
+        if not isinstance(edges, list) or any(len(e) != 2 for e in edges):
+            raise BadParams("edges must be a list of [u, v] pairs")
+        n = int(obj["n"])
+        pairs = [(int(u), int(v)) for u, v in edges]
+    except (OSError, TypeError, ValueError) as exc:
+        raise BadParams(f"bad graph JSON: {exc}") from exc
+    return MultiGraph(n, pairs)

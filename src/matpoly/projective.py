@@ -71,13 +71,18 @@ def points_count(n: int, q: int) -> int:
     return (q**n - 1) // (q - 1)
 
 
+def _q_product(m: int, q: int) -> IntPoly:
+    """(x-1)(x-q)...(x-q^(m-1)); the empty product (m = 0) is 1."""
+    out = IntPoly.one()
+    for i in range(m):
+        out = out * IntPoly((-(q**i), 1))
+    return out
+
+
 def chi_pg(n: int, q: int) -> IntPoly:
     """chi of PG(n-1, q): the product (x-1)(x-q)...(x-q^(n-1))."""
     _check_pg_params(n, q)
-    out = IntPoly.one()
-    for i in range(n):
-        out = out * IntPoly((-(q**i), 1))
-    return out
+    return _q_product(n, q)
 
 
 def chi_pg_dual(n: int, q: int) -> IntPoly:
@@ -86,9 +91,7 @@ def chi_pg_dual(n: int, q: int) -> IntPoly:
     one_minus_x = IntPoly((1, -1))
     acc = IntPoly.zero()
     for k in range(n + 1):
-        term = poly_pow(one_minus_x, points_count(k, q))
-        for i in range(n - k):
-            term = term * IntPoly((-(q**i), 1))
+        term = poly_pow(one_minus_x, points_count(k, q)) * _q_product(n - k, q)
         acc = acc + term.scale(gaussian_binomial(n, k, q))
     if points_count(n, q) % 2:
         acc = -acc
@@ -108,15 +111,7 @@ def tutte_pg(n: int, q: int) -> BiPoly:
     shifted: dict = {}
     for k in range(n + 1):
         gb = gaussian_binomial(n, k, q)
-        # prod_{i=0}^{n-k-1} (w - q^i) as a dense list over w = a*b
-        wpoly = [1]
-        for i in range(n - k):
-            c = -(q**i)
-            nxt = [0] * (len(wpoly) + 1)
-            for d, a_ in enumerate(wpoly):
-                nxt[d] += a_ * c
-                nxt[d + 1] += a_
-            wpoly = nxt
+        wpoly = _q_product(n - k, q).coeffs  # dense over w = a*b
         binom = poly_pow(IntPoly((1, 1)), points_count(k, q))  # (1+b)^[k]
         for d, cw in enumerate(wpoly):
             if not cw:

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from matpoly import BadConstantTerm, BadParams, NonIntegral, NotDivisible
+from matpoly import BadConstantTerm, BadParams, NotDivisible
 from matpoly.algebra import (
     BiPoly,
     IntPoly,
@@ -13,7 +14,6 @@ from matpoly.algebra import (
     eval_bipoly,
     exact_div_monomial,
     falling_factorial,
-    intpoly_from_rational_coeffs,
     poly_pow,
     series_exp,
     series_log,
@@ -163,39 +163,47 @@ def test_bipoly_substitute_into_single_variable():
         assert got(z) == (1 + z) * (2 * z) + (1 + z) + 1
 
 
-def rand_qpoly(rng):
-    return tuple(
-        Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))
-    )
+def rand_series(rng, order, const):
+    return PolySeries(order, [const] + [rand_poly(rng, 2, 6) for _ in range(order)])
 
 
 def test_series_log_exp_roundtrip():
     rng = random.Random(414005)
     order = 8
     for _ in range(10):
-        coeffs = [(Fraction(1),)] + [rand_qpoly(rng) for _ in range(order)]
-        g = PolySeries(order, coeffs)
+        g = rand_series(rng, order, IntPoly.one())
         assert series_exp(series_log(g)) == g
+
+
+def test_series_log_counts_connected_graphs():
+    # i! [z^i] of sum_i 2^C(i,2) z^i/i! counts labelled graphs on i
+    # vertices; its log counts the connected ones (OEIS A001187).
+    g = PolySeries(7, [IntPoly.const(2 ** comb(i, 2)) for i in range(8)])
+    connected = [0, 1, 1, 4, 38, 728, 26704, 1866256]
+    assert series_log(g) == PolySeries(7, [IntPoly.const(c) for c in connected])
+
+
+def test_series_exp_turns_sums_into_products():
+    rng = random.Random(414006)
+    order = 7
+    for _ in range(10):
+        a = rand_series(rng, order, IntPoly())
+        b = rand_series(rng, order, IntPoly())
+        assert series_exp(a + b) == series_exp(a) * series_exp(b)
 
 
 def test_series_log_requires_unit_constant_term():
     with pytest.raises(BadConstantTerm):
-        series_log(PolySeries(2, [(Fraction(2),), (Fraction(1),)]))
+        series_log(PolySeries(2, [IntPoly.const(2), IntPoly.one()]))
 
 
 def test_series_exp_requires_zero_constant_term():
     with pytest.raises(BadConstantTerm):
-        series_exp(PolySeries(2, [(Fraction(1),), (Fraction(1),)]))
+        series_exp(PolySeries(2, [IntPoly.one(), IntPoly.one()]))
 
 
 def test_series_truncation_alignment():
-    a = PolySeries(5, [(Fraction(1),), (Fraction(2),)])
-    b = PolySeries(3, [(Fraction(1),)])
+    a = PolySeries(5, [IntPoly.one(), IntPoly.const(2)])
+    b = PolySeries(3, [IntPoly.one()])
     assert (a * b).order == 3
     assert (a + b).order == 3
-
-
-def test_intpoly_from_rational_coeffs():
-    assert intpoly_from_rational_coeffs([Fraction(4, 2), Fraction(3)]) == IntPoly((2, 3))
-    with pytest.raises(NonIntegral):
-        intpoly_from_rational_coeffs([Fraction(1, 2)])

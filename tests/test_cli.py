@@ -91,7 +91,10 @@ def test_chi_dual_suffix(capsys):
 
 
 def test_chi_bad_specs_exit_2(capsys):
-    for spec in ("uniform:2", "uniform:5,2", "pg:2,4", "widget:1,2", "plain"):
+    for spec in (
+        "uniform:2", "uniform:5,2", "pg:2,4", "widget:1,2", "plain",
+        "pg:x,2", "graphic:{bad", "graphic:no/such/graph.json",
+    ):
         code, _, err = run(capsys, ["chi", "--matroid", spec])
         assert code == 2, spec
         assert json.loads(err)["error"]["type"] == "BadParams", spec

@@ -101,6 +101,8 @@ def test_reversed_multiplicity_convention_is_not_a_partition_count():
     wrong = factorial(1) * factorial(2) * factorial(2)
     assert set_partition_count(lam) == 3
     assert wrong != 3
+    # the count must not depend on the order of the parts
+    assert set_partition_count((1, 2, 1)) == set_partition_count((1, 1, 2)) == 6
 
 
 def test_partition_classes_sums_to_bell_numbers():

@@ -190,3 +190,13 @@ def test_graph_json_rejects_bad_payload():
         graph_from_json({"n": 2})
     with pytest.raises(BadParams):
         graph_from_json({"n": 1, "edges": [[0, 1]]})
+    for bad in (
+        "{bad",
+        "no/such/graph.json",
+        {"n": "three", "edges": []},
+        {"n": 2, "edges": [[0, "one"]]},
+        {"n": 2, "edges": [[0, None]]},
+        {"n": 2, "edges": [0, 1]},
+    ):
+        with pytest.raises(BadParams):
+            graph_from_json(bad)
