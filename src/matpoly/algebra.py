@@ -157,9 +157,20 @@ class IntPoly:
 
 
 def poly_pow(a: IntPoly, k: int) -> IntPoly:
-    """a**k for integer k >= 0, by repeated squaring."""
+    """a**k for integer k >= 0.
+
+    A binomial base c0 + c1 x gives the row C(k,j) c0^(k-j) c1^j
+    directly; every other base is raised by repeated squaring."""
     if k < 0:
         raise BadParams("negative polynomial power")
+    if len(a.coeffs) == 2:
+        c0, c1 = a.coeffs
+        if c0 == 0:
+            return IntPoly.monomial(c1**k, k)
+        row = [c0**k] + [0] * k
+        for j in range(k):  # the division is exact: the quotient is the next term
+            row[j + 1] = row[j] * (k - j) * c1 // ((j + 1) * c0)
+        return IntPoly(row)
     result = IntPoly.one()
     base = a
     while k:

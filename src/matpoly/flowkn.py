@@ -1,6 +1,6 @@
 """Flow polynomial of the complete graph K_n, three ways.
 
-The fast route sums over integer partitions of n.  A partition
+The fast route sums over the integer partitions of n.  A partition
 lambda = (l_1 <= ... <= l_k) stands for the vertex partitions of K_n
 with those block sizes; every block of K_n is automatically connected,
 there are
@@ -15,9 +15,13 @@ x(x-1)...(x-k+1).  Hence
     F_{K_n}(x) = (-1)^C(n,2) x^(-n) * sum_lambda f(lambda)
                  (1-x)^s(lambda) * x(x-1)...(x-len(lambda)+1).
 
-Partitions sharing (s, len) are grouped into classes first, then the
-outer sum runs by descending s as a Horner scheme in (1-x), so the big
-polynomial multiplications are all by a binomial.
+Only the class of lambda, the key (s, len), enters the sum, so the
+partitions are never listed: ``partition_classes`` gets the total
+f(lambda) of every class from a DP over block sizes, with about 18k
+classes against p(60) = 966,467 partitions at n = 60.  The outer sum
+then runs by descending s as a Horner scheme in (1-x), so every
+polynomial product is by a binomial.  ``partitions`` and the two counts
+below it stay as the simple oracles the DP is tested against.
 
 The second route reads the same number off an exponential generating
 function: with g(z) = sum_{i<=n} z^i/i! (1-x)^C(i,2),
@@ -102,31 +106,58 @@ def set_partition_count(parts) -> int:
     return factorial(sum(parts)) // denom
 
 
+def _place_blocks(tables: list, r: int, i: int) -> dict:
+    """The states left with r free elements once the blocks of size i
+    are placed: k of them are taken from the r + k*i free elements of a
+    state in tables[r + k*i], in prod_{t=1..k} C(r + t*i, i) / k! ways,
+    adding k*C(i, 2) to s and k to l."""
+    base = len(tables)
+    step = comb(i, 2) * base + 1
+    out: dict = {}
+    ways = 1
+    for k in range((base - 1 - r) // i + 1):
+        if k:
+            ways = ways * comb(r + k * i, i) // k
+        shift = k * step
+        for key, w in tables[r + k * i].items():
+            key += shift
+            out[key] = out.get(key, 0) + w * ways
+    return out
+
+
 def partition_classes(n: int) -> dict:
     """Aggregate set-partition counts of an n-set by the class key
     (s, l) = (edges inside blocks of K_n, number of blocks):
-    out[(s, l)] = sum of f(lambda) over partitions with that key."""
+    out[(s, l)] = sum of f(lambda) over partitions with that key.
+
+    A DP over block sizes, so the p(n) partitions are never listed.  A
+    state is (free elements r, packed key s*(n+1) + l); its weight
+    counts the ways to choose the blocks placed so far.  Sizes
+    i = n .. 3 are placed in turn (``_place_blocks``), and the r elements
+    left at the end close into k pairs and r - 2k singletons in
+    r! / ((r-2k)! 2^k k!) ways, adding (k, r - k) to (s, l)."""
     if n < 0:
         raise BadParams("needs n >= 0")
-    fact = [factorial(i) for i in range(n + 1)]
+    base = n + 1
+    tables: list = [{} for _ in range(n)] + [{0: 1}]  # tables[r]: {key: weight}
+    # Ascending r: the table of r is the last source that destination r
+    # reads, so each layer overwrites the one before it in place.
+    for i in range(n, 3, -1):
+        for r in range(base):
+            tables[r] = _place_blocks(tables, r, i)
+    # The last layer (size 3) is closed as each r completes, never stored.
+    fact = [factorial(i) for i in range(base)]
     out: dict = {}
-    for parts in partitions(n):
-        s = 0
-        denom = 1
-        run = 0
-        prev = None
-        for p in parts:
-            s += p * (p - 1) // 2
-            denom *= fact[p]
-            if p == prev:
-                run += 1
-            else:
-                denom *= fact[run]
-                prev, run = p, 1
-        denom *= fact[run]
-        key = (s, len(parts))
-        out[key] = out.get(key, 0) + fact[n] // denom
-    return out
+    for r in range(base):
+        src = _place_blocks(tables, r, 3)
+        tables[r] = {}
+        for k in range(r // 2 + 1):
+            ways = fact[r] // (fact[r - 2 * k] * fact[k] * 2**k)
+            shift = k * base + r - k
+            for key, w in src.items():
+                key += shift
+                out[key] = out.get(key, 0) + w * ways
+    return {divmod(key, base): w for key, w in out.items()}
 
 
 def flow_kn_partitions(n: int) -> IntPoly:
@@ -134,28 +165,22 @@ def flow_kn_partitions(n: int) -> IntPoly:
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
     classes = partition_classes(n)
-    by_s: dict = {}
-    for (s, l), w in classes.items():
-        by_s.setdefault(s, {})[l] = w
-
     ff = [falling_factorial(l).coeffs for l in range(n + 1)]
 
+    # Horner in (1 - x) by descending s; (0, n) is always a class, so
+    # the walk ends at s = 0.
     acc: list = []
-    for s in range(max(by_s), -1, -1):
-        if acc:  # acc *= (1 - x)
-            new = [0] * (len(acc) + 1)
-            for i, a in enumerate(acc):
-                new[i] += a
-                new[i + 1] -= a
-            acc = new
-        grp = by_s.get(s)
-        if grp:
-            for l, w in grp.items():
-                coeffs = ff[l]
-                if len(acc) < len(coeffs):
-                    acc.extend([0] * (len(coeffs) - len(acc)))
-                for i, a in enumerate(coeffs):
-                    acc[i] += w * a
+    s_cur = max(classes)[0]
+    for s, l in sorted(classes, reverse=True):
+        for _ in range(s_cur - s):  # acc *= (1 - x)
+            acc = [a - b for a, b in zip(acc + [0], [0] + acc)]
+        s_cur = s
+        w = classes[(s, l)]
+        coeffs = ff[l]
+        if len(acc) < len(coeffs):
+            acc.extend([0] * (len(coeffs) - len(acc)))
+        for i, a in enumerate(coeffs):
+            acc[i] += w * a
     poly = IntPoly(acc)
     if comb(n, 2) % 2:
         poly = -poly

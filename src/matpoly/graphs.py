@@ -193,7 +193,8 @@ def graph_to_json(g: MultiGraph) -> dict:
 def graph_from_json(obj) -> MultiGraph:
     """Build a MultiGraph from {"n": int, "edges": [[u,v], ...]} given as
     a dict, a JSON string, or a path to a JSON file.  Unreadable files,
-    malformed JSON and non-integer entries all raise BadParams."""
+    malformed JSON and any n or endpoint that is not a JSON integer
+    (floats, bools, strings) all raise BadParams."""
     try:
         if isinstance(obj, (str, os.PathLike)):
             text = os.fspath(obj)
@@ -206,8 +207,12 @@ def graph_from_json(obj) -> MultiGraph:
         edges = obj["edges"]
         if not isinstance(edges, list) or any(len(e) != 2 for e in edges):
             raise BadParams("edges must be a list of [u, v] pairs")
-        n = int(obj["n"])
-        pairs = [(int(u), int(v)) for u, v in edges]
+        n = obj["n"]
+        pairs = [(u, v) for u, v in edges]
     except (OSError, TypeError, ValueError) as exc:
         raise BadParams(f"bad graph JSON: {exc}") from exc
+    # type(), not isinstance: bool is an int subclass, and int() would
+    # truncate 1.9 to 1
+    if any(type(v) is not int for v in (n, *(x for e in pairs for x in e))):
+        raise BadParams("graph JSON wants integer n and edge endpoints")
     return MultiGraph(n, pairs)

@@ -72,6 +72,29 @@ def test_pow_matches_repeated_multiplication():
         poly_pow(IntPoly((1, 1)), -1)
 
 
+def test_pow_of_two_term_base_is_binomial_row():
+    # poly_pow builds (c0 + c1 x)^k as a row of binomials; check it
+    # against repeated IntPoly.__mul__, including c0 = 0 and big ints
+    rng = random.Random(414007)
+    big = [3**70, -(2**90) + 1, 10**40 + 7]
+    small = list(range(-3, 4))
+    for _ in range(60):
+        c0 = rng.choice(small + big)
+        c1 = rng.choice([c for c in small + big if c])
+        p = IntPoly((c0, c1))
+        naive = IntPoly.one()
+        for k in range(41):
+            assert poly_pow(p, k) == naive, (c0, c1, k)
+            naive = naive * p
+    for c0 in (0, 1, -1):
+        with pytest.raises(BadParams):
+            poly_pow(IntPoly((c0, 1)), -1)
+    # a three-term base still goes through repeated squaring
+    t = IntPoly((1, 2, 3))
+    assert poly_pow(t, 7) == t * t * t * t * t * t * t
+    assert poly_pow(t, 0) == IntPoly.one()
+
+
 def test_eval_horner_matches_term_sum():
     rng = random.Random(414002)
     for _ in range(40):

@@ -124,6 +124,16 @@ def test_partition_classes_sums_to_bell_numbers():
             assert 0 <= s <= comb(n, 2)
 
 
+def test_partition_classes_match_enumerated_grouping():
+    # the DP never lists partitions; group the listed ones here instead
+    for n in range(0, 26):
+        want = {}
+        for lam in partitions(n):
+            key = (sum(comb(p, 2) for p in lam), len(lam))
+            want[key] = want.get(key, 0) + set_partition_count(lam)
+        assert partition_classes(n) == want, n
+
+
 def test_partition_classes_small_case_by_hand():
     # n = 3: shapes 1+1+1 (1 partition, s=0, l=3), 1+2 (3, s=1, l=2),
     # 3 (1, s=3, l=1)
@@ -143,7 +153,7 @@ def test_flow_kn_golden_k5():
 
 
 def test_flow_kn_routes_agree_midrange():
-    for n in (8, 11, 14):
+    for n in (8, 11, 14, 20, 25):
         assert flow_kn_partitions(n) == flow_kn_egf(n), n
 
 

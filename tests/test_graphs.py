@@ -197,6 +197,12 @@ def test_graph_json_rejects_bad_payload():
         {"n": 2, "edges": [[0, "one"]]},
         {"n": 2, "edges": [[0, None]]},
         {"n": 2, "edges": [0, 1]},
+        {"n": 2.7, "edges": [[0, 1.9]]},
+        {"n": 2.0, "edges": []},
+        {"n": 2, "edges": [[0, 1.0]]},
+        {"n": True, "edges": [[0, False]]},
+        {"n": 2, "edges": [[0, True]]},
+        '{"n": 2.7, "edges": [[0, 1.9]]}',
     ):
         with pytest.raises(BadParams):
             graph_from_json(bad)
