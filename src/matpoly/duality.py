@@ -22,10 +22,14 @@ Verification is exact polynomial comparison where the identity is
 polynomial, and exact rational evaluation at documented sample points
 where the identity lives in a localized ring (negative powers of q).
 
-Subset sums over minors are computed with zeta/Moebius transforms over
-the subset lattice: one pass per ground element, 2^n cells, so the full
-table of minor characteristic polynomials costs n * 2^n ring operations
-instead of 3^n.
+Every subset sum over minors is one call of ``_lattice_sums``: a value
+per subset, read off (|A|, r(A)), then one zeta/Moebius transform over
+the subset lattice (one pass per ground element, 2^n cells), so a full
+table of minor polynomials costs n * 2^n ring operations instead of 3^n.
+Each checker only states the two sides of its identity.  ``_KINDS`` maps
+every kind to its checker and, for a sampled kind, its sample points;
+``_sample_points`` parses those points for every kind alike (defaults,
+groups, poles, labels) and ``_first_mismatch`` is the one loop over them.
 """
 
 from __future__ import annotations
@@ -82,6 +86,9 @@ DEFAULT_KUNG = (
 )
 
 PARTITION_VERTEX_GUARD = 12
+# The Matiyasevich kinds census all 2^|E| subgraphs, about 3^|E| subset
+# visits: K6 (15 edges) takes 15-22 s, K7 (21 edges) hours.
+SUBGRAPH_EDGE_GUARD = 15
 
 
 @dataclass
@@ -148,42 +155,48 @@ def superset_zeta(vals: list, n: int) -> list:
     return vals
 
 
+def _lattice_sums(ranks: list[int], value, superset: bool = False) -> list:
+    """sum of value(|B|, r(B)) over every B subset of A (superset of A when
+    ``superset``), for every A, given the rank table ``ranks``.
+
+    value is called once per distinct (|B|, r(B)) pair; the transform
+    only adds, so cells may share one immutable value.
+    """
+    n = len(ranks).bit_length() - 1
+    keys = [(mask.bit_count(), r) for mask, r in enumerate(ranks)]
+    memo = {key: value(*key) for key in set(keys)}
+    vals = [memo[key] for key in keys]
+    return (superset_zeta if superset else subset_zeta)(vals, n)
+
+
+def _negate_odd(vals: list) -> list:
+    """(-1)^|A| vals[A] for every A."""
+    return [-v if mask.bit_count() % 2 else v for mask, v in enumerate(vals)]
+
+
 def chi_restrict_table(m: Matroid, ranks: list[int] | None = None) -> list[IntPoly]:
     """chi of M restricted to A, for every A at once.
 
-    Build f(B) = (-1)^|B| x^(R - r(B)), subset-sum it, then divide the
-    entry at A by x^(R - r(A)); divisibility is guaranteed because ranks
-    of subsets of A never exceed r(A).
+    Subset-sum f(B) = (-1)^|B| x^(R - r(B)), then divide the entry at A by
+    x^(R - r(A)); divisibility is guaranteed because ranks of subsets of A
+    never exceed r(A).
     """
-    n = m.ground_size
     ranks = ranks if ranks is not None else rank_table(m)
     rfull = ranks[-1]
-    vals: list = [
-        IntPoly.monomial(-1 if mask.bit_count() % 2 else 1, rfull - ranks[mask])
-        for mask in range(1 << n)
-    ]
-    subset_zeta(vals, n)
-    return [
-        exact_div_monomial(vals[mask], rfull - ranks[mask])
-        for mask in range(1 << n)
-    ]
+    vals = _lattice_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r))
+    return [exact_div_monomial(v, rfull - r) for v, r in zip(vals, ranks)]
 
 
 def chi_contract_table(m: Matroid, ranks: list[int] | None = None) -> list[IntPoly]:
     """chi of M with the subset A contracted away (ground set E - A),
     for every A at once, via a superset Moebius sum."""
-    n = m.ground_size
     ranks = ranks if ranks is not None else rank_table(m)
     rfull = ranks[-1]
-    vals: list = [
-        IntPoly.monomial(-1 if mask.bit_count() % 2 else 1, rfull - ranks[mask])
-        for mask in range(1 << n)
-    ]
-    superset_zeta(vals, n)
-    return [
-        vals[mask] if mask.bit_count() % 2 == 0 else -vals[mask]
-        for mask in range(1 << n)
-    ]
+    return _negate_odd(
+        _lattice_sums(
+            ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r), superset=True
+        )
+    )
 
 
 def chi_dual_restrict_table(
@@ -191,19 +204,10 @@ def chi_dual_restrict_table(
 ) -> list[IntPoly]:
     """chi of (M|A)* = chi of M*.A, for every A, via a subset Moebius sum
     of x^(|C| - r(C))."""
-    n = m.ground_size
     ranks = ranks if ranks is not None else rank_table(m)
-    vals: list = [
-        IntPoly.monomial(
-            -1 if mask.bit_count() % 2 else 1, mask.bit_count() - ranks[mask]
-        )
-        for mask in range(1 << n)
-    ]
-    subset_zeta(vals, n)
-    return [
-        vals[mask] if mask.bit_count() % 2 == 0 else -vals[mask]
-        for mask in range(1 << n)
-    ]
+    return _negate_odd(
+        _lattice_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** a, a - r))
+    )
 
 
 def _finaltwo_sum(m: Matroid, size_weights: list[IntPoly] | None = None) -> IntPoly:
@@ -215,10 +219,8 @@ def _finaltwo_sum(m: Matroid, size_weights: list[IntPoly] | None = None) -> IntP
         one_minus_x = IntPoly((1, -1))
         size_weights = [poly_pow(one_minus_x, k) for k in range(n + 1)]
     table = chi_contract_table(m)
-    acc = IntPoly.zero()
-    for mask in range(1 << n):
-        acc = acc + size_weights[mask.bit_count()] * table[mask]
-    return acc
+    weighted = (size_weights[mask.bit_count()] * p for mask, p in enumerate(table))
+    return sum(weighted, IntPoly.zero())
 
 
 def chi_dual_via_finaltwo(m: Matroid) -> IntPoly:
@@ -237,6 +239,19 @@ def chi_dual_via_finaltwo(m: Matroid) -> IntPoly:
     return exact_div_monomial(acc, m.full_rank())
 
 
+def _partition_terms(g: MultiGraph) -> list[tuple[int, IntPoly]]:
+    """(|A|, P_{G/A}) for every partition of V into connected blocks, A the
+    edges inside blocks; guarded on the vertex count."""
+    if g.n > PARTITION_VERTEX_GUARD:
+        raise TooLarge(
+            f"connected-partition sum on {g.n} > {PARTITION_VERTEX_GUARD} vertices"
+        )
+    return [
+        (amask.bit_count(), chromatic_poly(quotient(g, amask)))
+        for _blocks, amask in connected_partitions(g)
+    ]
+
+
 def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
     """Flow polynomial from chromatic polynomials of quotients:
 
@@ -247,95 +262,97 @@ def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
     block to a point.  Enumeration is over all vertex partitions, so the
     vertex count is guarded at 12.
     """
-    if g.n > PARTITION_VERTEX_GUARD:
-        raise TooLarge(
-            f"connected-partition sum on {g.n} > {PARTITION_VERTEX_GUARD} vertices"
-        )
     one_minus_x = IntPoly((1, -1))
-    acc = IntPoly.zero()
-    for _blocks, amask in connected_partitions(g):
-        p = chromatic_poly(quotient(g, amask))
-        acc = acc + poly_pow(one_minus_x, amask.bit_count()) * p
+    terms = (poly_pow(one_minus_x, a) * p for a, p in _partition_terms(g))
+    acc = sum(terms, IntPoly.zero())
     if len(g.edges) % 2:
         acc = -acc
     return exact_div_monomial(acc, g.n)
 
 
-def _check_samples_q(samples) -> list[Fraction]:
-    qs = [Fraction(q) for q in (samples if samples is not None else DEFAULT_QS)]
-    if not qs:
+def _subgraphs(g: MultiGraph) -> list[MultiGraph]:
+    """Every edge subgraph of g, indexed by edge mask; guarded, since each
+    one gets a census of its own."""
+    ne = len(g.edges)
+    if ne > SUBGRAPH_EDGE_GUARD:
+        raise TooLarge(f"subgraph sum on {ne} > {SUBGRAPH_EDGE_GUARD} edges")
+    return [subgraph(g, mask) for mask in range(1 << ne)]
+
+
+def _sample_points(kind: IdentityKind, spec: tuple, samples) -> list:
+    """[(label, point)] for ``samples`` (a flat list read len(names) at a
+    time), or for the defaults when ``samples`` is None.  ``spec`` is
+    (names, defaults, poles): the coordinate names of one point, the
+    default points flattened, and the values no coordinate may take."""
+    names, defaults, poles = spec
+    try:
+        flat = [Fraction(s) for s in (defaults if samples is None else samples)]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadParams(f"cannot parse samples {samples!r}") from exc
+    if not flat:
         raise BadParams("need at least one sample point")
-    for q in qs:
-        if q in (0, 1):
-            raise BadParams("sample points 0 and 1 are outside the domain")
-    return qs
+    k = len(names)
+    if len(flat) % k:
+        raise BadParams(f"{kind.value} samples come in groups of {k}")
+    out = []
+    for i in range(0, len(flat), k):
+        point = tuple(flat[i : i + k])
+        label = ",".join(f"{name}={v}" for name, v in zip(names, point))
+        if poles.intersection(point):
+            raise BadParams(f"{label} is a pole of {kind.value}")
+        out.append((label, point))
+    return out
 
 
-def _report(kind, label, mode, samples, mismatch) -> VerifyReport:
-    return VerifyReport(
-        kind=kind,
-        target=label,
-        mode=mode,
-        samples=samples,
-        passed=mismatch is None,
-        first_mismatch=mismatch,
-    )
+def _first_mismatch(points, lhs, rhs) -> str | None:
+    """The first point where the two sides differ, as "label: lhs=... rhs=..."."""
+    for label, point in points:
+        left, right = lhs(*point), rhs(*point)
+        if left != right:
+            return f"{label}: lhs={left} rhs={right}"
+    return None
 
 
-def _verify_thm1_one(m: Matroid, qs: list[Fraction]):
+def _verify_thm1_one(m: Matroid):
     n = m.ground_size
     ranks = rank_table(m)
     chi_r = chi_restrict_table(m, ranks)
     chi_dual = chi_subset(m.dual())
-    mismatch = None
-    for q in qs:
-        z1, zm1 = zeta_q(q, 1), zeta_q(q, -1)
-        lhs = chi_dual(q) * zm1**n
-        rhs = Fraction(0)
-        for mask in range(1 << n):
-            a = mask.bit_count()
-            sign = -1 if (n - a) % 2 else 1
-            rhs += sign * chi_r[mask](q) * z1**a / q ** ranks[mask]
-        if lhs != rhs:
-            mismatch = f"q={q}: lhs={lhs} rhs={rhs}"
-            break
-    return mismatch
+
+    def rhs(q):
+        z1 = zeta_q(q, 1)
+        return sum(
+            (-1) ** (n - mask.bit_count()) * p(q) * z1 ** mask.bit_count() / q**r
+            for mask, (p, r) in enumerate(zip(chi_r, ranks))
+        )
+
+    return lambda q: chi_dual(q) * zeta_q(q, -1) ** n, rhs
 
 
-def _verify_thm1_two(m: Matroid, qs: list[Fraction]):
+def _verify_thm1_two(m: Matroid):
     n = m.ground_size
     chi_c = chi_contract_table(m)
     chi_dual = chi_subset(m.dual())
     rdual = n - m.full_rank()
-    mismatch = None
-    for q in qs:
-        z1, zm1 = zeta_q(q, 1), zeta_q(q, -1)
-        lhs = chi_dual(q) / q**rdual * z1**n
-        rhs = Fraction(0)
-        for mask in range(1 << n):
-            rhs += zm1 ** (n - mask.bit_count()) * chi_c[mask](q)
-        if lhs != rhs:
-            mismatch = f"q={q}: lhs={lhs} rhs={rhs}"
-            break
-    return mismatch
+
+    def rhs(q):
+        zm1 = zeta_q(q, -1)
+        return sum(zm1 ** (n - mask.bit_count()) * p(q) for mask, p in enumerate(chi_c))
+
+    return lambda q: chi_dual(q) / q**rdual * zeta_q(q, 1) ** n, rhs
 
 
-def _verify_twozeta(m: Matroid, qs: list[Fraction]):
+def _verify_twozeta(m: Matroid):
     n = m.ground_size
     chi_dr = chi_dual_restrict_table(m)
     chi_m = chi_subset(m)
     rfull = m.full_rank()
-    mismatch = None
-    for q in qs:
-        z1, zm1 = zeta_q(q, 1), zeta_q(q, -1)
-        lhs = chi_m(q) / q**rfull * z1**n
-        rhs = Fraction(0)
-        for mask in range(1 << n):
-            rhs += zm1 ** mask.bit_count() * chi_dr[mask](q)
-        if lhs != rhs:
-            mismatch = f"q={q}: lhs={lhs} rhs={rhs}"
-            break
-    return mismatch
+
+    def rhs(q):
+        zm1 = zeta_q(q, -1)
+        return sum(zm1 ** mask.bit_count() * p(q) for mask, p in enumerate(chi_dr))
+
+    return lambda q: chi_m(q) / q**rfull * zeta_q(q, 1) ** n, rhs
 
 
 def _verify_finaltwo(m: Matroid):
@@ -349,65 +366,39 @@ def _verify_finaltwo(m: Matroid):
     return None
 
 
-def _verify_matiyasevich(g: MultiGraph, qs: list[Fraction]):
-    ne = len(g.edges)
+def _verify_matiyasevich(g: MultiGraph):
+    flows = [flow_poly(h) for h in _subgraphs(g)]
     p_g = chromatic_poly(g)
-    flows = [flow_poly(subgraph(g, mask)) for mask in range(1 << ne)]
-    mismatch = None
-    for q in qs:
-        z1, zm1 = zeta_q(q, 1), zeta_q(q, -1)
-        lhs = p_g(q) / q**g.n * z1**ne
-        rhs = sum(
-            zm1 ** mask.bit_count() * flows[mask](q) for mask in range(1 << ne)
+    ne = len(g.edges)
+
+    def rhs(q):
+        zm1 = zeta_q(q, -1)
+        return sum(zm1 ** mask.bit_count() * f(q) for mask, f in enumerate(flows))
+
+    return lambda q: p_g(q) / q**g.n * zeta_q(q, 1) ** ne, rhs
+
+
+def _verify_matiyasevich_inverse(g: MultiGraph):
+    chroms = [(chromatic_poly(h), h.n) for h in _subgraphs(g)]
+    f_g = flow_poly(g)
+    ne = len(g.edges)
+
+    def rhs(q):
+        z1 = zeta_q(q, 1)
+        return sum(
+            (-1) ** (ne - mask.bit_count()) * p(q) * z1 ** mask.bit_count() / q**v
+            for mask, (p, v) in enumerate(chroms)
         )
-        if lhs != rhs:
-            mismatch = f"q={q}: lhs={lhs} rhs={rhs}"
-            break
-    return mismatch
+
+    return lambda q: f_g(q) * zeta_q(q, -1) ** ne, rhs
 
 
-def _verify_matiyasevich_inverse(g: MultiGraph, qs: list[Fraction]):
-    ne = len(g.edges)
-    f_g = flow_poly(g)
-    chroms = []
-    supports = []
-    for mask in range(1 << ne):
-        h = subgraph(g, mask)
-        chroms.append(chromatic_poly(h))
-        supports.append(h.n)
-    mismatch = None
-    for q in qs:
-        z1, zm1 = zeta_q(q, 1), zeta_q(q, -1)
-        lhs = f_g(q) * zm1**ne
-        rhs = Fraction(0)
-        for mask in range(1 << ne):
-            a = mask.bit_count()
-            sign = -1 if (ne - a) % 2 else 1
-            rhs += sign * chroms[mask](q) * z1**a / q ** supports[mask]
-        if lhs != rhs:
-            mismatch = f"q={q}: lhs={lhs} rhs={rhs}"
-            break
-    return mismatch
-
-
-def _verify_th2(g: MultiGraph, qs: list[Fraction]):
-    if g.n > PARTITION_VERTEX_GUARD:
-        raise TooLarge(f"connected-partition sum on {g.n} vertices")
-    ne = len(g.edges)
-    f_g = flow_poly(g)
-    parts = [
-        (amask.bit_count(), chromatic_poly(quotient(g, amask)))
-        for _blocks, amask in connected_partitions(g)
-    ]
-    sign = -1 if ne % 2 else 1
-    mismatch = None
-    for q in qs:
-        lhs = f_g(q)
-        rhs = sign * sum((1 - q) ** a * p(q) for a, p in parts) / q**g.n
-        if lhs != rhs:
-            mismatch = f"q={q}: lhs={lhs} rhs={rhs}"
-            break
-    return mismatch
+def _verify_th2(g: MultiGraph):
+    parts = _partition_terms(g)
+    sign = -1 if len(g.edges) % 2 else 1
+    return flow_poly(g), lambda q: (
+        sign * sum((1 - q) ** a * p(q) for a, p in parts) / q**g.n
+    )
 
 
 def _verify_convolution(m: Matroid):
@@ -418,46 +409,24 @@ def _verify_convolution(m: Matroid):
       T_{M.(E-A)}(x,0)  = (-1)^(|A|+r(A)) sum_{C sup A} (-1)^(|C|-r(C))
                           (x-1)^(r(E)-r(C))
     so two lattice transforms give every factor at once.  The tables hold
-    monomials in a = x-1 and b = y-1; the summed product is translated
+    polynomials in a = x-1 and b = y-1; the summed product is translated
     back to x and y once at the end.
     """
-    n = m.ground_size
     ranks = rank_table(m)
     rfull = ranks[-1]
-    pvals = [
-        IntPoly.monomial(-1 if ranks[mask] % 2 else 1, mask.bit_count() - ranks[mask])
-        for mask in range(1 << n)
-    ]
-    subset_zeta(pvals, n)
-    qvals = [
-        IntPoly.monomial(
-            -1 if (mask.bit_count() - ranks[mask]) % 2 else 1, rfull - ranks[mask]
-        )
-        for mask in range(1 << n)
-    ]
-    superset_zeta(qvals, n)
+    pvals = _lattice_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** r, a - r))
+    qvals = _lattice_sums(
+        ranks,
+        lambda a, r: IntPoly.monomial((-1) ** (a - r), rfull - r),
+        superset=True,
+    )
     terms: dict = {}
-    for mask in range(1 << n):
-        a = mask.bit_count()
-        # (-1)^r(A) from the restriction side and (-1)^(|A|+r(A)) from the
-        # contraction side combine to (-1)^|A|.
-        sign = -1 if a % 2 else 1
-        py = pvals[mask]
-        px = qvals[mask]
-        if py.is_zero() or px.is_zero():
-            continue
+    # (-1)^r(A) from the restriction side and (-1)^(|A|+r(A)) from the
+    # contraction side combine to (-1)^|A|.
+    for py, px in zip(pvals, _negate_odd(qvals)):
         for i, cx in enumerate(px.coeffs):
-            if not cx:
-                continue
             for j, cy in enumerate(py.coeffs):
-                if not cy:
-                    continue
-                k = (i, j)
-                v = terms.get(k, 0) + sign * cx * cy
-                if v:
-                    terms[k] = v
-                elif k in terms:
-                    del terms[k]
+                terms[i, j] = terms.get((i, j), 0) + cx * cy
     rhs = BiPoly(terms).translate(-1, -1)
     lhs = tutte(m)
     if lhs != rhs:
@@ -465,43 +434,21 @@ def _verify_convolution(m: Matroid):
     return None
 
 
-def _verify_kung(m: Matroid, tuples):
-    n = m.ground_size
+def _verify_kung(m: Matroid):
     ranks = rank_table(m)
     rfull = ranks[-1]
     rpoly = whitney_R(m)
-    mismatch = None
-    for lam, xi, x, y in tuples:
-        lam, xi, x, y = Fraction(lam), Fraction(xi), Fraction(x), Fraction(y)
-        if 0 in (lam, xi, x, y):
-            raise BadParams("kung samples must be nonzero")
-        lhs = eval_bipoly(rpoly, lam * xi, x * y)
-        pv = [
-            (-lam) ** -ranks[mask] * (-x) ** (mask.bit_count() - ranks[mask])
-            for mask in range(1 << n)
-        ]
-        subset_zeta(pv, n)
-        qv = [
-            xi ** (rfull - ranks[mask]) * y ** (mask.bit_count() - ranks[mask])
-            for mask in range(1 << n)
-        ]
-        superset_zeta(qv, n)
-        rhs = Fraction(0)
-        for mask in range(1 << n):
-            a = mask.bit_count()
-            r_a = ranks[mask]
-            rhs += (
-                lam ** (rfull - r_a)
-                * (-y) ** (a - r_a)
-                * (-lam) ** r_a
-                * pv[mask]
-                * y ** (r_a - a)
-                * qv[mask]
-            )
-        if lhs != rhs:
-            mismatch = f"(lam={lam},xi={xi},x={x},y={y}): lhs={lhs} rhs={rhs}"
-            break
-    return mismatch
+
+    def rhs(lam, xi, x, y):
+        pv = _lattice_sums(ranks, lambda a, r: (-lam) ** -r * (-x) ** (a - r))
+        qv = _lattice_sums(
+            ranks, lambda a, r: xi ** (rfull - r) * y ** (a - r), superset=True
+        )
+        # The weight of cell A, lam^(R-r(A)) (-y)^(|A|-r(A)) (-lam)^r(A)
+        # y^(r(A)-|A|), is (-1)^|A| lam^R.
+        return lam**rfull * sum(p * q for p, q in zip(_negate_odd(pv), qv))
+
+    return lambda lam, xi, x, y: eval_bipoly(rpoly, lam * xi, x * y), rhs
 
 
 def _verify_uniform_split(m: Matroid):
@@ -513,36 +460,46 @@ def _verify_uniform_split(m: Matroid):
     return None
 
 
-def _verify_hyperbola_t(m: Matroid, xs):
+def _verify_hyperbola_t(m: Matroid):
     t = tutte(m)
     n, rfull = m.ground_size, m.full_rank()
-    mismatch = None
-    for x in xs:
-        x = Fraction(x)
-        if x == 1:
-            raise BadParams("x = 1 is a pole of x/(x-1)")
-        lhs = eval_bipoly(t, x, x / (x - 1))
-        rhs = x**n * (x - 1) ** (rfull - n)
-        if lhs != rhs:
-            mismatch = f"x={x}: lhs={lhs} rhs={rhs}"
-            break
-    return mismatch
+    return (
+        lambda x: eval_bipoly(t, x, x / (x - 1)),
+        lambda x: x**n * (x - 1) ** (rfull - n),
+    )
 
 
-def _verify_hyperbola_r(m: Matroid, xs):
+def _verify_hyperbola_r(m: Matroid):
     rp = whitney_R(m)
     n, rfull = m.ground_size, m.full_rank()
-    mismatch = None
-    for x in xs:
-        x = Fraction(x)
-        if x == 0:
-            raise BadParams("x = 0 is a pole of 1/x")
-        lhs = eval_bipoly(rp, x, 1 / x)
-        rhs = (x + 1) ** n * x ** (rfull - n)
-        if lhs != rhs:
-            mismatch = f"x={x}: lhs={lhs} rhs={rhs}"
-            break
-    return mismatch
+    return (
+        lambda x: eval_bipoly(rp, x, 1 / x),
+        lambda x: (x + 1) ** n * x ** (rfull - n),
+    )
+
+
+_Q = (("q",), DEFAULT_QS, frozenset({0, 1}))
+_KUNG = (("lam", "xi", "x", "y"), sum(DEFAULT_KUNG, ()), frozenset({0}))
+_X_T = (("x",), DEFAULT_XS, frozenset({1}))
+_X_R = (("x",), DEFAULT_XS, frozenset({0}))
+
+# kind -> (checker, sample spec for _sample_points).  A sampled checker
+# returns its two sides as functions of one point; a spec of None marks an
+# exact-polynomial kind, whose checker returns the mismatch text or None.
+_KINDS = {
+    IdentityKind.THM1_ONE: (_verify_thm1_one, _Q),
+    IdentityKind.THM1_TWO: (_verify_thm1_two, _Q),
+    IdentityKind.TWOZETA: (_verify_twozeta, _Q),
+    IdentityKind.FINALTWO: (_verify_finaltwo, None),
+    IdentityKind.MATIYASEVICH: (_verify_matiyasevich, _Q),
+    IdentityKind.MATIYASEVICH_INVERSE: (_verify_matiyasevich_inverse, _Q),
+    IdentityKind.TH2_CONNECTED_PARTITIONS: (_verify_th2, _Q),
+    IdentityKind.CONVOLUTION: (_verify_convolution, None),
+    IdentityKind.KUNG: (_verify_kung, _KUNG),
+    IdentityKind.UNIFORM_SPLIT: (_verify_uniform_split, None),
+    IdentityKind.HYPERBOLA_T: (_verify_hyperbola_t, _X_T),
+    IdentityKind.HYPERBOLA_R: (_verify_hyperbola_r, _X_R),
+}
 
 
 def verify_identity(
@@ -553,76 +510,29 @@ def verify_identity(
     ``target`` is a Matroid, or a MultiGraph for the graph-level kinds
     (a MultiGraph is also accepted for matroid kinds and wrapped in its
     cycle matroid).  ``samples`` overrides the default sample points for
-    the sampled kinds: rationals for the q/x-parameterized ones, and a
-    flat list read four at a time (lambda, xi, x, y) for KUNG.
+    the sampled kinds: a non-empty list of rationals for the q/x ones, and
+    a flat list read four at a time (lambda, xi, x, y) for KUNG.  Points
+    at a pole (q in {0, 1}; x = 1 for hyperbola-t, x = 0 for hyperbola-r;
+    any 0 for KUNG) are rejected with BadParams.
     """
     try:
         kind = IdentityKind(kind)
     except ValueError:
         raise BadParams(f"unknown identity kind {kind!r}") from None
+    check, spec = _KINDS[kind]
     if kind in GRAPH_KINDS:
         if not isinstance(target, MultiGraph):
             raise BadParams(f"{kind.value} is stated for graphs")
-        g = target
-        name = label or f"graph:{g.n}v{len(g.edges)}e"
-        qs = _check_samples_q(samples)
-        fn = {
-            IdentityKind.MATIYASEVICH: _verify_matiyasevich,
-            IdentityKind.MATIYASEVICH_INVERSE: _verify_matiyasevich_inverse,
-            IdentityKind.TH2_CONNECTED_PARTITIONS: _verify_th2,
-        }[kind]
-        mismatch = fn(g, qs)
-        return _report(
-            kind, name, "sampled-points", [f"q={q}" for q in qs], mismatch
-        )
-
-    m = make_graphic(target) if isinstance(target, MultiGraph) else target
-    if not isinstance(m, Matroid):
-        raise BadParams("target must be a Matroid or MultiGraph")
-    name = label or m.label
-
-    if kind is IdentityKind.FINALTWO:
-        return _report(kind, name, "exact-polynomial", ["exact"], _verify_finaltwo(m))
-    if kind is IdentityKind.CONVOLUTION:
-        return _report(
-            kind, name, "exact-polynomial", ["exact"], _verify_convolution(m)
-        )
-    if kind is IdentityKind.UNIFORM_SPLIT:
-        return _report(
-            kind, name, "exact-polynomial", ["exact"], _verify_uniform_split(m)
-        )
-    if kind in (IdentityKind.THM1_ONE, IdentityKind.THM1_TWO, IdentityKind.TWOZETA):
-        qs = _check_samples_q(samples)
-        fn = {
-            IdentityKind.THM1_ONE: _verify_thm1_one,
-            IdentityKind.THM1_TWO: _verify_thm1_two,
-            IdentityKind.TWOZETA: _verify_twozeta,
-        }[kind]
-        mismatch = fn(m, qs)
-        return _report(
-            kind, name, "sampled-points", [f"q={q}" for q in qs], mismatch
-        )
-    if kind is IdentityKind.KUNG:
-        if samples is None:
-            tuples = DEFAULT_KUNG
-        else:
-            flat = [Fraction(s) for s in samples]
-            if not flat or len(flat) % 4:
-                raise BadParams("kung samples come in groups of four")
-            tuples = [tuple(flat[i : i + 4]) for i in range(0, len(flat), 4)]
-        mismatch = _verify_kung(m, tuples)
-        descr = [f"lam={a},xi={b},x={c},y={d}" for a, b, c, d in tuples]
-        return _report(kind, name, "sampled-points", descr, mismatch)
-    if kind is IdentityKind.HYPERBOLA_T:
-        xs = [Fraction(x) for x in (samples if samples is not None else DEFAULT_XS)]
-        mismatch = _verify_hyperbola_t(m, xs)
-        return _report(
-            kind, name, "sampled-points", [f"x={x}" for x in xs], mismatch
-        )
-    if kind is IdentityKind.HYPERBOLA_R:
-        xs = [Fraction(x) for x in (samples if samples is not None else DEFAULT_XS)]
-        mismatch = _verify_hyperbola_r(m, xs)
-        return _report(
-            kind, name, "sampled-points", [f"x={x}" for x in xs], mismatch
-        )
-    raise BadParams(f"unknown identity kind {kind!r}")
+        name = label or f"graph:{target.n}v{len(target.edges)}e"
+    else:
+        target = make_graphic(target) if isinstance(target, MultiGraph) else target
+        if not isinstance(target, Matroid):
+            raise BadParams("target must be a Matroid or MultiGraph")
+        name = label or target.label
+    if spec is None:
+        mode, labels, mismatch = "exact-polynomial", ["exact"], check(target)
+    else:
+        points = _sample_points(kind, spec, samples)
+        mode, labels = "sampled-points", [lab for lab, _point in points]
+        mismatch = _first_mismatch(points, *check(target))
+    return VerifyReport(kind, name, mode, labels, mismatch is None, mismatch)

@@ -176,14 +176,18 @@ def test_verify_custom_samples(capsys):
          "--samples", "2,,,"],
     )
     assert code == 0 and json.loads(out)["samples"] == ["q=2"]
-    # ... but out-of-domain or unparsable points are rejected
-    for bad in ("1", "abc", "3/0"):
+    # ... but out-of-domain, unparsable or empty sample lists are rejected
+    for ident, bad in (
+        ("thm1-one", "1"), ("thm1-one", "abc"), ("thm1-one", "3/0"),
+        ("hyperbola-t", ","), ("hyperbola-r", ""), ("hyperbola-t", "abc"),
+    ):
         code, _, err = run(
             capsys,
-            ["verify", "--identity", "thm1-one", "--matroid", "uniform:2,4",
+            ["verify", "--identity", ident, "--matroid", "uniform:2,4",
              "--samples", bad],
         )
-        assert code == 2, bad
+        assert code == 2, (ident, bad)
+        assert json.loads(err)["error"]["type"] == "BadParams", (ident, bad)
 
 
 def test_oracle_colorings_and_flows(capsys):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from corpus import GRAPHS
-from matpoly import BadParams, TooLarge
-from matpoly.algebra import IntPoly, poly_pow
+from matpoly import BadParams, TooLarge, duality
+from matpoly.algebra import BiPoly, IntPoly, poly_pow
 from matpoly.duality import (
     GRAPH_KINDS,
     IdentityKind,
@@ -189,6 +189,88 @@ def test_verify_identity_bad_inputs():
         verify_identity(IdentityKind.KUNG, make_uniform(1, 2), samples=[2, 3])
     with pytest.raises(BadParams):
         verify_identity(IdentityKind.THM1_ONE, "not a matroid")
+    # every sampled kind needs a non-empty list of rationals
+    for kind in ("thm1-one", "hyperbola-t", "hyperbola-r", "kung"):
+        for bad in ([], ["abc"], [2, "3/0"], [None]):
+            with pytest.raises(BadParams):
+                verify_identity(kind, make_uniform(1, 2), samples=bad)
+
+
+Q_LABELS = ["q=2", "q=3", "q=5", "q=7", "q=1/2"]
+X_LABELS = ["x=2", "x=3", "x=4", "x=1/2", "x=1/3"]
+KUNG_LABELS = [
+    "lam=2,xi=3,x=1/2,y=5",
+    "lam=3,xi=2,x=2,y=3",
+    "lam=1/2,xi=1/3,x=2,y=3/2",
+    "lam=5,xi=2,x=2/3,y=2",
+    "lam=2,xi=2,x=3,y=5/2",
+]
+Q_POLES = ([2, 0], [2, 1])
+# a zero in each coordinate of the second point
+KUNG_POLES = tuple(
+    [2, 3, 2, 3] + [0 if j == i else 2 for j in range(4)] for i in range(4)
+)
+# Each mutation adds x - 2 to what the named duality function returns, so
+# the first point (q = 2, x = 2, or lam*xi = 2 for kung) still passes, the
+# two after it fail, and the report must name the earlier of those two.
+MUTANT_SAMPLES = {"kung": ([1, 2, 1, 1, 2, 2, 1, 1, 3, 2, 1, 1], "lam=2,xi=2,x=1,y=1")}
+
+# kind: (mode, default sample labels, sample lists that hit a pole,
+#        the duality function a mutation bumps)
+REPORT_SHAPES = {
+    "thm1-one": ("sampled-points", Q_LABELS, Q_POLES, "chi_subset"),
+    "thm1-two": ("sampled-points", Q_LABELS, Q_POLES, "chi_subset"),
+    "twozeta": ("sampled-points", Q_LABELS, Q_POLES, "chi_subset"),
+    "finaltwo": ("exact-polynomial", ["exact"], (), None),
+    "matiyasevich": ("sampled-points", Q_LABELS, Q_POLES, "chromatic_poly"),
+    "matiyasevich-inverse": ("sampled-points", Q_LABELS, Q_POLES, "flow_poly"),
+    "th2-connected-partitions": ("sampled-points", Q_LABELS, Q_POLES, "flow_poly"),
+    "convolution": ("exact-polynomial", ["exact"], (), None),
+    "kung": ("sampled-points", KUNG_LABELS, KUNG_POLES, "whitney_R"),
+    "uniform-split": ("exact-polynomial", ["exact"], (), None),
+    "hyperbola-t": ("sampled-points", X_LABELS, ([2, 1],), "tutte"),
+    "hyperbola-r": ("sampled-points", X_LABELS, ([2, 0],), "whitney_R"),
+}
+
+
+@pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda k: k.value)
+def test_report_shape_poles_and_first_failing_point(kind, monkeypatch):
+    mode, labels, poles, mutated = REPORT_SHAPES[kind.value]
+    target = K3 if kind in GRAPH_KINDS else make_uniform(2, 4)
+    rep = verify_identity(kind, target)
+    assert (rep.mode, rep.samples, rep.passed) == (mode, labels, True)
+    for bad in poles:
+        with pytest.raises(BadParams):
+            verify_identity(kind, target, samples=bad)
+    if mutated is None:
+        return
+    orig = getattr(duality, mutated)
+    bivariate = mutated in ("tutte", "whitney_R")
+    bump = BiPoly({(1, 0): 1, (0, 0): -2}) if bivariate else IntPoly((-2, 1))
+    monkeypatch.setattr(duality, mutated, lambda t: orig(t) + bump)
+    samples, second = MUTANT_SAMPLES.get(kind.value, ([2, 3, 5], labels[1]))
+    rep = verify_identity(kind, target, samples=samples)
+    assert not rep.passed
+    assert rep.first_mismatch.startswith(second + ": lhs="), rep.first_mismatch
+
+
+def test_matiyasevich_kinds_refuse_large_graphs_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("census started above the edge guard")
+
+    for name in ("subgraph", "chromatic_poly", "flow_poly"):
+        monkeypatch.setattr(duality, name, no_work)
+    for kind in ("matiyasevich", "matiyasevich-inverse"):
+        with pytest.raises(TooLarge):
+            verify_identity(kind, complete_graph(7))
+    monkeypatch.undo()
+    # the guard admits |E| = SUBGRAPH_EDGE_GUARD and refuses one edge more
+    monkeypatch.setattr(duality, "SUBGRAPH_EDGE_GUARD", 3)
+    triangle_pendant = MultiGraph(4, K3.edges + ((2, 3),))
+    for kind in ("matiyasevich", "matiyasevich-inverse"):
+        assert verify_identity(kind, K3).passed
+        with pytest.raises(TooLarge):
+            verify_identity(kind, triangle_pendant)
 
 
 def test_graph_kinds_accept_multigraphs_only():

@@ -7,7 +7,9 @@ from time import monotonic
 import pytest
 
 from matpoly import BadParams, BudgetExceeded, TooLarge
+from matpoly.duality import rank_table
 from matpoly.graphs import MultiGraph, complete_graph
+from matpoly.invariants import chi_subset
 from matpoly.matroids import (
     ContractView,
     DualView,
@@ -199,6 +201,23 @@ def test_census_matches_brute_force():
     for m in small_matroids(9):
         assert m.rank_size_counts() == brute_census(m)
         assert m.dual().rank_size_counts() == brute_census(m.dual())
+
+
+def test_census_reads_but_does_not_fill_the_rank_cache():
+    # a cold census computes its 2^12 ranks without keeping them
+    u = make_uniform(3, 12)
+    chi_subset(u)
+    assert len(u._rank_cache) <= 4
+    # after rank_table every census rank is a cache hit
+    m = make_pg(3, 2)
+    want = brute_census(m)
+    rank_table(m)
+
+    def no_rank_impl(mask):
+        raise AssertionError(f"rank of {mask:#x} recomputed")
+
+    m._rank_impl = no_rank_impl
+    assert m.rank_size_counts() == want
 
 
 def test_census_deadline_base_class():
