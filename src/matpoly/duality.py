@@ -86,8 +86,8 @@ DEFAULT_KUNG = (
 )
 
 PARTITION_VERTEX_GUARD = 12
-# The Matiyasevich kinds census all 2^|E| subgraphs, about 3^|E| subset
-# visits: K6 (15 edges) takes 15-22 s, K7 (21 edges) hours.
+# The Matiyasevich kinds take a census of each of the 2^|E| subgraphs:
+# K6 (15 edges) takes 10-15 s, and K7 (21 edges) has 2^21 subgraphs.
 SUBGRAPH_EDGE_GUARD = 15
 
 
@@ -511,7 +511,8 @@ def verify_identity(
     (a MultiGraph is also accepted for matroid kinds and wrapped in its
     cycle matroid).  ``samples`` overrides the default sample points for
     the sampled kinds: a non-empty list of rationals for the q/x ones, and
-    a flat list read four at a time (lambda, xi, x, y) for KUNG.  Points
+    a flat list read four at a time (lambda, xi, x, y) for KUNG; the exact
+    kinds reject any ``samples`` with BadParams.  Points
     at a pole (q in {0, 1}; x = 1 for hyperbola-t, x = 0 for hyperbola-r;
     any 0 for KUNG) are rejected with BadParams.
     """
@@ -530,6 +531,8 @@ def verify_identity(
             raise BadParams("target must be a Matroid or MultiGraph")
         name = label or target.label
     if spec is None:
+        if samples is not None:
+            raise BadParams(f"{kind.value} is proved exactly and takes no samples")
         mode, labels, mismatch = "exact-polynomial", ["exact"], check(target)
     else:
         points = _sample_points(kind, spec, samples)

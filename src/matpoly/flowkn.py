@@ -54,7 +54,7 @@ from .algebra import (
 from .errors import BadParams
 from .graphs import complete_graph
 from .invariants import _chi_from_counts, flow_poly
-from .matroids import make_graphic
+from .matroids import _dual_counts, make_graphic
 
 
 def partitions(n: int):
@@ -208,10 +208,11 @@ def flow_kn_tutte(n: int, budget_s: float | None = None) -> IntPoly:
     """F_{K_n} through the 2^|E| subset census of the cycle matroid.
 
     Without a budget this delegates to flow_poly and inherits its size
-    guard.  With a budget the census runs under a deadline instead of a
-    size guard and raises BudgetExceeded when time runs out; the point of
-    this route is to demonstrate how quickly brute force loses to the
-    partition sum, so it must be allowed to try and fail."""
+    guard and census route.  With a budget the census is always the edge
+    scan, under a deadline instead of a size guard, and raises
+    BudgetExceeded when time runs out; the point of this route is to
+    demonstrate how quickly brute force loses to the partition sum, so it
+    must be allowed to try and fail."""
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
     g = complete_graph(n)
@@ -219,7 +220,7 @@ def flow_kn_tutte(n: int, budget_s: float | None = None) -> IntPoly:
         return flow_poly(g)
     deadline = monotonic() + budget_s
     m = make_graphic(g)
-    counts = m.dual().rank_size_counts(deadline=deadline)
+    counts = _dual_counts(m.edge_census(deadline), m.ground_size, m.full_rank())
     return _chi_from_counts(counts, len(g.edges) - (n - 1))
 
 

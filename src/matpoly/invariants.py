@@ -13,7 +13,11 @@ R(x-1, y-1).  The graph polynomials are read off the same census of the
 cycle matroid: chromatic P = x^c(G) * chi, flow F = chi of the dual,
 dichromatic Q = u^c(G) * R.  Everything is exact integer arithmetic.
 
-The census costs 2^n, so each entry point is guarded at n <= 24.
+Each matroid class takes the census by its cheapest exact route (see
+``matroids``): O(n) for uniform matroids, 3^|V'| steps for a graph with
+few vertices for its edges, and at most 2^n subsets otherwise.  Minors
+and explicit tables still scan all 2^n, so each entry point is guarded
+at n <= 24.
 ``chi_delcon`` is the independent recursive route (delete/contract) used
 to cross-check ``chi_subset``; for graphic matroids it memoizes, for
 the length of one call, on a densely re-labeled copy of the graph, which

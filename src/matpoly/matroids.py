@@ -13,31 +13,59 @@ the ground set and contracts the complement away.
 
 ``rank`` memoizes every value it computes in the per-instance dict
 ``_rank_cache``, so point queries and ``duality.rank_table`` fill it.
-The generic rank-size census reads that cache but never writes to it: a
-cold census computes each of its 2^n ranks once and keeps none, so it
-runs in memory bounded by the census itself (a cache of all 2^22 masks
-of uniform:10,22 held 342 MB), while a census after ``rank_table`` still
-reads every rank from the cache.
+
+Every invariant is read off one object, the rank-size census
+{(|A|, r(A)): count}.  ``rank_size_counts(deadline)`` is its one entry
+point: it checks the deadline and calls the class's ``_census``, the
+cheapest exact route that class has.
+
+    class              census route                               cost
+    UniformMatroid     closed form C(n, a) subsets at min(m, a)   O(n)
+    LinearMatroidFp    depth-first scan, echelon basis rollback   <= 2^n nodes
+    GraphicMatroid     vertex-subset expansion or edge scan       3^|V'| or 2^|E|
+    DualView           its base's census, reindexed               base's
+    minors, tables     generic scan over ``_rank_impl``           2^n ranks
+
+The generic scan reads the rank cache but never writes to it: a cold
+census computes each of its 2^n ranks once and keeps none, so it runs in
+memory bounded by the census itself (a cache of all 2^22 masks of
+uniform:10,22 held 342 MB), while a census after ``rank_table`` still
+reads every rank from the cache.  The class routes ask ``rank`` for
+r(E) at most.
 
 Graphic matroids compute rank(A) as |support of A| minus the number of
 components of A, through ``graphs.components`` and the one general
-union-find in ``graphs._roots_over`` (path halving).  They override the
-rank-size census with a backtracking scan that keeps its own union-find
-(union by size, no path compression) so each union rolls back in O(1),
-visiting each edge subset once.  Every other matroid class takes its
-census from the generic scan over ``_rank_impl`` and the cache above.
+union-find in ``graphs._roots_over`` (path halving).  Their census takes
+one of two routes, chosen by ``census_route`` from a cost estimate:
+``vertex_census``, the Fortuin-Kasteleyn expansion over subsets of the
+non-isolated vertices V' (3^|V'| steps), when
+VERTEX_STEP_COST * 3^|V'| < 2^|E|, and otherwise ``edge_census``, a
+backtracking scan over edge subsets that keeps its own union-find
+(union by size, no path compression) so each union rolls back in O(1).
+The F_p scan rolls back its echelon basis the same way.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 from time import monotonic
 
 from .errors import BadParams, BudgetExceeded, TooLarge
 from .graphs import MultiGraph, components, quotient, subgraph
 
 ENUM_GUARD = 20  # hard cap for circuit/flat enumeration
+# Time of one vertex-route step over one edge-scan node.  Break-even values
+# timed on dense and sparse graphs near the crossover ran from 0.10 to 0.36,
+# most of them 0.15-0.30 (CHANGES.md); near a tie the edge scan, which keeps
+# no tables, is as good a pick.
+VERTEX_STEP_COST = 0.25
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and monotonic() > deadline:
+        raise BudgetExceeded("rank-size census ran past its deadline")
 
 
 def _bits(mask: int):
@@ -108,14 +136,20 @@ class Matroid:
         return m
 
     def rank_size_counts(self, deadline: float | None = None) -> Counter:
-        """Census {(|A|, r(A)): count} over all 2^n subsets; reads the rank
-        cache without adding to it."""
+        """Census {(|A|, r(A)): count} over all 2^n subsets, by this
+        class's ``_census``; raises BudgetExceeded past ``deadline``."""
+        _check_deadline(deadline)
+        return self._census(deadline)
+
+    def _census(self, deadline: float | None) -> Counter:
+        """Generic scan over every mask; reads the rank cache without
+        adding to it."""
         counts: Counter = Counter()
         cached = self._rank_cache.get
         rank_impl = self._rank_impl
         for mask in range(1 << self.ground_size):
-            if deadline is not None and mask & 0xFFF == 0 and monotonic() > deadline:
-                raise BudgetExceeded("rank-size census ran past its deadline")
+            if mask & 0xFFF == 0:
+                _check_deadline(deadline)
             r = cached(mask)
             if r is None:
                 r = rank_impl(mask)
@@ -138,12 +172,24 @@ class DualView(Matroid):
     def dual(self) -> Matroid:
         return self.base
 
-    def rank_size_counts(self, deadline: float | None = None) -> Counter:
-        n, r = self.ground_size, self.base.full_rank()
-        out: Counter = Counter()
-        for (a, rho), c in self.base.rank_size_counts(deadline).items():
-            out[(n - a, rho + n - a - r)] += c
-        return out
+    # Bound on the class itself so perfbench/tracer.py times dual censuses
+    # under their own name.
+    rank_size_counts = Matroid.rank_size_counts
+
+    def _census(self, deadline: float | None) -> Counter:
+        base = self.base
+        return _dual_counts(
+            base.rank_size_counts(deadline), self.ground_size, base.full_rank()
+        )
+
+
+def _dual_counts(counts: Counter, n: int, rank: int) -> Counter:
+    """The dual's census from a census of a rank-``rank`` matroid on n
+    elements: A maps to E - A, of dual rank r(A) + |E - A| - rank."""
+    out: Counter = Counter()
+    for (a, rho), c in counts.items():
+        out[(n - a, rho + n - a - rank)] += c
+    return out
 
 
 class _MinorView(Matroid):
@@ -197,6 +243,10 @@ class UniformMatroid(Matroid):
     def _rank_impl(self, mask: int) -> int:
         return min(self.m, mask.bit_count())
 
+    def _census(self, deadline: float | None) -> Counter:
+        n, m = self.ground_size, self.m
+        return Counter({(a, min(m, a)): comb(n, a) for a in range(n + 1)})
+
 
 class GraphicMatroid(Matroid):
     """Cycle matroid of a multigraph; elements are the graph's edges."""
@@ -222,9 +272,27 @@ class GraphicMatroid(Matroid):
             quotient(self.graph, away), f"contract({self.label},{mask:#x})"
         )
 
-    def rank_size_counts(self, deadline: float | None = None) -> Counter:
-        """Subset census by depth-first scan over edges with union-find
-        rollback; union by size, no path compression, so undo is O(1)."""
+    # Bound on the class itself so perfbench/tracer.py times graphic
+    # censuses under their own name.
+    rank_size_counts = Matroid.rank_size_counts
+
+    def census_route(self) -> str:
+        """"vertex" when VERTEX_STEP_COST * 3^|V'| < 2^|E|, with V' the
+        non-isolated vertices, else "edge"."""
+        g = self.graph
+        nv = len({v for e in g.edges for v in e})
+        return "vertex" if VERTEX_STEP_COST * 3**nv < 1 << len(g.edges) else "edge"
+
+    def _census(self, deadline: float | None) -> Counter:
+        if self.census_route() == "vertex":
+            return self.vertex_census(deadline)
+        return self.edge_census(deadline)
+
+    def edge_census(self, deadline: float | None = None) -> Counter:
+        """Census by depth-first scan over all 2^|E| edge subsets with
+        union-find rollback; union by size, no path compression, so undo
+        is O(1)."""
+        _check_deadline(deadline)
         g = self.graph
         edges = g.edges
         m = len(edges)
@@ -242,9 +310,8 @@ class GraphicMatroid(Matroid):
 
         def rec(i, sz, rk):
             calls[0] += 1
-            if deadline is not None and calls[0] & 0x3FFF == 0:
-                if monotonic() > deadline:
-                    raise BudgetExceeded("rank-size census ran past its deadline")
+            if calls[0] & 0x3FFF == 0:
+                _check_deadline(deadline)
             if i == m - 1:
                 u, v = edges[i]
                 counts[(sz, rk)] += 1
@@ -273,11 +340,85 @@ class GraphicMatroid(Matroid):
             rec(0, 0, 0)
         return counts
 
+    def vertex_census(self, deadline: float | None = None) -> Counter:
+        """Census by the Fortuin-Kasteleyn vertex-subset expansion
+        (Bjorklund, Husfeldt, Kaski, Koivisto, FOCS 2008), in 3^|V'| steps
+        over the non-isolated vertices V'.
+
+        With e(S) the number of edges inside S (loops and parallel edges
+        included), conn[S] counts the connected spanning edge sets of
+        G[S] by size:
+
+            conn[S] = (1+v)^e(S) - sum_{min S in T, T < S} conn[T] (1+v)^e(S-T)
+
+        and Z[S] = sum_{min S in T} q conn[T] Z[S-T] counts all edge sets
+        of G[S] by size and component count, so the coefficient of
+        q^k v^a in Z[V'] is the census count at (a, |V'| - k).  Every
+        polynomial is packed into one int at v = 2^B, q = 2^(B(|E|+1)),
+        B = |E| + 1: each term and each sum counts distinct edge sets, so
+        no coefficient reaches 2^B and the packed arithmetic is exact."""
+        _check_deadline(deadline)
+        g = self.graph
+        m = len(g.edges)
+        index = {v: i for i, v in enumerate(sorted({v for e in g.edges for v in e}))}
+        nv = len(index)
+        full = (1 << nv) - 1
+        bits = m + 1
+        # ends[i]: one mask per edge whose lower end is vertex i, holding its
+        # other end, so e(S) = e(S - i) + #{masks within S} with i = min S
+        ends: list[list[int]] = [[] for _ in range(nv)]
+        for u, w in g.edges:
+            iu, iw = sorted((index[u], index[w]))
+            ends[iu].append(1 << iw)
+        inner = [0] * (full + 1)
+        for s in range(1, full + 1):
+            i = (s & -s).bit_length() - 1
+            inner[s] = inner[s & s - 1] + sum(1 for e in ends[i] if e & s)
+        pw = [(1 << bits | 1) ** k for k in range(m + 1)]
+        inside = [pw[e] for e in inner]  # (1+v)^e(S)
+
+        conn = [0] * (full + 1)
+        for s in range(1, full + 1):
+            if not s & 0xF:
+                _check_deadline(deadline)
+            low = s & -s
+            rest = sub = s ^ low
+            total = inside[s]
+            while sub:  # proper subsets of rest, down to the empty set
+                sub = (sub - 1) & rest
+                total -= conn[sub | low] * inside[rest ^ sub]
+            conn[s] = total
+
+        # Z is only needed on V' and on the sets that miss vertex 0
+        z = [0] * (full + 1)
+        z[0] = 1
+        for s in [*range(2, full + 1, 2), full] if nv else ():
+            if not s & 0xF:
+                _check_deadline(deadline)
+            low = s & -s
+            rest = sub = s ^ low
+            total = conn[s]  # T = S, with Z[empty set] = 1
+            while sub:
+                sub = (sub - 1) & rest
+                total += conn[sub | low] * z[rest ^ sub]
+            z[s] = total << bits * (m + 1)
+
+        counts: Counter = Counter()
+        top, mask = z[full], (1 << bits) - 1
+        for k in range(nv + 1):
+            for a in range(m + 1):
+                c = top >> (k * (m + 1) + a) * bits & mask
+                if c:
+                    counts[(a, nv - k)] = c
+        return counts
+
 
 class LinearMatroidFp(Matroid):
     """Column matroid of vectors over the prime field F_p."""
 
     def __init__(self, vectors, p: int, label: str):
+        if not is_prime(p):
+            raise BadParams(f"F_p wants a prime p, got {p}")
         vectors = tuple(tuple(int(c) % p for c in v) for v in vectors)
         if vectors and len({len(v) for v in vectors}) != 1:
             raise BadParams("vectors must share one dimension")
@@ -306,6 +447,55 @@ class LinearMatroidFp(Matroid):
             rank += 1
             col += 1
         return rank
+
+    def _census(self, deadline: float | None) -> Counter:
+        """Depth-first scan over elements that keeps an echelon basis,
+        ``basis[c]`` the row whose leading 1 sits in column c; taking an
+        independent element adds one row and returning removes it.  Each
+        element is reduced once per node.  Once the taken set spans, every
+        extension keeps the full rank, so the k undecided elements add
+        C(k, j) sets at each size j without being visited."""
+        vecs, p, n = self.vectors, self.p, self.ground_size
+        dim = len(vecs[0]) if vecs else 0
+        top = self.full_rank()
+        rows = [[comb(k, j) for j in range(k + 1)] for k in range(n + 1)]
+        basis: list = [None] * dim
+        counts: Counter = Counter()
+        calls = [0]
+
+        def pivot_row(vec):
+            """(c, row) for vec reduced against the basis and scaled to a
+            leading 1 in column c, or None when vec is in the span."""
+            for c in range(dim):
+                a = vec[c]
+                if not a:
+                    continue
+                row = basis[c]
+                if row is None:
+                    inv = pow(a, -1, p)
+                    return c, [x * inv % p for x in vec]
+                vec = [(x - a * y) % p for x, y in zip(vec, row)]
+            return None
+
+        def rec(i, sz, rk):
+            if rk == top or i == n:
+                for j, c in enumerate(rows[n - i]):
+                    counts[(sz + j, rk)] += c
+                return
+            calls[0] += 1
+            if calls[0] & 0x3FFF == 0:
+                _check_deadline(deadline)
+            rec(i + 1, sz, rk)
+            piv = pivot_row(vecs[i])
+            if piv is None:
+                rec(i + 1, sz + 1, rk)
+            else:
+                basis[piv[0]] = piv[1]
+                rec(i + 1, sz + 1, rk + 1)
+                basis[piv[0]] = None
+
+        rec(0, 0, 0)
+        return counts
 
 
 class TableMatroid(Matroid):

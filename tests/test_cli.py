@@ -190,6 +190,17 @@ def test_verify_custom_samples(capsys):
         assert json.loads(err)["error"]["type"] == "BadParams", (ident, bad)
 
 
+def test_verify_exact_kind_rejects_samples(capsys):
+    for ident in ("finaltwo", "uniform-split", "convolution"):
+        code, _, err = run(
+            capsys,
+            ["verify", "--identity", ident, "--matroid", "uniform:2,4",
+             "--samples", "abc"],
+        )
+        assert code == 2, ident
+        assert json.loads(err)["error"]["type"] == "BadParams", ident
+
+
 def test_oracle_colorings_and_flows(capsys):
     code, out, _ = run(
         capsys, ["oracle", "colorings", "--graph", TRIANGLE_JSON, "--q", "3"]

@@ -196,6 +196,15 @@ def test_verify_identity_bad_inputs():
                 verify_identity(kind, make_uniform(1, 2), samples=bad)
 
 
+def test_exact_kinds_reject_samples():
+    # proved as polynomials, so sample points would be silently dropped
+    for kind in ("finaltwo", "uniform-split", "convolution"):
+        for samples in (["abc"], [2, 3], []):
+            with pytest.raises(BadParams):
+                verify_identity(kind, make_uniform(2, 4), samples=samples)
+        assert verify_identity(kind, make_uniform(2, 4)).passed
+
+
 Q_LABELS = ["q=2", "q=3", "q=5", "q=7", "q=1/2"]
 X_LABELS = ["x=2", "x=3", "x=4", "x=1/2", "x=1/3"]
 KUNG_LABELS = [

@@ -6,13 +6,15 @@ from time import monotonic
 
 import pytest
 
-from matpoly import BadParams, BudgetExceeded, TooLarge
+from matpoly import BadParams, BudgetExceeded, TooLarge, matroids
 from matpoly.duality import rank_table
-from matpoly.graphs import MultiGraph, complete_graph
+from matpoly.graphs import MultiGraph, complete_graph, component_count
 from matpoly.invariants import chi_subset
 from matpoly.matroids import (
     ContractView,
     DualView,
+    LinearMatroidFp,
+    Matroid,
     RestrictView,
     TableMatroid,
     circuits,
@@ -185,6 +187,13 @@ def test_is_prime():
     assert not is_prime(0)
 
 
+def test_linear_fp_rejects_non_prime_field_order():
+    for p in (4, 6, 1, 0):
+        with pytest.raises(BadParams):
+            LinearMatroidFp([(2,), (1,)], p, "x")
+    assert LinearMatroidFp([(2,), (1,)], 3, "x").rank(0b11) == 1
+
+
 def test_fano_independent_triples():
     fano = make_pg(3, 2)
     from itertools import combinations
@@ -230,6 +239,136 @@ def test_census_deadline_graphic_scan():
     k7 = make_graphic(complete_graph(7))
     with pytest.raises(BudgetExceeded):
         k7.rank_size_counts(deadline=monotonic() - 1.0)
+
+
+def test_census_reads_but_does_not_fill_the_rank_cache_restrict_view():
+    # a restriction keeps the generic scan whatever its base
+    u = make_uniform(3, 13)
+    r = RestrictView(u, u.full_mask & ~1)
+    chi_subset(r)
+    assert len(r._rank_cache) <= 4
+    m = RestrictView(make_pg(3, 3), 0b1111111111110)
+    want = brute_census(m)
+    rank_table(m)
+
+    def no_rank_impl(mask):
+        raise AssertionError(f"rank of {mask:#x} recomputed")
+
+    m._rank_impl = no_rank_impl
+    assert m.rank_size_counts() == want
+
+
+def test_census_deadline_restrict_view():
+    u = make_uniform(3, 16)
+    with pytest.raises(BudgetExceeded):
+        RestrictView(u, u.full_mask).rank_size_counts(deadline=monotonic() - 1.0)
+
+
+def generic_census(m):
+    return Matroid._census(m, None)
+
+
+def random_multigraph(rng):
+    n = rng.randrange(8)
+    m = rng.randrange(13) if n else 0
+    return MultiGraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+
+
+def test_graphic_census_routes_match_generic_scan():
+    rng = random.Random(616010)
+    graphs = [random_multigraph(rng) for _ in range(150)]
+    graphs += [MultiGraph(0, ()), MultiGraph(3, ()), MultiGraph(2, ((1, 1), (1, 1)))]
+    seen = Counter()
+    for g in graphs:
+        m = make_graphic(g)
+        want = generic_census(m)
+        assert m.vertex_census() == want, g.edges
+        assert m.edge_census() == want, g.edges
+        assert m.rank_size_counts() == want, g.edges
+        assert m.dual().rank_size_counts() == generic_census(m.dual()), g.edges
+        ends = [v for e in g.edges for v in e]
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
+        seen["isolated"] += len(set(ends)) < g.n
+        seen["disconnected"] += component_count(g) - (g.n - len(set(ends))) > 1
+    assert min(seen[k] for k in ("loop", "parallel", "isolated", "disconnected")) >= 10, seen
+
+
+def test_fp_census_matches_generic_scan():
+    rng = random.Random(616011)
+    configs = [LinearMatroidFp([], p, "empty") for p in (2, 3, 5)]
+    for _ in range(100):
+        p, dim = rng.choice((2, 3, 5)), rng.randrange(5)
+        vecs = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(rng.randrange(10))]
+        vecs += [(0,) * dim] + vecs[:2]  # a loop and repeated vectors
+        rng.shuffle(vecs)
+        configs.append(LinearMatroidFp(vecs, p, f"F{p}"))
+    configs += [make_pg(3, 2), make_pg(2, 5)]
+    for m in configs:
+        assert m.rank_size_counts() == generic_census(m), (m.p, m.vectors)
+        assert m.dual().rank_size_counts() == generic_census(m.dual()), (m.p, m.vectors)
+
+
+def test_uniform_census_matches_generic_scan():
+    cases = [(0, 0)] + [(0, n) for n in (1, 5)] + [(n, n) for n in (1, 5)]
+    cases += [(m, n) for n in range(2, 9) for m in range(1, n)]
+    for m, n in cases:
+        u = make_uniform(m, n)
+        assert u.rank_size_counts() == generic_census(u), (m, n)
+        assert u.dual().rank_size_counts() == generic_census(u.dual()), (m, n)
+
+
+def grid_3x3():
+    rows = [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+    cols = [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)]
+    return MultiGraph(9, rows + cols)
+
+
+def test_graphic_census_route_follows_the_cost_estimate():
+    # K7: 3^7 vertex steps against 2^21 edge subsets; the 3x3 grid: 3^9
+    # against 2^12
+    assert make_graphic(complete_graph(7)).census_route() == "vertex"
+    assert make_graphic(grid_3x3()).census_route() == "edge"
+    # isolated vertices do not count against the vertex route
+    k4_spread = MultiGraph(12, [(u * 3, v * 3) for u, v in complete_graph(4).edges])
+    assert make_graphic(k4_spread).census_route() == "vertex"
+
+
+def census_routes():
+    """name -> (census taking a deadline, whether its checks recur)."""
+    u, k7, pg = make_uniform(3, 14), make_graphic(complete_graph(7)), make_pg(4, 2)
+    return {
+        "uniform": u.rank_size_counts,
+        "fp": pg.rank_size_counts,
+        "fp-large": make_pg(5, 2).rank_size_counts,
+        "graphic": k7.rank_size_counts,
+        "graphic-vertex": k7.vertex_census,
+        "graphic-edge": k7.edge_census,
+        "dual": pg.dual().rank_size_counts,
+        "generic": RestrictView(u, u.full_mask).rank_size_counts,
+    }
+
+
+def test_every_census_route_raises_on_an_expired_deadline():
+    for name, census in census_routes().items():
+        with pytest.raises(BudgetExceeded):
+            census(deadline=monotonic() - 1.0)
+
+
+def test_census_scans_check_the_deadline_while_running(monkeypatch):
+    routes = census_routes()
+    for name in ("fp-large", "graphic-vertex", "graphic-edge", "generic"):
+        # the clock passes the deadline right after the entry check
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0 if len(reads) == 1 else 10.0
+
+        monkeypatch.setattr(matroids, "monotonic", clock)
+        with pytest.raises(BudgetExceeded):
+            routes[name](deadline=5.0)
+        assert len(reads) == 2, name
 
 
 def test_table_matroid_accepts_valid_and_rejects_invalid():
