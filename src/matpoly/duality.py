@@ -26,6 +26,12 @@ Every subset sum over minors is one call of ``_lattice_sums``: a value
 per subset, read off (|A|, r(A)), then one zeta/Moebius transform over
 the subset lattice (one pass per ground element, 2^n cells), so a full
 table of minor polynomials costs n * 2^n ring operations instead of 3^n.
+The exact work is on ints and ``IntPoly``s.  A zeta-weighted right side
+whose weight depends on (|A|, r(A)) or |A| alone first sums its table
+per weight key (``_group_sums``) and evaluates only those <= (n+1)^2
+groups at each sample point.  Kung's rational cell values are scaled by
+the lcm d of their denominators, so both of its transforms add ints and
+each point divides once, by d_p * d_q.
 Each checker only states the two sides of its identity.  ``_KINDS`` maps
 every kind to its checker and, for a sampled kind, its sample points;
 ``_sample_points`` parses those points for every kind alike (defaults,
@@ -37,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .algebra import BiPoly, IntPoly, eval_bipoly, exact_div_monomial, poly_pow
 from .errors import BadParams, NotDivisible, TooLarge
@@ -87,7 +94,7 @@ DEFAULT_KUNG = (
 
 PARTITION_VERTEX_GUARD = 12
 # The Matiyasevich kinds take a census of each of the 2^|E| subgraphs:
-# K6 (15 edges) takes 10-15 s, and K7 (21 edges) has 2^21 subgraphs.
+# K6 (15 edges) takes about 4 s, and K7 (21 edges) has 2^21 subgraphs.
 SUBGRAPH_EDGE_GUARD = 15
 
 
@@ -129,10 +136,11 @@ def zeta_q(q, z: int) -> Fraction:
 
 
 def rank_table(m: Matroid) -> list[int]:
-    """r(A) for every subset mask A, as a dense list of length 2^n."""
+    """r(A) for every subset mask A, as a dense list of length 2^n, by the
+    matroid class's own route (``Matroid.rank_table``)."""
     if m.ground_size > SUBSET_GUARD:
         raise TooLarge(f"rank table on {m.ground_size} elements")
-    return [m.rank(mask) for mask in range(1 << m.ground_size)]
+    return m.rank_table()
 
 
 def subset_zeta(vals: list, n: int) -> list:
@@ -167,6 +175,17 @@ def _lattice_sums(ranks: list[int], value, superset: bool = False) -> list:
     memo = {key: value(*key) for key in set(keys)}
     vals = [memo[key] for key in keys]
     return (superset_zeta if superset else subset_zeta)(vals, n)
+
+
+def _group_sums(table: list, key) -> dict:
+    """{key(A): sum of table[A] over every mask A with that key}.  A sum
+    over subsets whose weight depends on key(A) alone then weights one
+    group per key, at most (n+1)^2 of them, instead of 2^n entries."""
+    groups: dict = {}
+    for mask, p in enumerate(table):
+        k = key(mask)
+        groups[k] = groups[k] + p if k in groups else p
+    return groups
 
 
 def _negate_odd(vals: list) -> list:
@@ -218,9 +237,8 @@ def _finaltwo_sum(m: Matroid, size_weights: list[IntPoly] | None = None) -> IntP
     if size_weights is None:
         one_minus_x = IntPoly((1, -1))
         size_weights = [poly_pow(one_minus_x, k) for k in range(n + 1)]
-    table = chi_contract_table(m)
-    weighted = (size_weights[mask.bit_count()] * p for mask, p in enumerate(table))
-    return sum(weighted, IntPoly.zero())
+    groups = _group_sums(chi_contract_table(m), int.bit_count)
+    return sum((size_weights[a] * p for a, p in groups.items()), IntPoly.zero())
 
 
 def chi_dual_via_finaltwo(m: Matroid) -> IntPoly:
@@ -316,14 +334,15 @@ def _first_mismatch(points, lhs, rhs) -> str | None:
 def _verify_thm1_one(m: Matroid):
     n = m.ground_size
     ranks = rank_table(m)
-    chi_r = chi_restrict_table(m, ranks)
+    groups = _group_sums(
+        chi_restrict_table(m, ranks), lambda mask: (mask.bit_count(), ranks[mask])
+    )
     chi_dual = chi_subset(m.dual())
 
     def rhs(q):
         z1 = zeta_q(q, 1)
         return sum(
-            (-1) ** (n - mask.bit_count()) * p(q) * z1 ** mask.bit_count() / q**r
-            for mask, (p, r) in enumerate(zip(chi_r, ranks))
+            (-1) ** (n - a) * p(q) * z1**a / q**r for (a, r), p in groups.items()
         )
 
     return lambda q: chi_dual(q) * zeta_q(q, -1) ** n, rhs
@@ -331,26 +350,26 @@ def _verify_thm1_one(m: Matroid):
 
 def _verify_thm1_two(m: Matroid):
     n = m.ground_size
-    chi_c = chi_contract_table(m)
+    groups = _group_sums(chi_contract_table(m), int.bit_count)
     chi_dual = chi_subset(m.dual())
     rdual = n - m.full_rank()
 
     def rhs(q):
         zm1 = zeta_q(q, -1)
-        return sum(zm1 ** (n - mask.bit_count()) * p(q) for mask, p in enumerate(chi_c))
+        return sum(zm1 ** (n - a) * p(q) for a, p in groups.items())
 
     return lambda q: chi_dual(q) / q**rdual * zeta_q(q, 1) ** n, rhs
 
 
 def _verify_twozeta(m: Matroid):
     n = m.ground_size
-    chi_dr = chi_dual_restrict_table(m)
+    groups = _group_sums(chi_dual_restrict_table(m), int.bit_count)
     chi_m = chi_subset(m)
     rfull = m.full_rank()
 
     def rhs(q):
         zm1 = zeta_q(q, -1)
-        return sum(zm1 ** mask.bit_count() * p(q) for mask, p in enumerate(chi_dr))
+        return sum(zm1**a * p(q) for a, p in groups.items())
 
     return lambda q: chi_m(q) / q**rfull * zeta_q(q, 1) ** n, rhs
 
@@ -367,27 +386,30 @@ def _verify_finaltwo(m: Matroid):
 
 
 def _verify_matiyasevich(g: MultiGraph):
-    flows = [flow_poly(h) for h in _subgraphs(g)]
+    groups = _group_sums([flow_poly(h) for h in _subgraphs(g)], int.bit_count)
     p_g = chromatic_poly(g)
     ne = len(g.edges)
 
     def rhs(q):
         zm1 = zeta_q(q, -1)
-        return sum(zm1 ** mask.bit_count() * f(q) for mask, f in enumerate(flows))
+        return sum(zm1**a * f(q) for a, f in groups.items())
 
     return lambda q: p_g(q) / q**g.n * zeta_q(q, 1) ** ne, rhs
 
 
 def _verify_matiyasevich_inverse(g: MultiGraph):
-    chroms = [(chromatic_poly(h), h.n) for h in _subgraphs(g)]
+    subs = _subgraphs(g)
+    # the weight of subgraph A depends on |A| and its vertex count
+    groups = _group_sums(
+        [chromatic_poly(h) for h in subs], lambda mask: (mask.bit_count(), subs[mask].n)
+    )
     f_g = flow_poly(g)
     ne = len(g.edges)
 
     def rhs(q):
         z1 = zeta_q(q, 1)
         return sum(
-            (-1) ** (ne - mask.bit_count()) * p(q) * z1 ** mask.bit_count() / q**v
-            for mask, (p, v) in enumerate(chroms)
+            (-1) ** (ne - a) * p(q) * z1**a / q**v for (a, v), p in groups.items()
         )
 
     return lambda q: f_g(q) * zeta_q(q, -1) ** ne, rhs
@@ -437,16 +459,25 @@ def _verify_convolution(m: Matroid):
 def _verify_kung(m: Matroid):
     ranks = rank_table(m)
     rfull = ranks[-1]
+    keys = {(mask.bit_count(), r) for mask, r in enumerate(ranks)}
     rpoly = whitney_R(m)
 
+    def int_sums(value, superset=False):
+        """_lattice_sums of the rational value(|B|, r(B)), run on ints: the
+        cell values are scaled by d, the lcm of their denominators, and
+        returned with d."""
+        cells = {key: value(*key) for key in keys}
+        d = lcm(*(v.denominator for v in cells.values()))
+        ints = {key: v.numerator * (d // v.denominator) for key, v in cells.items()}
+        return _lattice_sums(ranks, lambda a, r: ints[a, r], superset), d
+
     def rhs(lam, xi, x, y):
-        pv = _lattice_sums(ranks, lambda a, r: (-lam) ** -r * (-x) ** (a - r))
-        qv = _lattice_sums(
-            ranks, lambda a, r: xi ** (rfull - r) * y ** (a - r), superset=True
-        )
+        pv, dp = int_sums(lambda a, r: (-lam) ** -r * (-x) ** (a - r))
+        qv, dq = int_sums(lambda a, r: xi ** (rfull - r) * y ** (a - r), superset=True)
         # The weight of cell A, lam^(R-r(A)) (-y)^(|A|-r(A)) (-lam)^r(A)
         # y^(r(A)-|A|), is (-1)^|A| lam^R.
-        return lam**rfull * sum(p * q for p, q in zip(_negate_odd(pv), qv))
+        total = sum(p * q for p, q in zip(_negate_odd(pv), qv))
+        return lam**rfull * Fraction(total, dp * dq)
 
     return lambda lam, xi, x, y: eval_bipoly(rpoly, lam * xi, x * y), rhs
 

@@ -12,26 +12,36 @@ so view stacks of any depth stay exact.  ``contract(M, S)`` keeps S as
 the ground set and contracts the complement away.
 
 ``rank`` memoizes every value it computes in the per-instance dict
-``_rank_cache``, so point queries and ``duality.rank_table`` fill it.
+``_rank_cache``, so point queries fill it, and so does the generic
+``rank_table``.
 
 Every invariant is read off one object, the rank-size census
 {(|A|, r(A)): count}.  ``rank_size_counts(deadline)`` is its one entry
-point: it checks the deadline and calls the class's ``_census``, the
-cheapest exact route that class has.
+point: it checks the deadline and calls the class's ``_census``.
+``rank_table()`` lists r(A) for every mask, for the lattice transforms
+of ``duality.rank_table``.  Each class takes its cheapest exact route:
 
-    class              census route                               cost
-    UniformMatroid     closed form C(n, a) subsets at min(m, a)   O(n)
-    LinearMatroidFp    depth-first scan, echelon basis rollback   <= 2^n nodes
-    GraphicMatroid     vertex-subset expansion or edge scan       3^|V'| or 2^|E|
-    DualView           its base's census, reindexed               base's
-    minors, tables     generic scan over ``_rank_impl``           2^n ranks
+    class            census route                       rank-table route
+    UniformMatroid   closed form, C(n, a) at min(m, a)  generic
+    LinearMatroidFp  echelon scan, binomial row at a    echelon scan, one
+                     stop (<= 2^n nodes)                slice at a stop
+    GraphicMatroid   vertex expansion (3^|V'|) or edge  generic
+                     scan (2^|E|)
+    DualView         its base's census, reindexed       generic
+    minors, tables   generic scan over ``_rank_impl``   generic
+
+The generic rank table is ``[rank(A) for every A]``: 2^n rank queries,
+all of them kept in the cache.  The F_p echelon scan stops once the
+taken prefix spans; there the census adds the binomial row of the
+untaken elements and the rank table writes r(E) into every extension
+with one slice assignment, so neither visits those sets.
 
 The generic scan reads the rank cache but never writes to it: a cold
 census computes each of its 2^n ranks once and keeps none, so it runs in
 memory bounded by the census itself (a cache of all 2^22 masks of
-uniform:10,22 held 342 MB), while a census after ``rank_table`` still
-reads every rank from the cache.  The class routes ask ``rank`` for
-r(E) at most.
+uniform:10,22 held 342 MB), while a census after the generic
+``rank_table`` still reads every rank from the cache.  The class routes
+ask ``rank`` for r(E) at most.
 
 Graphic matroids compute rank(A) as |support of A| minus the number of
 components of A, through ``graphs.components`` and the one general
@@ -134,6 +144,11 @@ class Matroid:
             if self.is_coloop(e):
                 m |= 1 << e
         return m
+
+    def rank_table(self) -> list[int]:
+        """r(A) for every mask A, as a dense list of length 2^n, through
+        ``rank``; classes with a faster route override it."""
+        return [self.rank(mask) for mask in range(1 << self.ground_size)]
 
     def rank_size_counts(self, deadline: float | None = None) -> Counter:
         """Census {(|A|, r(A)): count} over all 2^n subsets, by this
@@ -448,19 +463,19 @@ class LinearMatroidFp(Matroid):
             col += 1
         return rank
 
-    def _census(self, deadline: float | None) -> Counter:
+    def _scan(self, leaf, deadline: float | None = None) -> None:
         """Depth-first scan over elements that keeps an echelon basis,
         ``basis[c]`` the row whose leading 1 sits in column c; taking an
         independent element adds one row and returning removes it.  Each
-        element is reduced once per node.  Once the taken set spans, every
-        extension keeps the full rank, so the k undecided elements add
-        C(k, j) sets at each size j without being visited."""
+        element is reduced once per node.  The scan stops at element i
+        once the taken set ``mask`` (a subset of elements 0..i-1) spans or
+        i = n, and calls leaf(i, mask, rank): every extension of a
+        spanning set keeps the full rank, so the 2^(n-i) sets
+        mask + B, B within elements i..n-1, share that rank unvisited."""
         vecs, p, n = self.vectors, self.p, self.ground_size
         dim = len(vecs[0]) if vecs else 0
         top = self.full_rank()
-        rows = [[comb(k, j) for j in range(k + 1)] for k in range(n + 1)]
         basis: list = [None] * dim
-        counts: Counter = Counter()
         calls = [0]
 
         def pivot_row(vec):
@@ -477,25 +492,53 @@ class LinearMatroidFp(Matroid):
                 vec = [(x - a * y) % p for x, y in zip(vec, row)]
             return None
 
-        def rec(i, sz, rk):
+        def rec(i, mask, rk):
             if rk == top or i == n:
-                for j, c in enumerate(rows[n - i]):
-                    counts[(sz + j, rk)] += c
+                leaf(i, mask, rk)
                 return
             calls[0] += 1
             if calls[0] & 0x3FFF == 0:
                 _check_deadline(deadline)
-            rec(i + 1, sz, rk)
+            rec(i + 1, mask, rk)
             piv = pivot_row(vecs[i])
             if piv is None:
-                rec(i + 1, sz + 1, rk)
+                rec(i + 1, mask | 1 << i, rk)
             else:
                 basis[piv[0]] = piv[1]
-                rec(i + 1, sz + 1, rk + 1)
+                rec(i + 1, mask | 1 << i, rk + 1)
                 basis[piv[0]] = None
 
         rec(0, 0, 0)
+
+    def _census(self, deadline: float | None) -> Counter:
+        """The echelon scan; a stop at element i adds C(n-i, j) sets of
+        size |mask| + j at its rank, for every j.  Stops are tallied by
+        (i, |mask|, rank) first, so each binomial row is added once per
+        tally rather than once per stop."""
+        n = self.ground_size
+        stops: Counter = Counter()
+
+        def leaf(i, mask, rk):
+            stops[i, mask.bit_count(), rk] += 1
+
+        self._scan(leaf, deadline)
+        counts: Counter = Counter()
+        for (i, sz, rk), c in stops.items():
+            for j in range(n - i + 1):
+                counts[(sz + j, rk)] += c * comb(n - i, j)
         return counts
+
+    def rank_table(self) -> list[int]:
+        """The echelon scan; a stop at element i writes its rank into the
+        2^(n-i) masks mask + B, which sit 2^i apart, in one slice."""
+        n = self.ground_size
+        out = [0] * (1 << n)
+
+        def leaf(i, mask, rk):
+            out[mask :: 1 << i] = [rk] * (1 << n - i)
+
+        self._scan(leaf)
+        return out
 
 
 class TableMatroid(Matroid):

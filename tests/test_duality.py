@@ -9,9 +9,13 @@ from corpus import GRAPHS
 from matpoly import BadParams, TooLarge, duality
 from matpoly.algebra import BiPoly, IntPoly, poly_pow
 from matpoly.duality import (
+    DEFAULT_KUNG,
     GRAPH_KINDS,
     IdentityKind,
     _finaltwo_sum,
+    _lattice_sums,
+    _negate_odd,
+    _verify_kung,
     chi_contract_table,
     chi_dual_restrict_table,
     chi_dual_via_finaltwo,
@@ -301,3 +305,55 @@ def test_uniform_split_holds_only_for_uniforms():
     # fails on a rank-preserving non-uniform matroid
     rep = verify_identity(IdentityKind.UNIFORM_SPLIT, make_pg(3, 2))
     assert not rep.passed
+
+
+# Right-side mutations: each bumps one entry of a table the right side
+# reads, so a right side that ignored its table would still pass.
+RHS_TARGETS = (make_uniform(2, 4), make_pg(3, 2), make_graphic(K4))
+
+
+@pytest.mark.parametrize("m", RHS_TARGETS, ids=lambda m: m.label)
+def test_thm1_one_fails_when_one_restriction_entry_moves(m, monkeypatch):
+    orig = duality.chi_restrict_table
+    mask = m.full_mask // 3  # a proper, nonempty subset
+
+    def bumped(t, ranks=None):
+        table = list(orig(t, ranks))
+        table[mask] = table[mask] + IntPoly((0, 0, 1))  # + q^2
+        return table
+
+    monkeypatch.setattr(duality, "chi_restrict_table", bumped)
+    rep = verify_identity("thm1-one", m)
+    assert not rep.passed
+    assert rep.first_mismatch.startswith("q=2: lhs="), rep.first_mismatch
+
+
+@pytest.mark.parametrize("m", RHS_TARGETS, ids=lambda m: m.label)
+def test_kung_fails_when_one_rank_moves(m, monkeypatch):
+    orig = duality.rank_table
+    mask = m.full_mask // 3
+
+    def bumped(t):
+        ranks = list(orig(t))
+        ranks[mask] += 1
+        return ranks
+
+    monkeypatch.setattr(duality, "rank_table", bumped)
+    rep = verify_identity("kung", m)
+    assert not rep.passed
+    assert rep.first_mismatch.startswith(KUNG_LABELS[0] + ": lhs="), rep.first_mismatch
+
+
+@pytest.mark.parametrize("m", RHS_TARGETS, ids=lambda m: m.label)
+def test_integer_kung_matches_the_fraction_transform(m):
+    ranks = rank_table(m)
+    rfull = ranks[-1]
+    _lhs, rhs = _verify_kung(m)
+    for lam, xi, x, y in DEFAULT_KUNG:
+        # both transforms run on Fraction cells
+        pv = _lattice_sums(ranks, lambda a, r: (-lam) ** -r * (-x) ** (a - r))
+        qv = _lattice_sums(
+            ranks, lambda a, r: xi ** (rfull - r) * y ** (a - r), superset=True
+        )
+        want = lam**rfull * sum(p * q for p, q in zip(_negate_odd(pv), qv))
+        assert rhs(lam, xi, x, y) == want, (lam, xi, x, y)

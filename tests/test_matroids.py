@@ -217,9 +217,10 @@ def test_census_reads_but_does_not_fill_the_rank_cache():
     u = make_uniform(3, 12)
     chi_subset(u)
     assert len(u._rank_cache) <= 4
-    # after rank_table every census rank is a cache hit
-    m = make_pg(3, 2)
-    want = brute_census(m)
+    # after rank_table every census rank is a cache hit; a TableMatroid
+    # takes the generic scan, which a make_pg matroid no longer does
+    want = brute_census(make_pg(3, 2))
+    m = TableMatroid(7, rank_table(make_pg(3, 2)), "pg:3,2 table")
     rank_table(m)
 
     def no_rank_impl(mask):
@@ -294,19 +295,35 @@ def test_graphic_census_routes_match_generic_scan():
     assert min(seen[k] for k in ("loop", "parallel", "isolated", "disconnected")) >= 10, seen
 
 
-def test_fp_census_matches_generic_scan():
+def fp_configs():
+    """Seeded F_p configurations, p in {2, 3, 5}: each has a zero vector
+    and repeated vectors; empty ground sets and dimension 0 included."""
     rng = random.Random(616011)
     configs = [LinearMatroidFp([], p, "empty") for p in (2, 3, 5)]
+    configs.append(LinearMatroidFp([()] * 3, 3, "dim0"))
     for _ in range(100):
         p, dim = rng.choice((2, 3, 5)), rng.randrange(5)
         vecs = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(rng.randrange(10))]
         vecs += [(0,) * dim] + vecs[:2]  # a loop and repeated vectors
         rng.shuffle(vecs)
         configs.append(LinearMatroidFp(vecs, p, f"F{p}"))
-    configs += [make_pg(3, 2), make_pg(2, 5)]
-    for m in configs:
+    return configs + [make_pg(3, 2), make_pg(2, 5)]
+
+
+def test_fp_census_matches_generic_scan():
+    for m in fp_configs():
         assert m.rank_size_counts() == generic_census(m), (m.p, m.vectors)
         assert m.dual().rank_size_counts() == generic_census(m.dual()), (m.p, m.vectors)
+
+
+def test_fp_rank_table_matches_rank_impl():
+    for m in fp_configs():
+        want = [m._rank_impl(mask) for mask in range(1 << m.ground_size)]
+        assert rank_table(m) == want, (m.p, m.vectors)
+        # the echelon scan asks ``rank`` for r(E) alone
+        assert set(m._rank_cache) <= {m.full_mask}, (m.p, m.vectors)
+    m = make_pg(3, 3)
+    assert rank_table(m) == [m._rank_impl(mask) for mask in range(1 << 13)]
 
 
 def test_uniform_census_matches_generic_scan():
