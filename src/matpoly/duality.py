@@ -11,7 +11,8 @@ verifier:
 * an all-polynomial contraction formula for chi of the dual,
   exposed as ``chi_dual_via_finaltwo``;
 * the chromatic/flow specializations on graphs (Matiyasevich's identity
-  and its inverse) plus the connected-partition formula for the flow
+  and its inverse), whose right sides are twozeta's and thm1-one's on the
+  cycle matroid, plus the connected-partition formula for the flow
   polynomial;
 * the Tutte convolution T(x,y) = sum_A T_{M|A}(0,y) T_{M/A}(x,0), Kung's
   bilinear convolution for the Whitney rank polynomial, the split
@@ -26,6 +27,8 @@ Every subset sum over minors is one call of ``_lattice_sums``: a value
 per subset, read off (|A|, r(A)), then one zeta/Moebius transform over
 the subset lattice (one pass per ground element, 2^n cells), so a full
 table of minor polynomials costs n * 2^n ring operations instead of 3^n.
+Every table starts from ``rank_table``, whose one guard (``TABLE_GUARD``)
+refuses more than 20 elements before any rank query.
 The exact work is on ints and ``IntPoly``s.  A zeta-weighted right side
 whose weight depends on (|A|, r(A)) or |A| alone first sums its table
 per weight key (``_group_sums``) and evaluates only those <= (n+1)^2
@@ -47,15 +50,8 @@ from math import lcm
 
 from .algebra import BiPoly, IntPoly, eval_bipoly, exact_div_monomial, poly_pow
 from .errors import BadParams, NotDivisible, TooLarge
-from .graphs import MultiGraph, connected_partitions, quotient, subgraph
-from .invariants import (
-    SUBSET_GUARD,
-    chi_subset,
-    chromatic_poly,
-    flow_poly,
-    tutte,
-    whitney_R,
-)
+from .graphs import MultiGraph, connected_partitions, quotient
+from .invariants import chi_subset, chromatic_poly, flow_poly, tutte, whitney_R
 from .matroids import Matroid, make_graphic
 
 
@@ -93,9 +89,11 @@ DEFAULT_KUNG = (
 )
 
 PARTITION_VERTEX_GUARD = 12
-# The Matiyasevich kinds take a census of each of the 2^|E| subgraphs:
-# K6 (15 edges) takes about 4 s, and K7 (21 edges) has 2^21 subgraphs.
-SUBGRAPH_EDGE_GUARD = 15
+# Every minor table holds 2^n entries and grows about 2x per element.  At
+# n = 20 (uniform:3,20, Python 3.11) the table kinds peak between 225 MB
+# (thm1-two, finaltwo) and 614 MB (convolution).  20 admits K6 (15 edges)
+# and refuses K7 (21 edges).
+TABLE_GUARD = 20
 
 
 @dataclass
@@ -137,9 +135,11 @@ def zeta_q(q, z: int) -> Fraction:
 
 def rank_table(m: Matroid) -> list[int]:
     """r(A) for every subset mask A, as a dense list of length 2^n, by the
-    matroid class's own route (``Matroid.rank_table``)."""
-    if m.ground_size > SUBSET_GUARD:
-        raise TooLarge(f"rank table on {m.ground_size} elements")
+    matroid class's own route (``Matroid.rank_table``).  Every table
+    starts here, so a ground set above TABLE_GUARD is refused before any
+    rank query."""
+    if m.ground_size > TABLE_GUARD:
+        raise TooLarge(f"rank table on {m.ground_size} > {TABLE_GUARD} elements")
     return m.rank_table()
 
 
@@ -233,11 +233,10 @@ def _finaltwo_sum(m: Matroid, size_weights: list[IntPoly] | None = None) -> IntP
     """sum_A w(|A|) * chi of (M with A contracted away), where the
     default weight is w(k) = (1-x)^k.  The weight is a parameter so tests
     can mutate it and watch the identity break."""
-    n = m.ground_size
+    groups = _group_sums(chi_contract_table(m), int.bit_count)
     if size_weights is None:
         one_minus_x = IntPoly((1, -1))
-        size_weights = [poly_pow(one_minus_x, k) for k in range(n + 1)]
-    groups = _group_sums(chi_contract_table(m), int.bit_count)
+        size_weights = [poly_pow(one_minus_x, k) for k in range(m.ground_size + 1)]
     return sum((size_weights[a] * p for a, p in groups.items()), IntPoly.zero())
 
 
@@ -249,8 +248,6 @@ def chi_dual_via_finaltwo(m: Matroid) -> IntPoly:
     The sum is exactly divisible by x^r(E); a NotDivisible escape means
     the input was not a matroid.
     """
-    if m.ground_size > SUBSET_GUARD:
-        raise TooLarge(f"{m.label}: contraction table is guarded at {SUBSET_GUARD}")
     acc = _finaltwo_sum(m)
     if m.ground_size % 2:
         acc = -acc
@@ -288,15 +285,6 @@ def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
     return exact_div_monomial(acc, g.n)
 
 
-def _subgraphs(g: MultiGraph) -> list[MultiGraph]:
-    """Every edge subgraph of g, indexed by edge mask; guarded, since each
-    one gets a census of its own."""
-    ne = len(g.edges)
-    if ne > SUBGRAPH_EDGE_GUARD:
-        raise TooLarge(f"subgraph sum on {ne} > {SUBGRAPH_EDGE_GUARD} edges")
-    return [subgraph(g, mask) for mask in range(1 << ne)]
-
-
 def _sample_points(kind: IdentityKind, spec: tuple, samples) -> list:
     """[(label, point)] for ``samples`` (a flat list read len(names) at a
     time), or for the defaults when ``samples`` is None.  ``spec`` is
@@ -331,13 +319,14 @@ def _first_mismatch(points, lhs, rhs) -> str | None:
     return None
 
 
-def _verify_thm1_one(m: Matroid):
+def _restriction_rhs(m: Matroid):
+    """q -> sum_A (-1)^(n-|A|) zeta_q(1)^|A| chi_{M|A}(q) / q^r(A): the right
+    side of thm1-one, and of matiyasevich-inverse on a cycle matroid."""
     n = m.ground_size
     ranks = rank_table(m)
     groups = _group_sums(
         chi_restrict_table(m, ranks), lambda mask: (mask.bit_count(), ranks[mask])
     )
-    chi_dual = chi_subset(m.dual())
 
     def rhs(q):
         z1 = zeta_q(q, 1)
@@ -345,7 +334,25 @@ def _verify_thm1_one(m: Matroid):
             (-1) ** (n - a) * p(q) * z1**a / q**r for (a, r), p in groups.items()
         )
 
-    return lambda q: chi_dual(q) * zeta_q(q, -1) ** n, rhs
+    return rhs
+
+
+def _dual_restriction_rhs(m: Matroid):
+    """q -> sum_A zeta_q(-1)^|A| chi_{(M|A)*}(q): the right side of twozeta,
+    and of matiyasevich on a cycle matroid."""
+    groups = _group_sums(chi_dual_restrict_table(m), int.bit_count)
+
+    def rhs(q):
+        zm1 = zeta_q(q, -1)
+        return sum(zm1**a * p(q) for a, p in groups.items())
+
+    return rhs
+
+
+def _verify_thm1_one(m: Matroid):
+    rhs = _restriction_rhs(m)
+    chi_dual = chi_subset(m.dual())
+    return lambda q: chi_dual(q) * zeta_q(q, -1) ** m.ground_size, rhs
 
 
 def _verify_thm1_two(m: Matroid):
@@ -362,57 +369,38 @@ def _verify_thm1_two(m: Matroid):
 
 
 def _verify_twozeta(m: Matroid):
-    n = m.ground_size
-    groups = _group_sums(chi_dual_restrict_table(m), int.bit_count)
+    rhs = _dual_restriction_rhs(m)
     chi_m = chi_subset(m)
     rfull = m.full_rank()
-
-    def rhs(q):
-        zm1 = zeta_q(q, -1)
-        return sum(zm1**a * p(q) for a, p in groups.items())
-
-    return lambda q: chi_m(q) / q**rfull * zeta_q(q, 1) ** n, rhs
+    return lambda q: chi_m(q) / q**rfull * zeta_q(q, 1) ** m.ground_size, rhs
 
 
 def _verify_finaltwo(m: Matroid):
-    expected = chi_subset(m.dual())
     try:
         got = chi_dual_via_finaltwo(m)
     except NotDivisible as exc:
         return f"contraction sum not divisible: {exc}"
+    expected = chi_subset(m.dual())
     if got != expected:
         return f"lhs={expected} rhs={got}"
     return None
 
 
+# On the cycle matroid M of g, F_{G|A} = chi_{(M|A)*}, and P_{G|A} /
+# q^|V(A)| = chi_{M|A} / q^r(A) because ``subgraph`` keeps only the support
+# vertices, so c(A) = |V(A)| - r(A).  So matiyasevich's right side is
+# twozeta's and matiyasevich-inverse's is thm1-one's; the left sides stay
+# on the graph.
 def _verify_matiyasevich(g: MultiGraph):
-    groups = _group_sums([flow_poly(h) for h in _subgraphs(g)], int.bit_count)
+    rhs = _dual_restriction_rhs(make_graphic(g))
     p_g = chromatic_poly(g)
-    ne = len(g.edges)
-
-    def rhs(q):
-        zm1 = zeta_q(q, -1)
-        return sum(zm1**a * f(q) for a, f in groups.items())
-
-    return lambda q: p_g(q) / q**g.n * zeta_q(q, 1) ** ne, rhs
+    return lambda q: p_g(q) / q**g.n * zeta_q(q, 1) ** len(g.edges), rhs
 
 
 def _verify_matiyasevich_inverse(g: MultiGraph):
-    subs = _subgraphs(g)
-    # the weight of subgraph A depends on |A| and its vertex count
-    groups = _group_sums(
-        [chromatic_poly(h) for h in subs], lambda mask: (mask.bit_count(), subs[mask].n)
-    )
+    rhs = _restriction_rhs(make_graphic(g))
     f_g = flow_poly(g)
-    ne = len(g.edges)
-
-    def rhs(q):
-        z1 = zeta_q(q, 1)
-        return sum(
-            (-1) ** (ne - a) * p(q) * z1**a / q**v for (a, v), p in groups.items()
-        )
-
-    return lambda q: f_g(q) * zeta_q(q, -1) ** ne, rhs
+    return lambda q: f_g(q) * zeta_q(q, -1) ** len(g.edges), rhs
 
 
 def _verify_th2(g: MultiGraph):

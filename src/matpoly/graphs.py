@@ -22,16 +22,18 @@ class MultiGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges=()):
-        if n < 0:
-            raise BadParams("vertex count must be >= 0")
-        es = []
-        for u, v in edges:
-            u, v = int(u), int(v)
+        # type(), not isinstance: bool is an int subclass, and int() would
+        # truncate 1.9 to 1
+        if type(n) is not int or n < 0:
+            raise BadParams(f"vertex count must be an int >= 0, got {n!r}")
+        es = tuple((u, v) for u, v in edges)
+        for u, v in es:
+            if type(u) is not int or type(v) is not int:
+                raise BadParams(f"edge ({u!r},{v!r}) needs int endpoints")
             if not (0 <= u < n and 0 <= v < n):
                 raise BadParams(f"edge ({u},{v}) out of range for {n} vertices")
-            es.append((u, v))
         self.n = n
-        self.edges = tuple(es)
+        self.edges = es
 
     @property
     def edge_count(self) -> int:
@@ -207,12 +209,6 @@ def graph_from_json(obj) -> MultiGraph:
         edges = obj["edges"]
         if not isinstance(edges, list) or any(len(e) != 2 for e in edges):
             raise BadParams("edges must be a list of [u, v] pairs")
-        n = obj["n"]
-        pairs = [(u, v) for u, v in edges]
     except (OSError, TypeError, ValueError) as exc:
         raise BadParams(f"bad graph JSON: {exc}") from exc
-    # type(), not isinstance: bool is an int subclass, and int() would
-    # truncate 1.9 to 1
-    if any(type(v) is not int for v in (n, *(x for e in pairs for x in e))):
-        raise BadParams("graph JSON wants integer n and edge endpoints")
-    return MultiGraph(n, pairs)
+    return MultiGraph(obj["n"], edges)

@@ -10,6 +10,7 @@ from matpoly import BadParams, TooLarge, duality
 from matpoly.algebra import BiPoly, IntPoly, poly_pow
 from matpoly.duality import (
     DEFAULT_KUNG,
+    DEFAULT_QS,
     GRAPH_KINDS,
     IdentityKind,
     _finaltwo_sum,
@@ -27,9 +28,9 @@ from matpoly.duality import (
     verify_identity,
     zeta_q,
 )
-from matpoly.graphs import MultiGraph, complete_graph
-from matpoly.invariants import chi_subset, flow_poly
-from matpoly.matroids import make_graphic, make_pg, make_uniform
+from matpoly.graphs import MultiGraph, complete_graph, component_count, subgraph
+from matpoly.invariants import chi_subset, chromatic_poly, flow_poly
+from matpoly.matroids import Matroid, make_graphic, make_pg, make_uniform
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -267,23 +268,88 @@ def test_report_shape_poles_and_first_failing_point(kind, monkeypatch):
     assert rep.first_mismatch.startswith(second + ": lhs="), rep.first_mismatch
 
 
+# Every kind whose checker builds a minor table through rank_table.
+TABLE_KINDS = (
+    "thm1-one",
+    "thm1-two",
+    "twozeta",
+    "finaltwo",
+    "matiyasevich",
+    "matiyasevich-inverse",
+    "convolution",
+    "kung",
+)
+
+
 def test_matiyasevich_kinds_refuse_large_graphs_before_any_work(monkeypatch):
     def no_work(*args):
-        raise AssertionError("census started above the edge guard")
+        raise AssertionError("work started above the table guard")
 
-    for name in ("subgraph", "chromatic_poly", "flow_poly"):
+    monkeypatch.setattr(Matroid, "rank_table", no_work)
+    monkeypatch.setattr(Matroid, "rank", no_work)
+    for name in ("chromatic_poly", "flow_poly"):
         monkeypatch.setattr(duality, name, no_work)
-    for kind in ("matiyasevich", "matiyasevich-inverse"):
+    # K7 has 21 edges; the matroid kinds wrap it as its cycle matroid
+    for kind in TABLE_KINDS:
         with pytest.raises(TooLarge):
             verify_identity(kind, complete_graph(7))
+        if IdentityKind(kind) not in GRAPH_KINDS:
+            with pytest.raises(TooLarge):
+                verify_identity(kind, make_uniform(2, 21))
     monkeypatch.undo()
-    # the guard admits |E| = SUBGRAPH_EDGE_GUARD and refuses one edge more
-    monkeypatch.setattr(duality, "SUBGRAPH_EDGE_GUARD", 3)
+    # the guard admits n = TABLE_GUARD and refuses one element more
+    monkeypatch.setattr(duality, "TABLE_GUARD", 3)
     triangle_pendant = MultiGraph(4, K3.edges + ((2, 3),))
-    for kind in ("matiyasevich", "matiyasevich-inverse"):
-        assert verify_identity(kind, K3).passed
+    for kind in TABLE_KINDS:
+        assert verify_identity(kind, K3).passed, kind
         with pytest.raises(TooLarge):
             verify_identity(kind, triangle_pendant)
+    assert chi_dual_via_finaltwo(make_graphic(K3)) == IntPoly((-1, 1))
+    with pytest.raises(TooLarge):
+        chi_dual_via_finaltwo(make_graphic(triangle_pendant))
+
+
+def random_multigraph(rng):
+    n = rng.randrange(7)
+    m = rng.randrange(9) if n else 0
+    return MultiGraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+
+
+def test_matiyasevich_right_sides_match_a_per_subgraph_reference():
+    """Both graph kinds take their right side from the cycle matroid's
+    tables; the reference sums over every edge subgraph G|A, which keeps
+    only the support vertices of A."""
+    rng = random.Random(717003)
+    graphs = [random_multigraph(rng) for _ in range(60)]
+    graphs += [MultiGraph(0, ()), MultiGraph(3, ()), MultiGraph(2, ((1, 1), (1, 1)))]
+    seen = set()
+    for g in graphs:
+        ne = len(g.edges)
+        subs = [subgraph(g, mask) for mask in range(1 << ne)]
+        _lhs, rhs = duality._verify_matiyasevich(g)
+        _lhs, rhs_inverse = duality._verify_matiyasevich_inverse(g)
+        for q in DEFAULT_QS + (Fraction(-1), Fraction(7, 3)):
+            z1, zm1 = zeta_q(q, 1), zeta_q(q, -1)
+            want = sum(zm1 ** h.edge_count * flow_poly(h)(q) for h in subs)
+            want_inverse = sum(
+                (-1) ** (ne - h.edge_count) * chromatic_poly(h)(q) * z1**h.edge_count
+                / q**h.n
+                for h in subs
+            )
+            assert rhs(q) == want, (g, q)
+            assert rhs_inverse(q) == want_inverse, (g, q)
+        ends = {v for e in g.edges for v in e}
+        seen.update(
+            name
+            for name, hit in (
+                ("loop", any(u == v for u, v in g.edges)),
+                ("parallel", len(set(map(frozenset, g.edges))) < ne),
+                ("isolated", len(ends) < g.n),
+                ("disconnected", component_count(g) - (g.n - len(ends)) > 1),
+            )
+            if hit
+        )
+    assert seen == {"loop", "parallel", "isolated", "disconnected"}
 
 
 def test_graph_kinds_accept_multigraphs_only():
@@ -312,18 +378,36 @@ def test_uniform_split_holds_only_for_uniforms():
 RHS_TARGETS = (make_uniform(2, 4), make_pg(3, 2), make_graphic(K4))
 
 
-@pytest.mark.parametrize("m", RHS_TARGETS, ids=lambda m: m.label)
-def test_thm1_one_fails_when_one_restriction_entry_moves(m, monkeypatch):
-    orig = duality.chi_restrict_table
-    mask = m.full_mask // 3  # a proper, nonempty subset
+# (kind, target, the table its right side sums): thm1-one on every right-
+# side target, and each graph kind on K4, whose right side is thm1-one's
+# (matiyasevich-inverse) or twozeta's (matiyasevich) on the cycle matroid.
+RESTRICTION_CASES = [
+    pytest.param("thm1-one", m, "chi_restrict_table", id=m.label)
+    for m in RHS_TARGETS
+] + [
+    pytest.param(kind, K4, table, id=f"{kind}:K4")
+    for kind, table in (
+        ("matiyasevich-inverse", "chi_restrict_table"),
+        ("matiyasevich", "chi_dual_restrict_table"),
+    )
+]
+
+
+@pytest.mark.parametrize("kind, target, table", RESTRICTION_CASES)
+def test_thm1_one_fails_when_one_restriction_entry_moves(
+    kind, target, table, monkeypatch
+):
+    orig = getattr(duality, table)
+    full = target.full_edge_mask if isinstance(target, MultiGraph) else target.full_mask
+    mask = full // 3  # a proper, nonempty subset
 
     def bumped(t, ranks=None):
-        table = list(orig(t, ranks))
-        table[mask] = table[mask] + IntPoly((0, 0, 1))  # + q^2
-        return table
+        vals = list(orig(t, ranks))
+        vals[mask] = vals[mask] + IntPoly((0, 0, 1))  # + q^2
+        return vals
 
-    monkeypatch.setattr(duality, "chi_restrict_table", bumped)
-    rep = verify_identity("thm1-one", m)
+    monkeypatch.setattr(duality, table, bumped)
+    rep = verify_identity(kind, target)
     assert not rep.passed
     assert rep.first_mismatch.startswith("q=2: lhs="), rep.first_mismatch
 

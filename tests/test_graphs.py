@@ -30,6 +30,14 @@ def test_multigraph_validation():
         MultiGraph(2, ((0, 2),))
     with pytest.raises(BadParams):
         MultiGraph(1, ((0, -1),))
+    # n and endpoints must be exactly int: int() would truncate 1.9 to 1,
+    # and bool is an int subclass
+    with pytest.raises(BadParams):
+        MultiGraph(3, ((0, 1.9),))
+    with pytest.raises(BadParams):
+        MultiGraph(3, ((True, 2),))
+    with pytest.raises(BadParams):
+        MultiGraph(2.5, ())
 
 
 def test_complete_graph_edges_lexicographic():
