@@ -124,6 +124,25 @@ class IntPoly:
     def __pow__(self, k: int) -> "IntPoly":
         return poly_pow(self, k)
 
+    def pack(self, w: int) -> int:
+        """The value at x = 2^w (Kronecker substitution): one int whose
+        w-bit balanced digits are the coefficients, exact while every
+        |coefficient| < 2^(w-1).  Sums of packed values are packed sums."""
+        return self(1 << w)
+
+    @classmethod
+    def unpack(cls, v: int, w: int) -> "IntPoly":
+        """Inverse of ``pack``: read v's w-bit digits in [-2^(w-1), 2^(w-1))."""
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+        cs = []
+        while v:
+            c = v & mask
+            if c >= half:
+                c -= 1 << w
+            cs.append(c)
+            v = (v - c) >> w
+        return cls(cs)
+
     def __call__(self, v):
         """Evaluate by Horner; exact for int and rational arguments."""
         acc = 0

@@ -26,7 +26,11 @@ where the identity lives in a localized ring (negative powers of q).
 Every subset sum over minors is one call of ``_lattice_sums``: a value
 per subset, read off (|A|, r(A)), then one zeta/Moebius transform over
 the subset lattice (one pass per ground element, 2^n cells), so a full
-table of minor polynomials costs n * 2^n ring operations instead of 3^n.
+table of minor polynomials costs n * 2^n additions instead of 3^n.  The
+transforms add plain ints: polynomial cells are packed into one int each
+(Kronecker substitution at x = 2^w, ``IntPoly.pack``), wide enough that
+no coefficient of any sum overflows its digit, and every distinct sum is
+unpacked once.
 Every table starts from ``rank_table``, whose one guard (``TABLE_GUARD``)
 refuses more than 20 elements before any rank query.
 The exact work is on ints and ``IntPoly``s.  A zeta-weighted right side
@@ -47,6 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .algebra import BiPoly, IntPoly, eval_bipoly, exact_div_monomial, poly_pow
 from .errors import BadParams, NotDivisible, TooLarge
@@ -90,9 +95,10 @@ DEFAULT_KUNG = (
 
 PARTITION_VERTEX_GUARD = 12
 # Every minor table holds 2^n entries and grows about 2x per element.  At
-# n = 20 (uniform:3,20, Python 3.11) the table kinds peak between 225 MB
-# (thm1-two, finaltwo) and 614 MB (convolution).  20 admits K6 (15 edges)
-# and refuses K7 (21 edges).
+# n = 20 (uniform:3,20, or K6 plus 5 parallel edges for the Matiyasevich
+# kinds; Python 3.11) the table kinds peak between 185 MB (thm1-two,
+# finaltwo) and 275 MB (twozeta).  20 admits K6 (15 edges) and refuses K7
+# (21 edges).
 TABLE_GUARD = 20
 
 
@@ -143,24 +149,50 @@ def rank_table(m: Matroid) -> list[int]:
     return m.rank_table()
 
 
-def subset_zeta(vals: list, n: int) -> list:
-    """In-place subset-sum transform: vals[A] <- sum over B subset A."""
+# Cells per window of the lattice transforms: the low levels finish one
+# window before moving to the next, and no slice holds more cells, which
+# keeps them in cache and bounds the temporary lists.  On 2^20 cells of
+# 100-bit ints (2-CPU Xeon host, Python 3.11), slices over the whole table
+# took 1.7x the time of a per-mask loop and 36 MB more memory; windows of
+# 2^12 cells took about 0.6x, with no extra memory.
+ZETA_WINDOW = 1 << 12
+
+
+def _zeta(vals: list, n: int, superset: bool) -> list:
+    """One in-place butterfly per element e: every cell on the target side
+    of bit e adds its partner across the bit, a whole slice at a time.
+    While a window holds fewer offsets than blocks, each offset is one
+    strided slice per window; otherwise the blocks are contiguous runs of
+    at most a window's length."""
+    size = 1 << n
+    win = min(size, ZETA_WINDOW)
     for e in range(n):
         bit = 1 << e
-        for mask in range(1 << n):
-            if mask & bit:
-                vals[mask] = vals[mask] + vals[mask ^ bit]
+        step = bit << 1
+        dst, src = (0, bit) if superset else (bit, 0)
+        if bit <= win // step:
+            for base in range(0, size, win):
+                stop = base + win
+                for j in range(base, base + bit):
+                    d, s = j + dst, j + src
+                    vals[d:stop:step] = map(add, vals[d:stop:step], vals[s:stop:step])
+        else:
+            run = min(bit, win)
+            for lo in range(0, size, step):
+                for c in range(lo, lo + bit, run):
+                    d, s = c + dst, c + src
+                    vals[d : d + run] = map(add, vals[d : d + run], vals[s : s + run])
     return vals
+
+
+def subset_zeta(vals: list, n: int) -> list:
+    """In-place subset-sum transform: vals[A] <- sum over B subset A."""
+    return _zeta(vals, n, superset=False)
 
 
 def superset_zeta(vals: list, n: int) -> list:
     """In-place superset-sum transform: vals[A] <- sum over C superset A."""
-    for e in range(n):
-        bit = 1 << e
-        for mask in range(1 << n):
-            if not mask & bit:
-                vals[mask] = vals[mask] + vals[mask | bit]
-    return vals
+    return _zeta(vals, n, superset=True)
 
 
 def _lattice_sums(ranks: list[int], value, superset: bool = False) -> list:
@@ -168,13 +200,25 @@ def _lattice_sums(ranks: list[int], value, superset: bool = False) -> list:
     ``superset``), for every A, given the rank table ``ranks``.
 
     value is called once per distinct (|B|, r(B)) pair; the transform
-    only adds, so cells may share one immutable value.
+    only adds, so cells may share one immutable value.  ``IntPoly`` values
+    are packed at x = 2^w (``IntPoly.pack``) so the transform adds ints,
+    and each distinct sum is unpacked once.  No sum has a coefficient of
+    2^n * max|coefficient| or more, so w = n + bits(max|coefficient|) + 1
+    keeps every balanced digit exact.
     """
     n = len(ranks).bit_length() - 1
     keys = [(mask.bit_count(), r) for mask, r in enumerate(ranks)]
     memo = {key: value(*key) for key in set(keys)}
-    vals = [memo[key] for key in keys]
-    return (superset_zeta if superset else subset_zeta)(vals, n)
+    polys = all(isinstance(v, IntPoly) for v in memo.values())
+    if polys:
+        top = max((abs(c) for v in memo.values() for c in v.coeffs), default=0)
+        w = n + top.bit_length() + 1
+        memo = {key: v.pack(w) for key, v in memo.items()}
+    vals = (superset_zeta if superset else subset_zeta)([memo[key] for key in keys], n)
+    if not polys:
+        return vals
+    unpacked = {v: IntPoly.unpack(v, w) for v in set(vals)}
+    return [unpacked[v] for v in vals]
 
 
 def _group_sums(table: list, key) -> dict:
@@ -254,17 +298,19 @@ def chi_dual_via_finaltwo(m: Matroid) -> IntPoly:
     return exact_div_monomial(acc, m.full_rank())
 
 
-def _partition_terms(g: MultiGraph) -> list[tuple[int, IntPoly]]:
-    """(|A|, P_{G/A}) for every partition of V into connected blocks, A the
-    edges inside blocks; guarded on the vertex count."""
+def _partition_terms(g: MultiGraph) -> dict[int, IntPoly]:
+    """{|A|: sum of P_{G/A}} over the partitions of V into connected
+    blocks, A the edges inside blocks, so at most |E|+1 groups; guarded
+    on the vertex count."""
     if g.n > PARTITION_VERTEX_GUARD:
         raise TooLarge(
             f"connected-partition sum on {g.n} > {PARTITION_VERTEX_GUARD} vertices"
         )
-    return [
-        (amask.bit_count(), chromatic_poly(quotient(g, amask)))
-        for _blocks, amask in connected_partitions(g)
-    ]
+    groups: dict = {}
+    for _blocks, amask in connected_partitions(g):
+        a, p = amask.bit_count(), chromatic_poly(quotient(g, amask))
+        groups[a] = groups[a] + p if a in groups else p
+    return groups
 
 
 def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
@@ -274,11 +320,12 @@ def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
                  connected blocks of (1-x)^|A| P_{G/A}(x)
 
     where A is the set of edges inside blocks and G/A identifies each
-    block to a point.  Enumeration is over all vertex partitions, so the
-    vertex count is guarded at 12.
+    block to a point.  Only connected partitions are enumerated, and the
+    terms are summed per |A| before the (1-x)^|A| products; the vertex
+    count is guarded at 12.
     """
     one_minus_x = IntPoly((1, -1))
-    terms = (poly_pow(one_minus_x, a) * p for a, p in _partition_terms(g))
+    terms = (poly_pow(one_minus_x, a) * p for a, p in _partition_terms(g).items())
     acc = sum(terms, IntPoly.zero())
     if len(g.edges) % 2:
         acc = -acc
@@ -407,7 +454,7 @@ def _verify_th2(g: MultiGraph):
     parts = _partition_terms(g)
     sign = -1 if len(g.edges) % 2 else 1
     return flow_poly(g), lambda q: (
-        sign * sum((1 - q) ** a * p(q) for a, p in parts) / q**g.n
+        sign * sum((1 - q) ** a * p(q) for a, p in parts.items()) / q**g.n
     )
 
 

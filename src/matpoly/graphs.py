@@ -147,45 +147,60 @@ def connected_partitions(g: MultiGraph):
     """Yield (blocks, mask) for every partition of the vertex set whose
     blocks all induce connected subgraphs.
 
-    ``blocks`` is a tuple of vertex tuples and ``mask`` collects every
-    edge with both endpoints in the same block.  Partitions are
-    enumerated by restricted-growth strings; connectivity is a filter at
-    the leaves, with no pruning attempted: a partition into k blocks is
-    connected exactly when (V, intra-block edges) has k components,
-    isolated vertices included.
+    ``blocks`` is a tuple of vertex tuples, ordered by least vertex with
+    vertices ascending, and ``mask`` collects every edge with both
+    endpoints in the same block.  Blocks grow along edges: the block of
+    the lowest unplaced vertex is every connected set of unplaced vertices
+    containing it, each grown once from a candidate frontier with a banned
+    set of vertices already refused; the rest is partitioned the same
+    way.  Only connected partitions are ever built.
     """
-    n = g.n
-    if n == 0:
-        yield ((), 0)
-        return
-    assign = [0] * n
+    adj = [0] * g.n  # neighbour vertices, loops excluded
+    inc = [0] * g.n  # incident edges, loops included
+    loops = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        bit = 1 << i
+        inc[u] |= bit
+        inc[v] |= bit
+        if u == v:
+            loops[u] |= bit
+        else:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
 
-    def emit():
-        mask = 0
-        for i, (u, v) in enumerate(g.edges):
-            if assign[u] == assign[v]:
-                mask |= 1 << i
-        k = max(assign) + 1
-        find, _ = _roots_over(g, mask)
-        if len({find(v) for v in range(n)}) != k:
-            return None
-        blocks = [[] for _ in range(k)]
-        for v, b in enumerate(assign):
-            blocks[b].append(v)
-        return tuple(tuple(b) for b in blocks), mask
+    def grow(free, block, touch, inside, cand, banned):
+        """(block, inside) for every connected block within free that holds
+        ``block`` and avoids ``banned`` (which holds ``block`` itself);
+        ``touch`` and ``inside`` are the edges meeting the block and with
+        both ends in it."""
+        yield block, inside
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            banned |= bit
+            u = bit.bit_length() - 1
+            # an edge at u meeting the block has its other end in it
+            yield from grow(
+                free,
+                block | bit,
+                touch | inc[u],
+                inside | inc[u] & (touch | loops[u]),
+                (cand | adj[u] & free) & ~banned,
+                banned,
+            )
 
-    def rec(i, top):
-        if i == n:
-            res = emit()
-            if res is not None:
-                yield res
+    def rec(free):
+        if not free:
+            yield (), 0
             return
-        for b in range(top + 2):
-            assign[i] = b
-            yield from rec(i + 1, max(top, b))
+        low = free & -free
+        v = low.bit_length() - 1
+        for block, inside in grow(free, low, inc[v], loops[v], adj[v] & free, low):
+            verts = tuple(u for u in range(v, g.n) if block >> u & 1)
+            for blocks, mask in rec(free & ~block):
+                yield (verts,) + blocks, inside | mask
 
-    assign[0] = 0
-    yield from rec(1, 0)
+    yield from rec((1 << g.n) - 1)
 
 
 def graph_to_json(g: MultiGraph) -> dict:

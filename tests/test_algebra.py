@@ -143,6 +143,21 @@ def test_exact_div_monomial():
         exact_div_monomial(IntPoly((0, 1)), 2)
 
 
+def test_pack_unpack_roundtrip_signed():
+    rng = random.Random(4242)
+    polys = [IntPoly(), IntPoly((-1,)), IntPoly((0, 0, -3)), IntPoly((2**40, -(2**40) + 1))]
+    for _ in range(50):
+        polys.append(IntPoly(rng.randint(-1000, 1000) for _ in range(rng.randint(0, 8))))
+    for p in polys:
+        top = max(map(abs, p.coeffs), default=0)
+        w = top.bit_length() + 1
+        assert p.pack(w) == sum(c << w * i for i, c in enumerate(p.coeffs))
+        assert IntPoly.unpack(p.pack(w), w) == p
+    # packed values add like the polynomials
+    a, b = IntPoly((5, -9, 0, 3)), IntPoly((-6, 9, 1))
+    assert IntPoly.unpack(a.pack(6) + b.pack(6), 6) == a + b
+
+
 def test_falling_factorial_values():
     assert falling_factorial(0) == IntPoly.one()
     assert falling_factorial(1) == IntPoly((0, 1))

@@ -71,7 +71,7 @@ def test_zeta_q_functional_equations():
 
 def test_zeta_transforms_match_brute_force():
     rng = random.Random(717001)
-    for n in (3, 4, 5):
+    for n in (0, 1, 2, 3, 4, 5):
         vals = [rng.randint(-9, 9) for _ in range(1 << n)]
         sub = subset_zeta(list(vals), n)
         sup = superset_zeta(list(vals), n)
@@ -80,6 +80,50 @@ def test_zeta_transforms_match_brute_force():
             want_sup = sum(vals[b] for b in range(1 << n) if b & mask == mask)
             assert sub[mask] == want_sub
             assert sup[mask] == want_sup
+    # above one window of the transform, against the per-mask butterflies
+    n = 14
+    vals = [rng.randint(-(2**40), 2**40) for _ in range(1 << n)]
+    sub, sup = list(vals), list(vals)
+    for e in range(n):
+        for mask in range(1 << n):
+            if mask >> e & 1:
+                sub[mask] += sub[mask ^ 1 << e]
+            else:
+                sup[mask] += sup[mask | 1 << e]
+    assert subset_zeta(list(vals), n) == sub
+    assert superset_zeta(list(vals), n) == sup
+
+
+def test_packed_lattice_sums_match_brute_force():
+    # IntPoly cells are packed into ints for the transform; coefficients of
+    # +-2^70 and zeros check the width and the signed unpacking, and a table
+    # of one repeated extreme cell makes the full-set sum reach 2^n * 2^70.
+    rng = random.Random(90210)
+    big = 2**70
+    coeffs = (big, -big, big - 1, 1 - big, 0, 0, 1, -1, 5, -7)
+    for n in range(7):
+        for trial in range(4):
+            ranks = [rng.randint(0, n) for _ in range(1 << n)]
+            if trial == 0:
+                cell = IntPoly((big, -big, 0, 1))
+                table = {(a, r): cell for a in range(n + 1) for r in range(n + 1)}
+            else:
+                table = {
+                    (a, r): IntPoly(rng.choice(coeffs) for _ in range(rng.randint(0, 5)))
+                    for a in range(n + 1)
+                    for r in range(n + 1)
+                }
+            cells = [table[mask.bit_count(), r] for mask, r in enumerate(ranks)]
+            for superset in (False, True):
+                got = _lattice_sums(ranks, lambda a, r: table[a, r], superset)
+                for mask in range(1 << n):
+                    terms = (
+                        cells[b]
+                        for b in range(1 << n)
+                        if b & mask == (mask if superset else b)
+                    )
+                    want = sum(terms, IntPoly.zero())
+                    assert got[mask] == want, (n, trial, superset, mask)
 
 
 def test_rank_table():

@@ -150,13 +150,49 @@ def brute_connected_partitions(g):
     return found
 
 
+SIX_VERTEX_GRAPHS = [
+    ("K6", complete_graph(6)),
+    ("cycle6", MultiGraph(6, [(i, (i + 1) % 6) for i in range(6)])),
+    ("grid2x3", MultiGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)))),
+    ("two_triangles", MultiGraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))),
+]
+
+
 def test_connected_partitions_small_graphs():
-    for name, g in GRAPHS:
-        if g.n > 5:
+    for name, g in GRAPHS + SIX_VERTEX_GRAPHS:
+        if g.n > 6:
             continue
         got = sorted(connected_partitions(g))
         want = sorted(brute_connected_partitions(g))
         assert got == want, name
+
+
+def random_multigraphs(seed, count, max_n):
+    """Seeded multigraphs with loops, parallel edges, isolated vertices and
+    disconnected parts: edges are drawn inside random vertex groups."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        parts = rng.randint(1, 3)
+        label = [rng.randrange(parts) for _ in range(n)]
+        groups = [[v for v in range(n) if label[v] == k] for k in range(parts)]
+        edges = []
+        for _ in range(rng.randint(0, 10)):
+            grp = rng.choice([grp for grp in groups if grp])
+            u = rng.choice(grp)
+            edges.append((u, u if rng.random() < 0.15 else rng.choice(grp)))
+        if edges and rng.random() < 0.5:
+            edges.append(rng.choice(edges))  # a parallel copy
+        out.append(MultiGraph(n, edges))
+    return out
+
+
+def test_connected_partitions_match_brute_force_on_random_multigraphs():
+    for g in random_multigraphs(6061, 60, 6):
+        got = sorted(connected_partitions(g))
+        assert got == sorted(brute_connected_partitions(g)), g
+        assert len(set(got)) == len(got), g
 
 
 def test_connected_partitions_counts():
@@ -167,6 +203,22 @@ def test_connected_partitions_counts():
     path3 = MultiGraph(3, ((0, 1), (1, 2)))
     assert len(list(connected_partitions(path3))) == 4
     assert list(connected_partitions(MultiGraph(0, ()))) == [((), 0)]
+
+
+def test_connected_partitions_counts_at_the_vertex_cap():
+    grid = MultiGraph(
+        9,
+        [(v, v + 1) for v in range(9) if v % 3 < 2] + [(v, v + 3) for v in range(6)],
+    )
+    assert len(list(connected_partitions(grid))) == 1434
+    assert len(list(connected_partitions(complete_graph(7)))) == 877  # Bell(7)
+    # a path splits between any subset of its 11 edges; edgeless graphs
+    # allow only singletons
+    path12 = MultiGraph(12, [(i, i + 1) for i in range(11)])
+    assert len(list(connected_partitions(path12))) == 2048
+    assert list(connected_partitions(MultiGraph(12, ()))) == [
+        (tuple((v,) for v in range(12)), 0)
+    ]
 
 
 def test_connected_partitions_masks_are_intra_block_edges():
