@@ -123,7 +123,8 @@ def cmd_flow_kn(args) -> int:
 
 def cmd_chi(args) -> int:
     m, _g = parse_matroid_spec(args.matroid)
-    poly = chi_subset(m)
+    deadline = None if args.budget_s is None else monotonic() + args.budget_s
+    poly = chi_subset(m, deadline)
     _emit({"matroid": args.matroid, "method": "subset", "poly": poly_json(poly)})
     return 0
 
@@ -244,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="characteristic polynomial of a matroid")
     p.add_argument("--matroid", required=True)
+    p.add_argument("--budget-s", type=float, default=None)
     p.set_defaults(fn=cmd_chi)
 
     p = sub.add_parser("chi-pg-dual", help="chi of the dual of PG(n-1,q)")

@@ -242,12 +242,14 @@ def chi_restrict_table(m: Matroid, ranks: list[int] | None = None) -> list[IntPo
 
     Subset-sum f(B) = (-1)^|B| x^(R - r(B)), then divide the entry at A by
     x^(R - r(A)); divisibility is guaranteed because ranks of subsets of A
-    never exceed r(A).
+    never exceed r(A).  Each distinct (sum, r(A)) pair is divided once.
     """
     ranks = ranks if ranks is not None else rank_table(m)
     rfull = ranks[-1]
     vals = _lattice_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r))
-    return [exact_div_monomial(v, rfull - r) for v, r in zip(vals, ranks)]
+    pairs = list(zip(vals, ranks))
+    quotients = {(v, r): exact_div_monomial(v, rfull - r) for v, r in set(pairs)}
+    return [quotients[pair] for pair in pairs]
 
 
 def chi_contract_table(m: Matroid, ranks: list[int] | None = None) -> list[IntPoly]:

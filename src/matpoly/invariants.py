@@ -52,10 +52,11 @@ def _chi_from_counts(counts, rank: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def chi_subset(m: Matroid) -> IntPoly:
-    """Characteristic polynomial by direct subset expansion."""
+def chi_subset(m: Matroid, deadline: float | None = None) -> IntPoly:
+    """Characteristic polynomial by direct subset expansion; raises
+    BudgetExceeded once ``monotonic()`` passes ``deadline``."""
     _guard(m)
-    return _chi_from_counts(m.rank_size_counts(), m.full_rank())
+    return _chi_from_counts(m.rank_size_counts(deadline), m.full_rank())
 
 
 def _delcon(m: Matroid) -> IntPoly:

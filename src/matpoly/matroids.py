@@ -23,18 +23,23 @@ of ``duality.rank_table``.  Each class takes its cheapest exact route:
 
     class            census route                       rank-table route
     UniformMatroid   closed form, C(n, a) at min(m, a)  generic
-    LinearMatroidFp  echelon scan, binomial row at a    echelon scan, one
-                     stop (<= 2^n nodes)                slice at a stop
+    LinearMatroidFp  echelon scan branching only off    echelon scan, one
+                     the span, binomial row at a stop   slice per folded
+                                                        subset at a stop
     GraphicMatroid   vertex expansion (3^|V'|) or edge  generic
                      scan (2^|E|)
     DualView         its base's census, reindexed       generic
     minors, tables   generic scan over ``_rank_impl``   generic
 
 The generic rank table is ``[rank(A) for every A]``: 2^n rank queries,
-all of them kept in the cache.  The F_p echelon scan stops once the
-taken prefix spans; there the census adds the binomial row of the
-untaken elements and the rank table writes r(E) into every extension
-with one slice assignment, so neither visits those sets.
+all of them kept in the cache.  The F_p echelon scan branches only on
+elements outside the span of the taken ones: an element inside it is
+folded, since taking it or leaving it gives every set below the same
+rank.  The scan stops once the taken prefix spans or the elements run
+out; there the census adds the binomial row of the folded and untaken
+elements and the rank table writes the stop's rank into every extension,
+one slice assignment per subset of the folded elements, so neither
+visits those sets.
 
 The generic scan reads the rank cache but never writes to it: a cold
 census computes each of its 2^n ranks once and keeps none, so it runs in
@@ -467,11 +472,17 @@ class LinearMatroidFp(Matroid):
         """Depth-first scan over elements that keeps an echelon basis,
         ``basis[c]`` the row whose leading 1 sits in column c; taking an
         independent element adds one row and returning removes it.  Each
-        element is reduced once per node.  The scan stops at element i
-        once the taken set ``mask`` (a subset of elements 0..i-1) spans or
-        i = n, and calls leaf(i, mask, rank): every extension of a
-        spanning set keeps the full rank, so the 2^(n-i) sets
-        mask + B, B within elements i..n-1, share that rank unvisited."""
+        element is reduced once per node.
+
+        Only elements outside the span of the taken set branch.  An
+        element in the span leaves the basis as it is, taken or not, so
+        both of its subtrees would repeat the same choices at the same
+        ranks; it is folded into the mask ``free`` instead.  The scan
+        stops at element i once the taken set ``mask`` spans or i = n,
+        and calls leaf(i, mask, free, rank): every extension of a spanning
+        set keeps the full rank, so the 2^(|free| + n - i) sets
+        mask + F + B, F within ``free`` and B within elements i..n-1,
+        share that rank unvisited."""
         vecs, p, n = self.vectors, self.p, self.ground_size
         dim = len(vecs[0]) if vecs else 0
         top = self.full_rank()
@@ -492,50 +503,58 @@ class LinearMatroidFp(Matroid):
                 vec = [(x - a * y) % p for x, y in zip(vec, row)]
             return None
 
-        def rec(i, mask, rk):
+        def rec(i, mask, free, rk):
             if rk == top or i == n:
-                leaf(i, mask, rk)
+                leaf(i, mask, free, rk)
                 return
             calls[0] += 1
             if calls[0] & 0x3FFF == 0:
                 _check_deadline(deadline)
-            rec(i + 1, mask, rk)
             piv = pivot_row(vecs[i])
             if piv is None:
-                rec(i + 1, mask | 1 << i, rk)
-            else:
-                basis[piv[0]] = piv[1]
-                rec(i + 1, mask | 1 << i, rk + 1)
-                basis[piv[0]] = None
+                rec(i + 1, mask, free | 1 << i, rk)
+                return
+            rec(i + 1, mask, free, rk)
+            basis[piv[0]] = piv[1]
+            rec(i + 1, mask | 1 << i, free, rk + 1)
+            basis[piv[0]] = None
 
-        rec(0, 0, 0)
+        rec(0, 0, 0, 0)
 
     def _census(self, deadline: float | None) -> Counter:
-        """The echelon scan; a stop at element i adds C(n-i, j) sets of
-        size |mask| + j at its rank, for every j.  Stops are tallied by
-        (i, |mask|, rank) first, so each binomial row is added once per
+        """The echelon scan; a stop at element i with k = |free| + n - i
+        free elements (folded ones and the untaken tail) adds C(k, j) sets
+        of size |mask| + j at its rank, for every j.  Stops are tallied by
+        (k, |mask|, rank) first, so each binomial row is added once per
         tally rather than once per stop."""
         n = self.ground_size
         stops: Counter = Counter()
 
-        def leaf(i, mask, rk):
-            stops[i, mask.bit_count(), rk] += 1
+        def leaf(i, mask, free, rk):
+            stops[n - i + free.bit_count(), mask.bit_count(), rk] += 1
 
         self._scan(leaf, deadline)
         counts: Counter = Counter()
-        for (i, sz, rk), c in stops.items():
-            for j in range(n - i + 1):
-                counts[(sz + j, rk)] += c * comb(n - i, j)
+        for (k, sz, rk), c in stops.items():
+            for j in range(k + 1):
+                counts[(sz + j, rk)] += c * comb(k, j)
         return counts
 
     def rank_table(self) -> list[int]:
         """The echelon scan; a stop at element i writes its rank into the
-        2^(n-i) masks mask + B, which sit 2^i apart, in one slice."""
+        masks mask + F + B for every F within ``free``: for each F, the
+        2^(n-i) masks mask + F + B sit 2^i apart, so one slice each."""
         n = self.ground_size
         out = [0] * (1 << n)
 
-        def leaf(i, mask, rk):
-            out[mask :: 1 << i] = [rk] * (1 << n - i)
+        def leaf(i, mask, free, rk):
+            row = [rk] * (1 << n - i)
+            sub = free
+            while True:  # every submask of free, down to the empty set
+                out[mask | sub :: 1 << i] = row
+                if not sub:
+                    break
+                sub = (sub - 1) & free
 
         self._scan(leaf)
         return out

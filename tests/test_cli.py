@@ -63,6 +63,16 @@ def test_flow_kn_tutte_budget_blown_exits_1(capsys):
     assert json.loads(err)["error"]["type"] == "BudgetExceeded"
 
 
+def test_chi_budget_blown_exits_1(capsys):
+    code, out, err = run(capsys, ["chi", "--matroid", "pg:4,2", "--budget-s", "0"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+    # a budget that is not spent changes nothing
+    code, out, _ = run(capsys, ["chi", "--matroid", "pg:4,2", "--budget-s", "60"])
+    assert code == 0
+    assert out == run(capsys, ["chi", "--matroid", "pg:4,2"])[1]
+
+
 def test_chi_uniform(capsys):
     code, out, _ = run(capsys, ["chi", "--matroid", "uniform:2,4"])
     assert code == 0
