@@ -215,14 +215,21 @@ def exact_div_monomial(p: IntPoly, k: int) -> IntPoly:
     return IntPoly(p.coeffs[k:])
 
 
+def falling_factorial_rows(n: int) -> list[list[int]]:
+    """Coefficient lists of x(x-1)...(x-m+1) for m = 0 .. n, each row
+    one unit step from the last: ff_{m+1} = ff_m * (x - m)."""
+    if n < 0:
+        raise BadParams("falling factorial wants m >= 0")
+    rows = [[1]]
+    for m in range(n):
+        prev = rows[-1]
+        rows.append([a - m * b for a, b in zip([0] + prev, prev + [0])])
+    return rows
+
+
 def falling_factorial(m: int) -> IntPoly:
     """x(x-1)...(x-m+1) as an IntPoly; the empty product (m=0) is 1."""
-    if m < 0:
-        raise BadParams("falling factorial wants m >= 0")
-    out = IntPoly.one()
-    for i in range(m):
-        out = out * IntPoly((-i, 1))
-    return out
+    return IntPoly(falling_factorial_rows(m)[m])
 
 
 class BiPoly:

@@ -47,6 +47,7 @@ groups, poles, labels) and ``_first_mismatch`` is the one loop over them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -224,10 +225,11 @@ def _lattice_sums(ranks: list[int], value, superset: bool = False) -> list:
 def _group_sums(table: list, key) -> dict:
     """{key(A): sum of table[A] over every mask A with that key}.  A sum
     over subsets whose weight depends on key(A) alone then weights one
-    group per key, at most (n+1)^2 of them, instead of 2^n entries."""
+    group per key, at most (n+1)^2 of them, instead of 2^n entries.
+    Each distinct (key, value) pair is counted, then scaled once."""
     groups: dict = {}
-    for mask, p in enumerate(table):
-        k = key(mask)
+    for (k, p), c in Counter((key(mask), p) for mask, p in enumerate(table)).items():
+        p = p.scale(c)
         groups[k] = groups[k] + p if k in groups else p
     return groups
 

@@ -47,7 +47,7 @@ from .algebra import (
     IntPoly,
     PolySeries,
     exact_div_monomial,
-    falling_factorial,
+    falling_factorial_rows,
     series_exp,
     series_log,
 )
@@ -113,15 +113,15 @@ def _place_blocks(tables: list, r: int, i: int) -> dict:
     adding k*C(i, 2) to s and k to l."""
     base = len(tables)
     step = comb(i, 2) * base + 1
-    out: dict = {}
+    out = dict(tables[r])  # k = 0: no block placed, no shift
+    get = out.get
     ways = 1
-    for k in range((base - 1 - r) // i + 1):
-        if k:
-            ways = ways * comb(r + k * i, i) // k
+    for k in range(1, (base - 1 - r) // i + 1):
+        ways = ways * comb(r + k * i, i) // k
         shift = k * step
         for key, w in tables[r + k * i].items():
             key += shift
-            out[key] = out.get(key, 0) + w * ways
+            out[key] = get(key, 0) + w * ways
     return out
 
 
@@ -165,7 +165,7 @@ def flow_kn_partitions(n: int) -> IntPoly:
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
     classes = partition_classes(n)
-    ff = [falling_factorial(l).coeffs for l in range(n + 1)]
+    ff = falling_factorial_rows(n)
 
     # Horner in (1 - x) by descending s; (0, n) is always a class, so
     # the walk ends at s = 0.

@@ -30,7 +30,7 @@ from math import comb
 
 from .algebra import BiPoly, IntPoly, poly_pow
 from .errors import BadParams, TooLarge
-from .graphs import MultiGraph, component_count, quotient
+from .graphs import MultiGraph, quotient
 from .matroids import GraphicMatroid, Matroid, make_graphic
 
 SUBSET_GUARD = 24
@@ -197,7 +197,8 @@ def chromatic_poly(g: MultiGraph) -> IntPoly:
     """Chromatic polynomial P(x) = x^c(G) * chi of the cycle matroid."""
     m = make_graphic(_dedup_parallel(g))
     chi = chi_subset(m) if m.ground_size <= SUBSET_GUARD else chi_delcon(m)
-    return chi.shift(component_count(g))
+    # c(G) = |V| - r(E); on the census route chi_subset has cached r(E)
+    return chi.shift(g.n - m.full_rank())
 
 
 def flow_poly(g: MultiGraph) -> IntPoly:
@@ -208,7 +209,8 @@ def flow_poly(g: MultiGraph) -> IntPoly:
 def dichromatic_Q(g: MultiGraph) -> BiPoly:
     """Dichromatic polynomial Q(u, v) = u^c(G) * R(u, v) of the cycle
     matroid; loops and parallel edges all contribute."""
-    r = whitney_R(make_graphic(g))
-    c = component_count(g)
+    m = make_graphic(g)
+    r = whitney_R(m)
+    c = g.n - m.full_rank()
     return BiPoly({(i + c, j): v for (i, j), v in r.terms.items()})
 

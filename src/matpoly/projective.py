@@ -12,19 +12,22 @@ of points of PG(k-1, q):
         chi*(x) = (-1)^[n] x^(-n) * sum_k (n choose k)_q (1-x)^[k]
                   * prod_{i=0}^{n-k-1} (x - q^i)
 
-    Tutte polynomial, computed in shifted coordinates a = x-1, b = y-1:
-        T(x, y) = b^(-n) * sum_k (n choose k)_q (1+b)^[k]
-                  * prod_{i=0}^{n-k-1} (a*b - q^i)
+    Tutte polynomial, built directly in x and y:
+        T(x, y) = (y-1)^(-n) * sum_k (n choose k)_q y^[k]
+                  * prod_{i=0}^{n-k-1} ((x-1)(y-1) - q^i)
 
-    The k-sum is exactly divisible by b^n, and expanding a = x-1,
-    b = y-1 afterwards recovers T as a polynomial with integer
-    coefficients.  Divisibility is checked, never assumed.
+    The k-sum is collected in one dense y-column per x-degree, and each
+    column is exactly divisible by (y-1)^n; n passes of synthetic
+    division leave T with integer coefficients.  Divisibility is
+    checked, never assumed.
 
 Gaussian binomials come from the q-Pascal recurrence
 (n k)_q = (n-1 k-1)_q + q^k (n-1 k)_q, which stays in integers.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .algebra import BiPoly, IntPoly, exact_div_monomial, poly_pow
 from .errors import BadParams, NotDivisible
@@ -98,38 +101,57 @@ def chi_pg_dual(n: int, q: int) -> IntPoly:
     return exact_div_monomial(acc, n)
 
 
-def tutte_pg(n: int, q: int) -> BiPoly:
-    """Tutte polynomial of PG(n-1, q) from the shifted-coordinate sum.
+def _w_products_xy(n: int, q: int) -> list[list[list[int]]]:
+    """prod_{i<m} ((x-1)(y-1) - q^i) for m = 0 .. n, each as a dense
+    table p[i][j] of the coefficients of x^i y^j and each one bilinear
+    factor on from the last."""
+    out = [[[1]]]
+    for d in range(n):
+        c = 1 - q**d  # (x-1)(y-1) - q^d = xy - x - y + c
+        nxt = [[0] * (d + 2) for _ in range(d + 2)]
+        for i, row in enumerate(out[-1]):
+            up, here = nxt[i + 1], nxt[i]
+            for j, v in enumerate(row):
+                if v:
+                    up[j + 1] += v
+                    up[j] -= v
+                    here[j + 1] -= v
+                    here[j] += c * v
+        out.append(nxt)
+    return out
 
-    Work with monomials a^i b^j for a = x-1, b = y-1.  Each k-term is a
-    polynomial in w = a*b (the product over i of (a*b - q^i)) times a
-    binomial expansion of (1+b)^[k], so its monomials are a^i b^(i+t).
-    After summing, every monomial must carry b^n; divide, then translate
-    by (-1, -1) to return to x and y.
+
+def tutte_pg(n: int, q: int) -> BiPoly:
+    """Tutte polynomial of PG(n-1, q) from the Gaussian-binomial sum,
+    built directly in x and y.
+
+    The k-term is (n choose k)_q y^[k] times prod_{i<n-k} ((x-1)(y-1) - q^i),
+    whose at most (n+1)^2 monomials are added, shifted by y^[k], into
+    n+1 dense y-columns, one per x-degree.  Each column is then divided
+    by (y-1)^n with n passes of synthetic division; a nonzero remainder
+    raises NotDivisible.
     """
     _check_pg_params(n, q)
-    shifted: dict = {}
-    for k in range(n + 1):
+    cols = [[0] * (points_count(n, q) + 1) for _ in range(n + 1)]
+    for k, prod_xy in enumerate(reversed(_w_products_xy(n, q))):
         gb = gaussian_binomial(n, k, q)
-        wpoly = _q_product(n - k, q).coeffs  # dense over w = a*b
-        binom = poly_pow(IntPoly((1, 1)), points_count(k, q))  # (1+b)^[k]
-        for d, cw in enumerate(wpoly):
-            if not cw:
-                continue
-            for t, cb in enumerate(binom.coeffs):
-                if not cb:
-                    continue
-                key = (d, d + t)
-                v = shifted.get(key, 0) + gb * cw * cb
-                if v:
-                    shifted[key] = v
-                elif key in shifted:
-                    del shifted[key]
-    quotient: dict = {}
-    for (i, j), c in shifted.items():
-        if j < n:
-            raise NotDivisible(
-                f"monomial a^{i} b^{j} of the PG sum lacks the b^{n} factor"
-            )
-        quotient[(i, j - n)] = c
-    return BiPoly(quotient).translate(-1, -1)
+        top = points_count(k, q)
+        for i, row in enumerate(prod_xy):
+            col = cols[i]
+            for j, v in enumerate(row, top):
+                col[j] += gb * v
+    terms: dict = {}
+    for i, col in enumerate(cols):
+        for _ in range(n):
+            # suffix sums: col[j] becomes the sum of col[j:], so col[0] is
+            # the value at y = 1 (the remainder) and col[1:] the quotient
+            col = list(accumulate(reversed(col)))[::-1]
+            if col[0]:
+                raise NotDivisible(
+                    f"the x^{i} column of the PG sum lacks the (y-1)^{n} factor"
+                )
+            del col[0]
+        for j, c in enumerate(col):
+            if c:
+                terms[(i, j)] = c
+    return BiPoly(terms)

@@ -1,10 +1,10 @@
 """Unit tests for the projective-geometry closed forms."""
 
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
-from matpoly import BadParams
+from matpoly import BadParams, NotDivisible, projective
 from matpoly.algebra import IntPoly
 from matpoly.duality import chi_dual_via_finaltwo
 from matpoly.invariants import chi_from_tutte, chi_subset, tutte
@@ -138,6 +138,51 @@ def test_tutte_pg_smallest_case_by_hand():
     from matpoly.algebra import BiPoly
 
     assert tutte_pg(2, 2) == BiPoly({(2, 0): 1, (1, 0): 1, (0, 1): 1})
+
+
+PAPER_SCALE = [(6, 3), (7, 3), (5, 5), (9, 2)]
+
+
+def _at_one_minus(coeffs) -> IntPoly:
+    """p(1 - z) for p with the given ascending coefficients, by Horner."""
+    acc: list = []
+    for c in reversed(coeffs):
+        acc = [a - b for a, b in zip(acc + [0], [0] + acc)] or [0]
+        acc[0] += c
+    return IntPoly(acc)
+
+
+@pytest.mark.parametrize("n,q", PAPER_SCALE)
+def test_tutte_pg_paper_scale_counts_subsets_and_bases(n, q):
+    # T(2, 2) = 2^|E|; T(1, 1) counts bases: ordered bases of F_q^n,
+    # over the q - 1 vectors of each point and the n! orders
+    t = tutte_pg(n, q)
+    assert t(2, 2) == 2 ** points_count(n, q)
+    ordered = prod(q**n - q**i for i in range(n))
+    assert ordered % ((q - 1) ** n * factorial(n)) == 0
+    assert t(1, 1) == ordered // ((q - 1) ** n * factorial(n))
+
+
+@pytest.mark.parametrize("n,q", PAPER_SCALE)
+def test_tutte_pg_paper_scale_specializes_to_both_chis(n, q):
+    # chi(z) = (-1)^n T(1-z, 0); chi_dual(z) = (-1)^(npts-n) T(0, 1-z)
+    t = tutte_pg(n, q)
+    npts = points_count(n, q)
+    row = [t.terms.get((i, 0), 0) for i in range(n + 1)]
+    col = [t.terms.get((0, j), 0) for j in range(npts - n + 1)]
+    p, d = _at_one_minus(row), _at_one_minus(col)
+    assert (-p if n % 2 else p) == chi_pg(n, q)
+    assert (-d if (npts - n) % 2 else d) == chi_pg_dual(n, q)
+
+
+def test_tutte_pg_rejects_a_wrong_gaussian_binomial(monkeypatch):
+    # one wrong (n choose k)_q leaves a sum that (y-1)^n does not divide
+    real = projective.gaussian_binomial
+    monkeypatch.setattr(
+        projective, "gaussian_binomial", lambda n, k, q: real(n, k, q) + (k == 1)
+    )
+    with pytest.raises(NotDivisible):
+        tutte_pg(6, 3)
 
 
 def test_pg_parameter_validation():
