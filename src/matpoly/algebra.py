@@ -303,18 +303,7 @@ class BiPoly:
 
     def substitute(self, px: IntPoly, py: IntPoly) -> IntPoly:
         """p(px(z), py(z)) as a univariate polynomial, exactly."""
-        xp = {0: IntPoly.one()}
-        yp = {0: IntPoly.one()}
-
-        def power(cache, base, k):
-            if k not in cache:
-                cache[k] = power(cache, base, k - 1) * base
-            return cache[k]
-
-        acc = IntPoly.zero()
-        for (i, j), c in sorted(self.terms.items()):
-            acc = acc + (power(xp, px, i) * power(yp, py, j)).scale(c)
-        return acc
+        return _nested_horner(self.terms, px, py, IntPoly.const)
 
     def translate(self, cx: int, cy: int) -> "BiPoly":
         """p(x + cx, y + cy), expanded exactly."""
@@ -370,18 +359,23 @@ class BiPoly:
 
 def eval_bipoly(p: BiPoly, u, v):
     """Evaluate p at (u, v); exact for int/rational arguments."""
-    total = 0
-    up = {0: 1}
-    vp = {0: 1}
+    return _nested_horner(p.terms, u, v, int)
 
-    def power(cache, base, k):
-        if k not in cache:
-            cache[k] = power(cache, base, k - 1) * base
-        return cache[k]
 
-    for (i, j), c in p.terms.items():
-        total += c * power(up, u, i) * power(vp, v, j)
-    return total
+def _nested_horner(terms: dict, u, v, const):
+    """sum c_ij u^i v^j: each v-column by Horner in u, then Horner in v
+    over the columns; ``const`` lifts an int coefficient to u's ring."""
+    cols: dict = {}
+    for (i, j), c in terms.items():
+        cols.setdefault(j, {})[i] = c
+    acc = const(0)
+    for j in range(max(cols, default=-1), -1, -1):
+        col = cols.get(j, {})
+        cacc = const(0)
+        for i in range(max(col, default=-1), -1, -1):
+            cacc = cacc * u + const(col.get(i, 0))
+        acc = acc * v + cacc
+    return acc
 
 
 class PolySeries:

@@ -265,7 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in IdentityKind],
     )
     p.add_argument("--matroid", required=True)
-    p.add_argument("--samples", default=None)
+    p.add_argument(
+        "--samples",
+        default=None,
+        help="kung only: comma-separated rationals read four at a time as "
+        "(lambda, xi, x, y) points; every other kind is exact-polynomial "
+        "and exits 2 when given samples",
+    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force cross-checks")

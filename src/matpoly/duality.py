@@ -19,9 +19,12 @@ verifier:
   T = T(x,0) + T(0,y) valid on uniform matroids, and the two hyperbola
   evaluations along xy = x + y style curves.
 
-Verification is exact polynomial comparison where the identity is
-polynomial, and exact rational evaluation at documented sample points
-where the identity lives in a localized ring (negative powers of q).
+Every identity except Kung's is proved as a polynomial: its checker
+clears the (1-x)^n and x^k denominators of the zeta-weighted form and
+returns the two sides (``IntPoly``s, or ``BiPoly``s for the Tutte
+convolution and split), which must be equal.  Kung's bilinear
+convolution has four variables and is checked with exact rationals at
+sample points.
 
 Every subset sum over minors is one call of ``_lattice_sums``: a value
 per subset, read off (|A|, r(A)), then one zeta/Moebius transform over
@@ -33,16 +36,15 @@ no coefficient of any sum overflows its digit, and every distinct sum is
 unpacked once.
 Every table starts from ``rank_table``, whose one guard (``TABLE_GUARD``)
 refuses more than 20 elements before any rank query.
-The exact work is on ints and ``IntPoly``s.  A zeta-weighted right side
-whose weight depends on (|A|, r(A)) or |A| alone first sums its table
-per weight key (``_group_sums``) and evaluates only those <= (n+1)^2
-groups at each sample point.  Kung's rational cell values are scaled by
-the lcm d of their denominators, so both of its transforms add ints and
-each point divides once, by d_p * d_q.
-Each checker only states the two sides of its identity.  ``_KINDS`` maps
-every kind to its checker and, for a sampled kind, its sample points;
-``_sample_points`` parses those points for every kind alike (defaults,
-groups, poles, labels) and ``_first_mismatch`` is the one loop over them.
+The exact work is on ints and ``IntPoly``s.  A right side whose weight
+depends on (|A|, r(A)) or |A| alone first sums its table per weight key
+(``_group_sums``) and multiplies only those <= (n+1)^2 groups by their
+weights, powers of (1-x) and x.  Kung's rational cell values are scaled
+by the lcm d of their denominators, so both of its transforms add ints
+and each point divides once, by d_p * d_q.
+Each checker only states the two sides of its identity, and ``_KINDS``
+maps every kind to its checker.  ``_kung_points`` parses Kung's points
+and ``_first_mismatch`` is the one loop over them.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from math import lcm
 from operator import add
 
 from .algebra import BiPoly, IntPoly, eval_bipoly, exact_div_monomial, poly_pow
-from .errors import BadParams, NotDivisible, TooLarge
+from .errors import BadParams, TooLarge
 from .graphs import MultiGraph, connected_partitions, quotient
 from .invariants import chi_subset, chromatic_poly, flow_poly, tutte, whitney_R
 from .matroids import Matroid, make_graphic
@@ -84,8 +86,6 @@ GRAPH_KINDS = frozenset(
     }
 )
 
-DEFAULT_QS = (Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(1, 2))
-DEFAULT_XS = (Fraction(2), Fraction(3), Fraction(4), Fraction(1, 2), Fraction(1, 3))
 DEFAULT_KUNG = (
     (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5)),
     (Fraction(3), Fraction(2), Fraction(2), Fraction(3)),
@@ -222,16 +222,33 @@ def _lattice_sums(ranks: list[int], value, superset: bool = False) -> list:
     return [unpacked[v] for v in vals]
 
 
+def _sum_by_key(pairs) -> dict:
+    """{k: sum of every p paired with k} for (k, p) pairs."""
+    out: dict = {}
+    for k, p in pairs:
+        out[k] = out[k] + p if k in out else p
+    return out
+
+
 def _group_sums(table: list, key) -> dict:
     """{key(A): sum of table[A] over every mask A with that key}.  A sum
     over subsets whose weight depends on key(A) alone then weights one
     group per key, at most (n+1)^2 of them, instead of 2^n entries.
     Each distinct (key, value) pair is counted, then scaled once."""
-    groups: dict = {}
-    for (k, p), c in Counter((key(mask), p) for mask, p in enumerate(table)).items():
-        p = p.scale(c)
-        groups[k] = groups[k] + p if k in groups else p
-    return groups
+    counts = Counter((key(mask), p) for mask, p in enumerate(table))
+    return _sum_by_key((k, p.scale(c)) for (k, p), c in counts.items())
+
+
+def _one_minus_x_sum(groups: dict) -> IntPoly:
+    """sum_k (1-x)^k * groups[k]."""
+    return sum(
+        (poly_pow(IntPoly((1, -1)), k) * p for k, p in groups.items()), IntPoly.zero()
+    )
+
+
+def _signed(k: int, p):
+    """(-1)^k p."""
+    return -p if k % 2 else p
 
 
 def _negate_odd(vals: list) -> list:
@@ -283,8 +300,7 @@ def _finaltwo_sum(m: Matroid, size_weights: list[IntPoly] | None = None) -> IntP
     can mutate it and watch the identity break."""
     groups = _group_sums(chi_contract_table(m), int.bit_count)
     if size_weights is None:
-        one_minus_x = IntPoly((1, -1))
-        size_weights = [poly_pow(one_minus_x, k) for k in range(m.ground_size + 1)]
+        return _one_minus_x_sum(groups)
     return sum((size_weights[a] * p for a, p in groups.items()), IntPoly.zero())
 
 
@@ -296,25 +312,24 @@ def chi_dual_via_finaltwo(m: Matroid) -> IntPoly:
     The sum is exactly divisible by x^r(E); a NotDivisible escape means
     the input was not a matroid.
     """
-    acc = _finaltwo_sum(m)
-    if m.ground_size % 2:
-        acc = -acc
+    acc = _signed(m.ground_size, _finaltwo_sum(m))
     return exact_div_monomial(acc, m.full_rank())
 
 
-def _partition_terms(g: MultiGraph) -> dict[int, IntPoly]:
-    """{|A|: sum of P_{G/A}} over the partitions of V into connected
-    blocks, A the edges inside blocks, so at most |E|+1 groups; guarded
-    on the vertex count."""
+def _partition_sum(g: MultiGraph) -> IntPoly:
+    """sum of (1-x)^|A| P_{G/A} over the partitions of V into connected
+    blocks, A the edges inside blocks; the P_{G/A} are summed per |A|
+    first, so at most |E|+1 products.  Guarded on the vertex count."""
     if g.n > PARTITION_VERTEX_GUARD:
         raise TooLarge(
             f"connected-partition sum on {g.n} > {PARTITION_VERTEX_GUARD} vertices"
         )
-    groups: dict = {}
-    for _blocks, amask in connected_partitions(g):
-        a, p = amask.bit_count(), chromatic_poly(quotient(g, amask))
-        groups[a] = groups[a] + p if a in groups else p
-    return groups
+    return _one_minus_x_sum(
+        _sum_by_key(
+            (amask.bit_count(), chromatic_poly(quotient(g, amask)))
+            for _blocks, amask in connected_partitions(g)
+        )
+    )
 
 
 def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
@@ -328,35 +343,28 @@ def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
     terms are summed per |A| before the (1-x)^|A| products; the vertex
     count is guarded at 12.
     """
-    one_minus_x = IntPoly((1, -1))
-    terms = (poly_pow(one_minus_x, a) * p for a, p in _partition_terms(g).items())
-    acc = sum(terms, IntPoly.zero())
-    if len(g.edges) % 2:
-        acc = -acc
-    return exact_div_monomial(acc, g.n)
+    return exact_div_monomial(_signed(len(g.edges), _partition_sum(g)), g.n)
 
 
-def _sample_points(kind: IdentityKind, spec: tuple, samples) -> list:
-    """[(label, point)] for ``samples`` (a flat list read len(names) at a
-    time), or for the defaults when ``samples`` is None.  ``spec`` is
-    (names, defaults, poles): the coordinate names of one point, the
-    default points flattened, and the values no coordinate may take."""
-    names, defaults, poles = spec
+def _kung_points(samples) -> list:
+    """[(label, (lam, xi, x, y))] for ``samples`` (a flat list read four
+    at a time), or for DEFAULT_KUNG when ``samples`` is None.  No
+    coordinate may be 0, a pole of Kung's identity."""
+    flat = sum(DEFAULT_KUNG, ()) if samples is None else samples
     try:
-        flat = [Fraction(s) for s in (defaults if samples is None else samples)]
+        flat = [Fraction(s) for s in flat]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise BadParams(f"cannot parse samples {samples!r}") from exc
     if not flat:
         raise BadParams("need at least one sample point")
-    k = len(names)
-    if len(flat) % k:
-        raise BadParams(f"{kind.value} samples come in groups of {k}")
+    if len(flat) % 4:
+        raise BadParams("kung samples come in groups of 4")
     out = []
-    for i in range(0, len(flat), k):
-        point = tuple(flat[i : i + k])
-        label = ",".join(f"{name}={v}" for name, v in zip(names, point))
-        if poles.intersection(point):
-            raise BadParams(f"{label} is a pole of {kind.value}")
+    for i in range(0, len(flat), 4):
+        point = tuple(flat[i : i + 4])
+        label = ",".join(f"{name}={v}" for name, v in zip(("lam", "xi", "x", "y"), point))
+        if 0 in point:
+            raise BadParams(f"{label} is a pole of kung")
         out.append((label, point))
     return out
 
@@ -370,96 +378,79 @@ def _first_mismatch(points, lhs, rhs) -> str | None:
     return None
 
 
-def _restriction_rhs(m: Matroid):
-    """q -> sum_A (-1)^(n-|A|) zeta_q(1)^|A| chi_{M|A}(q) / q^r(A): the right
-    side of thm1-one, and of matiyasevich-inverse on a cycle matroid."""
+# Each checker below returns (lhs, rhs) with every denominator of the
+# zeta-weighted form cleared: zeta_q(1) = x/(x-1) and zeta_q(-1) = 1/(1-x),
+# so multiplying by (1-x)^n turns each side into a polynomial.  n = |E|,
+# R = r(E).  A checker builds its table side first, so the table guard
+# refuses a large target before any census.
+
+
+def _restriction_sum(m: Matroid) -> IntPoly:
+    """sum_A x^(|A|-r(A)) (1-x)^(n-|A|) chi_{M|A}: the right side of
+    thm1-one up to the sign (-1)^n, and of matiyasevich-inverse on a
+    cycle matroid."""
     n = m.ground_size
     ranks = rank_table(m)
     groups = _group_sums(
         chi_restrict_table(m, ranks), lambda mask: (mask.bit_count(), ranks[mask])
     )
-
-    def rhs(q):
-        z1 = zeta_q(q, 1)
-        return sum(
-            (-1) ** (n - a) * p(q) * z1**a / q**r for (a, r), p in groups.items()
-        )
-
-    return rhs
+    return _one_minus_x_sum(
+        _sum_by_key((n - a, p.shift(a - r)) for (a, r), p in groups.items())
+    )
 
 
-def _dual_restriction_rhs(m: Matroid):
-    """q -> sum_A zeta_q(-1)^|A| chi_{(M|A)*}(q): the right side of twozeta,
-    and of matiyasevich on a cycle matroid."""
-    groups = _group_sums(chi_dual_restrict_table(m), int.bit_count)
-
-    def rhs(q):
-        zm1 = zeta_q(q, -1)
-        return sum(zm1**a * p(q) for a, p in groups.items())
-
-    return rhs
+def _dual_restriction_sum(m: Matroid) -> IntPoly:
+    """sum_A (1-x)^(n-|A|) chi_{(M|A)*}: the right side of twozeta, and of
+    matiyasevich on a cycle matroid up to the factor x^|V|."""
+    n = m.ground_size
+    return _one_minus_x_sum(
+        _group_sums(chi_dual_restrict_table(m), lambda mask: n - mask.bit_count())
+    )
 
 
 def _verify_thm1_one(m: Matroid):
-    rhs = _restriction_rhs(m)
-    chi_dual = chi_subset(m.dual())
-    return lambda q: chi_dual(q) * zeta_q(q, -1) ** m.ground_size, rhs
-
-
-def _verify_thm1_two(m: Matroid):
-    n = m.ground_size
-    groups = _group_sums(chi_contract_table(m), int.bit_count)
-    chi_dual = chi_subset(m.dual())
-    rdual = n - m.full_rank()
-
-    def rhs(q):
-        zm1 = zeta_q(q, -1)
-        return sum(zm1 ** (n - a) * p(q) for a, p in groups.items())
-
-    return lambda q: chi_dual(q) / q**rdual * zeta_q(q, 1) ** n, rhs
-
-
-def _verify_twozeta(m: Matroid):
-    rhs = _dual_restriction_rhs(m)
-    chi_m = chi_subset(m)
-    rfull = m.full_rank()
-    return lambda q: chi_m(q) / q**rfull * zeta_q(q, 1) ** m.ground_size, rhs
+    """chi_{M*} = (-1)^n sum_A x^(|A|-r(A)) (1-x)^(n-|A|) chi_{M|A}."""
+    rhs = _signed(m.ground_size, _restriction_sum(m))
+    return chi_subset(m.dual()), rhs
 
 
 def _verify_finaltwo(m: Matroid):
-    try:
-        got = chi_dual_via_finaltwo(m)
-    except NotDivisible as exc:
-        return f"contraction sum not divisible: {exc}"
-    expected = chi_subset(m.dual())
-    if got != expected:
-        return f"lhs={expected} rhs={got}"
-    return None
+    """(-1)^n x^R chi_{M*} = sum_A (1-x)^|A| chi_{M.(E-A)}: thm1-two with
+    its denominators cleared, and the sum ``chi_dual_via_finaltwo``
+    divides."""
+    rhs = _finaltwo_sum(m)
+    return _signed(m.ground_size, chi_subset(m.dual()).shift(m.full_rank())), rhs
+
+
+def _verify_twozeta(m: Matroid):
+    """(-1)^n x^(n-R) chi_M = sum_A (1-x)^(n-|A|) chi_{(M|A)*}."""
+    rhs = _dual_restriction_sum(m)
+    n = m.ground_size
+    return _signed(n, chi_subset(m).shift(n - m.full_rank())), rhs
 
 
 # On the cycle matroid M of g, F_{G|A} = chi_{(M|A)*}, and P_{G|A} /
-# q^|V(A)| = chi_{M|A} / q^r(A) because ``subgraph`` keeps only the support
+# x^|V(A)| = chi_{M|A} / x^r(A) because ``subgraph`` keeps only the support
 # vertices, so c(A) = |V(A)| - r(A).  So matiyasevich's right side is
-# twozeta's and matiyasevich-inverse's is thm1-one's; the left sides stay
-# on the graph.
+# twozeta's times x^|V| and matiyasevich-inverse's is thm1-one's without
+# its sign; the left sides stay on the graph.
 def _verify_matiyasevich(g: MultiGraph):
-    rhs = _dual_restriction_rhs(make_graphic(g))
-    p_g = chromatic_poly(g)
-    return lambda q: p_g(q) / q**g.n * zeta_q(q, 1) ** len(g.edges), rhs
+    """(-1)^|E| x^|E| P_G = x^|V| sum_A (1-x)^(|E|-|A|) F_{G|A}."""
+    rhs = _dual_restriction_sum(make_graphic(g)).shift(g.n)
+    ne = len(g.edges)
+    return _signed(ne, chromatic_poly(g).shift(ne)), rhs
 
 
 def _verify_matiyasevich_inverse(g: MultiGraph):
-    rhs = _restriction_rhs(make_graphic(g))
-    f_g = flow_poly(g)
-    return lambda q: f_g(q) * zeta_q(q, -1) ** len(g.edges), rhs
+    """(-1)^|E| F_G = sum_A x^(|A|-r(A)) (1-x)^(|E|-|A|) chi_{M|A}."""
+    rhs = _restriction_sum(make_graphic(g))
+    return _signed(len(g.edges), flow_poly(g)), rhs
 
 
 def _verify_th2(g: MultiGraph):
-    parts = _partition_terms(g)
-    sign = -1 if len(g.edges) % 2 else 1
-    return flow_poly(g), lambda q: (
-        sign * sum((1 - q) ** a * p(q) for a, p in parts.items()) / q**g.n
-    )
+    """(-1)^|E| x^|V| F_G = sum (1-x)^|A| P_{G/A} over connected partitions."""
+    rhs = _partition_sum(g)
+    return _signed(len(g.edges), flow_poly(g).shift(g.n)), rhs
 
 
 def _verify_convolution(m: Matroid):
@@ -489,10 +480,7 @@ def _verify_convolution(m: Matroid):
             for j, cy in enumerate(py.coeffs):
                 terms[i, j] = terms.get((i, j), 0) + cx * cy
     rhs = BiPoly(terms).translate(-1, -1)
-    lhs = tutte(m)
-    if lhs != rhs:
-        return f"lhs={lhs} rhs={rhs}"
-    return None
+    return tutte(m), rhs
 
 
 def _verify_kung(m: Matroid):
@@ -522,53 +510,54 @@ def _verify_kung(m: Matroid):
 
 
 def _verify_uniform_split(m: Matroid):
+    """T = T(x,0) + T(0,y); holds on uniform matroids with an element."""
     t = tutte(m)
     tx = BiPoly({k: c for k, c in t.terms.items() if k[1] == 0})
     ty = BiPoly({k: c for k, c in t.terms.items() if k[0] == 0})
-    if t != tx + ty:
-        return f"T={t} but T(x,0)+T(0,y)={tx + ty}"
-    return None
+    return t, tx + ty
 
 
 def _verify_hyperbola_t(m: Matroid):
+    """T(x, x/(x-1)) = x^n (x-1)^(R-n), times (x-1)^N with N = n - R, the
+    top y-degree of T: sum t_ij x^(i+j) (x-1)^(N-j) = x^n."""
     t = tutte(m)
-    n, rfull = m.ground_size, m.full_rank()
-    return (
-        lambda x: eval_bipoly(t, x, x / (x - 1)),
-        lambda x: x**n * (x - 1) ** (rfull - n),
+    n = m.ground_size
+    nullity = n - m.full_rank()
+    groups = _sum_by_key(
+        (nullity - j, IntPoly.monomial(_signed(nullity - j, c), i + j))
+        for (i, j), c in t.terms.items()
     )
+    return _one_minus_x_sum(groups), IntPoly.monomial(1, n)
 
 
 def _verify_hyperbola_r(m: Matroid):
+    """R(x, 1/x) = (x+1)^n x^(R-n), times x^N with N = n - R, the top
+    y-degree of R: sum r_ij x^(i+N-j) = (x+1)^n."""
     rp = whitney_R(m)
-    n, rfull = m.ground_size, m.full_rank()
-    return (
-        lambda x: eval_bipoly(rp, x, 1 / x),
-        lambda x: (x + 1) ** n * x ** (rfull - n),
+    n = m.ground_size
+    nullity = n - m.full_rank()
+    lhs = sum(
+        (IntPoly.monomial(c, i + nullity - j) for (i, j), c in rp.terms.items()),
+        IntPoly.zero(),
     )
+    return lhs, poly_pow(IntPoly((1, 1)), n)
 
 
-_Q = (("q",), DEFAULT_QS, frozenset({0, 1}))
-_KUNG = (("lam", "xi", "x", "y"), sum(DEFAULT_KUNG, ()), frozenset({0}))
-_X_T = (("x",), DEFAULT_XS, frozenset({1}))
-_X_R = (("x",), DEFAULT_XS, frozenset({0}))
-
-# kind -> (checker, sample spec for _sample_points).  A sampled checker
-# returns its two sides as functions of one point; a spec of None marks an
-# exact-polynomial kind, whose checker returns the mismatch text or None.
+# kind -> checker.  Kung's checker returns its two sides as functions of
+# one point (lam, xi, x, y); every other checker returns them exactly.
 _KINDS = {
-    IdentityKind.THM1_ONE: (_verify_thm1_one, _Q),
-    IdentityKind.THM1_TWO: (_verify_thm1_two, _Q),
-    IdentityKind.TWOZETA: (_verify_twozeta, _Q),
-    IdentityKind.FINALTWO: (_verify_finaltwo, None),
-    IdentityKind.MATIYASEVICH: (_verify_matiyasevich, _Q),
-    IdentityKind.MATIYASEVICH_INVERSE: (_verify_matiyasevich_inverse, _Q),
-    IdentityKind.TH2_CONNECTED_PARTITIONS: (_verify_th2, _Q),
-    IdentityKind.CONVOLUTION: (_verify_convolution, None),
-    IdentityKind.KUNG: (_verify_kung, _KUNG),
-    IdentityKind.UNIFORM_SPLIT: (_verify_uniform_split, None),
-    IdentityKind.HYPERBOLA_T: (_verify_hyperbola_t, _X_T),
-    IdentityKind.HYPERBOLA_R: (_verify_hyperbola_r, _X_R),
+    IdentityKind.THM1_ONE: _verify_thm1_one,
+    IdentityKind.THM1_TWO: _verify_finaltwo,
+    IdentityKind.TWOZETA: _verify_twozeta,
+    IdentityKind.FINALTWO: _verify_finaltwo,
+    IdentityKind.MATIYASEVICH: _verify_matiyasevich,
+    IdentityKind.MATIYASEVICH_INVERSE: _verify_matiyasevich_inverse,
+    IdentityKind.TH2_CONNECTED_PARTITIONS: _verify_th2,
+    IdentityKind.CONVOLUTION: _verify_convolution,
+    IdentityKind.KUNG: _verify_kung,
+    IdentityKind.UNIFORM_SPLIT: _verify_uniform_split,
+    IdentityKind.HYPERBOLA_T: _verify_hyperbola_t,
+    IdentityKind.HYPERBOLA_R: _verify_hyperbola_r,
 }
 
 
@@ -579,18 +568,17 @@ def verify_identity(
 
     ``target`` is a Matroid, or a MultiGraph for the graph-level kinds
     (a MultiGraph is also accepted for matroid kinds and wrapped in its
-    cycle matroid).  ``samples`` overrides the default sample points for
-    the sampled kinds: a non-empty list of rationals for the q/x ones, and
-    a flat list read four at a time (lambda, xi, x, y) for KUNG; the exact
-    kinds reject any ``samples`` with BadParams.  Points
-    at a pole (q in {0, 1}; x = 1 for hyperbola-t, x = 0 for hyperbola-r;
-    any 0 for KUNG) are rejected with BadParams.
+    cycle matroid).  KUNG is checked at sample points: ``samples``
+    overrides DEFAULT_KUNG with a non-empty flat list of rationals read
+    four at a time (lambda, xi, x, y), none of them 0, the pole.  Every
+    other kind is proved as a polynomial and rejects any ``samples``
+    with BadParams.
     """
     try:
         kind = IdentityKind(kind)
     except ValueError:
         raise BadParams(f"unknown identity kind {kind!r}") from None
-    check, spec = _KINDS[kind]
+    check = _KINDS[kind]
     if kind in GRAPH_KINDS:
         if not isinstance(target, MultiGraph):
             raise BadParams(f"{kind.value} is stated for graphs")
@@ -600,12 +588,14 @@ def verify_identity(
         if not isinstance(target, Matroid):
             raise BadParams("target must be a Matroid or MultiGraph")
         name = label or target.label
-    if spec is None:
-        if samples is not None:
-            raise BadParams(f"{kind.value} is proved exactly and takes no samples")
-        mode, labels, mismatch = "exact-polynomial", ["exact"], check(target)
-    else:
-        points = _sample_points(kind, spec, samples)
+    if kind is IdentityKind.KUNG:
+        points = _kung_points(samples)
         mode, labels = "sampled-points", [lab for lab, _point in points]
         mismatch = _first_mismatch(points, *check(target))
+    elif samples is not None:
+        raise BadParams(f"{kind.value} is proved exactly and takes no samples")
+    else:
+        lhs, rhs = check(target)
+        mode, labels = "exact-polynomial", ["exact"]
+        mismatch = None if lhs == rhs else f"lhs={lhs} rhs={rhs}"
     return VerifyReport(kind, name, mode, labels, mismatch is None, mismatch)

@@ -143,8 +143,8 @@ def test_A5_identity_suite_full_corpus():
             8 * len(matroid_targets) + len(uniform_targets) + 3 * len(GRAPHS)
         )
         assert checked == want_checked
-        # sampled kinds run at the five default points
-        rep = verify_identity(IdentityKind.THM1_ONE, make_uniform(2, 4))
+        # kung, the one sampled kind, runs at its five default points
+        rep = verify_identity(IdentityKind.KUNG, make_uniform(2, 4))
         assert len(rep.samples) == 5
         # mutation: dropping the (1-x)^|A| factor must break the dual formula
         k3 = make_graphic(complete_graph(3))

@@ -7,10 +7,9 @@ import pytest
 
 from corpus import GRAPHS
 from matpoly import BadParams, TooLarge, duality
-from matpoly.algebra import BiPoly, IntPoly, poly_pow
+from matpoly.algebra import BiPoly, IntPoly, exact_div_monomial, poly_pow
 from matpoly.duality import (
     DEFAULT_KUNG,
-    DEFAULT_QS,
     GRAPH_KINDS,
     IdentityKind,
     _finaltwo_sum,
@@ -215,10 +214,10 @@ def test_verify_identity_passes_on_samples():
 
 
 def test_verify_identity_accepts_string_kind_and_custom_samples():
-    rep = verify_identity("thm1-one", make_uniform(2, 4), samples=[2, 3])
-    assert rep.passed and rep.samples == ["q=2", "q=3"]
+    rep = verify_identity("thm1-one", make_uniform(2, 4))
+    assert rep.passed and rep.samples == ["exact"]
     rep = verify_identity("kung", make_uniform(1, 2), samples=[2, 3, 2, 3])
-    assert rep.passed and len(rep.samples) == 1
+    assert rep.passed and rep.samples == ["lam=2,xi=3,x=2,y=3"]
 
 
 def test_verify_identity_failure_is_reported_not_raised():
@@ -238,7 +237,7 @@ def test_verify_identity_bad_inputs():
         verify_identity(IdentityKind.KUNG, make_uniform(1, 2), samples=[2, 3])
     with pytest.raises(BadParams):
         verify_identity(IdentityKind.THM1_ONE, "not a matroid")
-    # every sampled kind needs a non-empty list of rationals
+    # kung needs a non-empty list of rationals; the exact kinds refuse any
     for kind in ("thm1-one", "hyperbola-t", "hyperbola-r", "kung"):
         for bad in ([], ["abc"], [2, "3/0"], [None]):
             with pytest.raises(BadParams):
@@ -247,15 +246,15 @@ def test_verify_identity_bad_inputs():
 
 def test_exact_kinds_reject_samples():
     # proved as polynomials, so sample points would be silently dropped
-    for kind in ("finaltwo", "uniform-split", "convolution"):
+    for kind in IdentityKind:
+        if kind in GRAPH_KINDS or kind is IdentityKind.KUNG:
+            continue
         for samples in (["abc"], [2, 3], []):
             with pytest.raises(BadParams):
                 verify_identity(kind, make_uniform(2, 4), samples=samples)
         assert verify_identity(kind, make_uniform(2, 4)).passed
 
 
-Q_LABELS = ["q=2", "q=3", "q=5", "q=7", "q=1/2"]
-X_LABELS = ["x=2", "x=3", "x=4", "x=1/2", "x=1/3"]
 KUNG_LABELS = [
     "lam=2,xi=3,x=1/2,y=5",
     "lam=3,xi=2,x=2,y=3",
@@ -263,31 +262,32 @@ KUNG_LABELS = [
     "lam=5,xi=2,x=2/3,y=2",
     "lam=2,xi=2,x=3,y=5/2",
 ]
-Q_POLES = ([2, 0], [2, 1])
 # a zero in each coordinate of the second point
 KUNG_POLES = tuple(
     [2, 3, 2, 3] + [0 if j == i else 2 for j in range(4)] for i in range(4)
 )
-# Each mutation adds x - 2 to what the named duality function returns, so
-# the first point (q = 2, x = 2, or lam*xi = 2 for kung) still passes, the
-# two after it fail, and the report must name the earlier of those two.
-MUTANT_SAMPLES = {"kung": ([1, 2, 1, 1, 2, 2, 1, 1, 3, 2, 1, 1], "lam=2,xi=2,x=1,y=1")}
+# Each mutation adds x - 2 to what the named duality function returns.  An
+# exact kind must then report its two sides.  For kung the first point
+# (lam*xi = 2) still passes, the two after it fail, and the report must
+# name the earlier of those two.
+KUNG_MUTANT_SAMPLES = [1, 2, 1, 1, 2, 2, 1, 1, 3, 2, 1, 1]
+EXACT = ("exact-polynomial", ["exact"], ())
 
 # kind: (mode, default sample labels, sample lists that hit a pole,
 #        the duality function a mutation bumps)
 REPORT_SHAPES = {
-    "thm1-one": ("sampled-points", Q_LABELS, Q_POLES, "chi_subset"),
-    "thm1-two": ("sampled-points", Q_LABELS, Q_POLES, "chi_subset"),
-    "twozeta": ("sampled-points", Q_LABELS, Q_POLES, "chi_subset"),
-    "finaltwo": ("exact-polynomial", ["exact"], (), None),
-    "matiyasevich": ("sampled-points", Q_LABELS, Q_POLES, "chromatic_poly"),
-    "matiyasevich-inverse": ("sampled-points", Q_LABELS, Q_POLES, "flow_poly"),
-    "th2-connected-partitions": ("sampled-points", Q_LABELS, Q_POLES, "flow_poly"),
-    "convolution": ("exact-polynomial", ["exact"], (), None),
+    "thm1-one": EXACT + ("chi_subset",),
+    "thm1-two": EXACT + ("chi_subset",),
+    "twozeta": EXACT + ("chi_subset",),
+    "finaltwo": EXACT + ("chi_subset",),
+    "matiyasevich": EXACT + ("chromatic_poly",),
+    "matiyasevich-inverse": EXACT + ("flow_poly",),
+    "th2-connected-partitions": EXACT + ("flow_poly",),
+    "convolution": EXACT + ("tutte",),
     "kung": ("sampled-points", KUNG_LABELS, KUNG_POLES, "whitney_R"),
-    "uniform-split": ("exact-polynomial", ["exact"], (), None),
-    "hyperbola-t": ("sampled-points", X_LABELS, ([2, 1],), "tutte"),
-    "hyperbola-r": ("sampled-points", X_LABELS, ([2, 0],), "whitney_R"),
+    "uniform-split": EXACT + ("tutte",),
+    "hyperbola-t": EXACT + ("tutte",),
+    "hyperbola-r": EXACT + ("whitney_R",),
 }
 
 
@@ -300,16 +300,18 @@ def test_report_shape_poles_and_first_failing_point(kind, monkeypatch):
     for bad in poles:
         with pytest.raises(BadParams):
             verify_identity(kind, target, samples=bad)
-    if mutated is None:
-        return
     orig = getattr(duality, mutated)
     bivariate = mutated in ("tutte", "whitney_R")
     bump = BiPoly({(1, 0): 1, (0, 0): -2}) if bivariate else IntPoly((-2, 1))
     monkeypatch.setattr(duality, mutated, lambda t: orig(t) + bump)
-    samples, second = MUTANT_SAMPLES.get(kind.value, ([2, 3, 5], labels[1]))
-    rep = verify_identity(kind, target, samples=samples)
+    if kind is IdentityKind.KUNG:
+        rep = verify_identity(kind, target, samples=KUNG_MUTANT_SAMPLES)
+        prefix = "lam=2,xi=2,x=1,y=1: lhs="
+    else:
+        rep = verify_identity(kind, target)
+        prefix = "lhs="
     assert not rep.passed
-    assert rep.first_mismatch.startswith(second + ": lhs="), rep.first_mismatch
+    assert rep.first_mismatch.startswith(prefix), rep.first_mismatch
 
 
 # Every kind whose checker builds a minor table through rank_table.
@@ -372,16 +374,21 @@ def test_matiyasevich_right_sides_match_a_per_subgraph_reference():
         subs = [subgraph(g, mask) for mask in range(1 << ne)]
         _lhs, rhs = duality._verify_matiyasevich(g)
         _lhs, rhs_inverse = duality._verify_matiyasevich_inverse(g)
-        for q in DEFAULT_QS + (Fraction(-1), Fraction(7, 3)):
-            z1, zm1 = zeta_q(q, 1), zeta_q(q, -1)
-            want = sum(zm1 ** h.edge_count * flow_poly(h)(q) for h in subs)
-            want_inverse = sum(
-                (-1) ** (ne - h.edge_count) * chromatic_poly(h)(q) * z1**h.edge_count
-                / q**h.n
-                for h in subs
-            )
-            assert rhs(q) == want, (g, q)
-            assert rhs_inverse(q) == want_inverse, (g, q)
+        # with the denominators cleared, G|A weighs (1-x)^(|E|-|A|) in both
+        weights = [poly_pow(IntPoly((1, -1)), ne - h.edge_count) for h in subs]
+        want = sum(
+            (w * flow_poly(h) for w, h in zip(weights, subs)), IntPoly.zero()
+        ).shift(g.n)
+        # x^(|A|-r(A)) chi_{M|A} = x^(|A|-|V(A)|) P_{G|A}
+        want_inverse = sum(
+            (
+                w * exact_div_monomial(chromatic_poly(h).shift(h.edge_count), h.n)
+                for w, h in zip(weights, subs)
+            ),
+            IntPoly.zero(),
+        )
+        assert rhs == want, g
+        assert rhs_inverse == want_inverse, g
         ends = {v for e in g.edges for v in e}
         seen.update(
             name
@@ -453,7 +460,7 @@ def test_thm1_one_fails_when_one_restriction_entry_moves(
     monkeypatch.setattr(duality, table, bumped)
     rep = verify_identity(kind, target)
     assert not rep.passed
-    assert rep.first_mismatch.startswith("q=2: lhs="), rep.first_mismatch
+    assert rep.first_mismatch.startswith("lhs="), rep.first_mismatch
 
 
 @pytest.mark.parametrize("m", RHS_TARGETS, ids=lambda m: m.label)

@@ -168,6 +168,18 @@ def test_flow_kn_degree_and_leading_coefficients():
         assert not leading_binomial_check(f, e, n - 1)
 
 
+def test_flow_kn_first_coefficient_past_the_binomials():
+    # Whitney's broken-circuit law, sharpened: F_{K_n} is chi of the dual
+    # of M(K_n), whose girth g = n-1 is the smallest edge cut, and whose
+    # c_g = n smallest circuits are the vertex stars.  The coefficient of
+    # x^(deg-(g-1)) is (-1)^(g-1) (C(|E|, g-1) - c_g).
+    for n in (4, 5, 7, 10, 20, 30, 40, 50):
+        f = flow_kn_partitions(n)
+        e, g = comb(n, 2), n - 1
+        want = (-1) ** (g - 1) * (comb(e, g - 1) - n)
+        assert f.coeffs[f.degree - (g - 1)] == want, n
+
+
 def test_flow_kn_tutte_route():
     for n in range(1, 7):
         assert flow_kn_tutte(n) == flow_kn_partitions(n), n

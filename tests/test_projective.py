@@ -113,6 +113,18 @@ def test_chi_pg_dual_larger_parameters_degree_and_top():
         assert p.coeffs[-2] == -npts
 
 
+def test_chi_pg_dual_first_coefficient_past_the_binomials():
+    # Whitney's broken-circuit law, sharpened: the dual of PG(n-1,q) has
+    # girth g = q^(n-1), and its c_g = [n]_q smallest circuits are the
+    # complements of the hyperplanes.  The coefficient of x^(deg-(g-1)) is
+    # (-1)^(g-1) (C(points, g-1) - c_g).
+    for n, q in ((3, 2), (4, 2), (3, 3), (5, 2), (4, 3), (6, 2), (8, 3)):
+        p = chi_pg_dual(n, q)
+        npts, g = points_count(n, q), q ** (n - 1)
+        want = (-1) ** (g - 1) * (comb(npts, g - 1) - gaussian_binomial(n, 1, q))
+        assert p.coeffs[p.degree - (g - 1)] == want, (n, q)
+
+
 def test_tutte_pg_matches_census():
     for n, q in PG_PARAMS:
         assert tutte_pg(n, q) == tutte(make_pg(n, q)), (n, q)
