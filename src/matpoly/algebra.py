@@ -20,6 +20,7 @@ Representations:
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 from .errors import BadConstantTerm, BadParams, NotDivisible
@@ -215,21 +216,26 @@ def exact_div_monomial(p: IntPoly, k: int) -> IntPoly:
     return IntPoly(p.coeffs[k:])
 
 
-def falling_factorial_rows(n: int) -> list[list[int]]:
-    """Coefficient lists of x(x-1)...(x-m+1) for m = 0 .. n, each row
-    one unit step from the last: ff_{m+1} = ff_m * (x - m)."""
-    if n < 0:
-        raise BadParams("falling factorial wants m >= 0")
-    rows = [[1]]
-    for m in range(n):
-        prev = rows[-1]
-        rows.append([a - m * b for a, b in zip([0] + prev, prev + [0])])
-    return rows
-
-
 def falling_factorial(m: int) -> IntPoly:
     """x(x-1)...(x-m+1) as an IntPoly; the empty product (m=0) is 1."""
-    return IntPoly(falling_factorial_rows(m)[m])
+    if m < 0:
+        raise BadParams("falling factorial wants m >= 0")
+    row = [1]
+    for j in range(m):  # row *= (x - j)
+        row = [a - j * b for a, b in zip([0] + row, row + [0])]
+    return IntPoly(row)
+
+
+def substitute_one_minus_x(p: IntPoly) -> IntPoly:
+    """p(1 - x) by the classical O(d^2) Taylor shift: each pass of running
+    sums over the reversed coefficients divides by (y - 1) and yields the
+    next coefficient of p(y + 1); y = -x then flips the odd ones."""
+    rev = list(reversed(p.coeffs))
+    out = []
+    while rev:
+        rev = list(accumulate(rev))
+        out.append(rev.pop())
+    return IntPoly([-c if i % 2 else c for i, c in enumerate(out)])
 
 
 class BiPoly:
@@ -399,14 +405,6 @@ class PolySeries:
         cs.extend([IntPoly()] * (order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, order: int) -> "PolySeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "PolySeries":
-        return cls(order, [IntPoly.one()])
 
     def coeff(self, i: int) -> IntPoly:
         return self.coeffs[i]

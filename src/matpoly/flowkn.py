@@ -19,9 +19,12 @@ Only the class of lambda, the key (s, len), enters the sum, so the
 partitions are never listed: ``partition_classes`` gets the total
 f(lambda) of every class from a DP over block sizes, with about 18k
 classes against p(60) = 966,467 partitions at n = 60.  The outer sum
-then runs by descending s as a Horner scheme in (1-x), so every
-polynomial product is by a binomial.  ``partitions`` and the two counts
-below it stay as the simple oracles the DP is tested against.
+runs in t = 1-x, where the falling factorial is prod_{j<l} (1-j-t): a
+Horner scheme over the block count l, acc <- Q_l + (1-l-t) acc with
+Q_l(t) = sum_s W(s, l) t^s, takes small-int steps on coefficients of a
+few hundred bits, and one Taylor shift (``substitute_one_minus_x``)
+carries the sum back to x.  ``partitions`` and the two counts below it
+stay as the simple oracles the DP is tested against.
 
 The second route reads the same number off an exponential generating
 function: with g(z) = sum_{i<=n} z^i/i! (1-x)^C(i,2),
@@ -40,6 +43,7 @@ the subset census of the cycle matroid of K_n under a time budget.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import zip_longest
 from math import comb, factorial, prod
 from time import monotonic
 
@@ -47,9 +51,9 @@ from .algebra import (
     IntPoly,
     PolySeries,
     exact_div_monomial,
-    falling_factorial_rows,
     series_exp,
     series_log,
+    substitute_one_minus_x,
 )
 from .errors import BadParams
 from .graphs import complete_graph
@@ -165,23 +169,21 @@ def flow_kn_partitions(n: int) -> IntPoly:
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
     classes = partition_classes(n)
-    ff = falling_factorial_rows(n)
-
-    # Horner in (1 - x) by descending s; (0, n) is always a class, so
-    # the walk ends at s = 0.
-    acc: list = []
-    s_cur = max(classes)[0]
-    for s, l in sorted(classes, reverse=True):
-        for _ in range(s_cur - s):  # acc *= (1 - x)
-            acc = [a - b for a, b in zip(acc + [0], [0] + acc)]
-        s_cur = s
-        w = classes[(s, l)]
-        coeffs = ff[l]
-        if len(acc) < len(coeffs):
-            acc.extend([0] * (len(coeffs) - len(acc)))
-        for i, a in enumerate(coeffs):
-            acc[i] += w * a
-    poly = IntPoly(acc)
+    # rows[l][s] = W(s, l), s up to the C(n - l + 1, 2) edges l blocks
+    # hold; the classes are freed as their weights move into the rows.
+    rows = [[0] * (comb(n - l + 1, 2) + 1) for l in range(n + 1)]
+    while classes:
+        (s, l), w = classes.popitem()
+        rows[l][s] = w
+    del classes
+    # Horner over l in t = 1 - x: acc <- Q_l + (1 - l - t) * acc
+    acc = rows.pop()
+    for l in range(n - 1, -1, -1):
+        acc = [
+            q + (1 - l) * a - b
+            for q, a, b in zip_longest(rows.pop(), acc + [0], [0] + acc, fillvalue=0)
+        ]
+    poly = substitute_one_minus_x(IntPoly(acc))
     if comb(n, 2) % 2:
         poly = -poly
     return exact_div_monomial(poly, n)

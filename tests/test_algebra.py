@@ -17,6 +17,7 @@ from matpoly.algebra import (
     poly_pow,
     series_exp,
     series_log,
+    substitute_one_minus_x,
 )
 
 X = BiPoly({(1, 0): 1})
@@ -169,6 +170,8 @@ def test_falling_factorial_values():
             for i in range(k):
                 expect *= x - i
             assert falling_factorial(k)(x) == expect
+    with pytest.raises(BadParams):
+        falling_factorial(-1)
 
 
 def test_bipoly_basics():
@@ -199,6 +202,20 @@ def test_bipoly_substitute_into_single_variable():
     got = p.substitute(px, py)
     for z in range(-4, 5):
         assert got(z) == (1 + z) * (2 * z) + (1 + z) + 1
+
+
+def test_substitute_one_minus_x_matches_bipoly_substitution():
+    one_minus_x = IntPoly((1, -1))
+    rng = random.Random(414008)
+    polys = [IntPoly(), IntPoly.const(7), IntPoly.const(-3), IntPoly((2, 5))]
+    polys += [IntPoly((0, -1))] + [rand_poly(rng, 12, 10**6) for _ in range(40)]
+    for p in polys:
+        as_bipoly = BiPoly({(i, 0): c for i, c in enumerate(p.coeffs)})
+        want = as_bipoly.substitute(one_minus_x, IntPoly())
+        got = substitute_one_minus_x(p)
+        assert got == want, p
+        # x -> 1 - x is an involution
+        assert substitute_one_minus_x(got) == p, p
 
 
 def rand_series(rng, order, const):

@@ -172,10 +172,14 @@ def test_flow_kn_first_coefficient_past_the_binomials():
     # Whitney's broken-circuit law, sharpened: F_{K_n} is chi of the dual
     # of M(K_n), whose girth g = n-1 is the smallest edge cut, and whose
     # c_g = n smallest circuits are the vertex stars.  The coefficient of
-    # x^(deg-(g-1)) is (-1)^(g-1) (C(|E|, g-1) - c_g).
-    for n in (4, 5, 7, 10, 20, 30, 40, 50):
+    # x^(deg-(g-1)) is (-1)^(g-1) (C(|E|, g-1) - c_g).  n = 100 is twice
+    # the paper's scale, where no second route is cheap.
+    for n in (4, 5, 7, 10, 20, 30, 40, 50, 100):
         f = flow_kn_partitions(n)
         e, g = comb(n, 2), n - 1
+        assert f.degree == e - n + 1, n
+        assert leading_binomial_check(f, e, g - 1), n
+        assert not leading_binomial_check(f, e, g), n
         want = (-1) ** (g - 1) * (comb(e, g - 1) - n)
         assert f.coeffs[f.degree - (g - 1)] == want, n
 
