@@ -15,16 +15,17 @@ x(x-1)...(x-k+1).  Hence
     F_{K_n}(x) = (-1)^C(n,2) x^(-n) * sum_lambda f(lambda)
                  (1-x)^s(lambda) * x(x-1)...(x-len(lambda)+1).
 
-Only the class of lambda, the key (s, len), enters the sum, so the
-partitions are never listed: ``partition_classes`` gets the total
-f(lambda) of every class from a DP over block sizes, with about 18k
-classes against p(60) = 966,467 partitions at n = 60.  The outer sum
-runs in t = 1-x, where the falling factorial is prod_{j<l} (1-j-t): a
-Horner scheme over the block count l, acc <- Q_l + (1-l-t) acc with
-Q_l(t) = sum_s W(s, l) t^s, takes small-int steps on coefficients of a
-few hundred bits, and one Taylor shift (``substitute_one_minus_x``)
-carries the sum back to x.  ``partitions`` and the two counts below it
-stay as the simple oracles the DP is tested against.
+Only the class of lambda, the key (s, l) = (s, len), enters the sum,
+so the partitions are never listed: ``partition_classes`` gets the
+total W(s, l) of f(lambda) over every class from a DP over block sizes
+(about 18k nonzero classes against p(60) = 966,467 partitions at
+n = 60) and returns it as one row Q_l(t) = sum_s W(s, l) t^s per block
+count l.  The outer sum runs in t = 1-x, where the falling factorial is
+prod_{j<l} (1-j-t): a Horner scheme over l, acc <- Q_l + (1-l-t) acc,
+takes small-int steps on coefficients of a few hundred bits, and one
+Taylor shift (``substitute_one_minus_x``) carries the sum back to x.
+``partitions`` and the two counts below it stay as the simple oracles
+the DP is tested against.
 
 The second route reads the same number off an exponential generating
 function: with g(z) = sum_{i<=n} z^i/i! (1-x)^C(i,2),
@@ -111,13 +112,14 @@ def set_partition_count(parts) -> int:
 
 
 def _place_blocks(tables: list, r: int, i: int) -> dict:
-    """The states left with r free elements once the blocks of size i
-    are placed: k of them are taken from the r + k*i free elements of a
+    """Place the blocks of size i into the states of tables[r], in
+    place: k of them are taken from the r + k*i free elements of a
     state in tables[r + k*i], in prod_{t=1..k} C(r + t*i, i) / k! ways,
-    adding k*C(i, 2) to s and k to l."""
+    adding k*C(i, 2) to s and k to l.  With r ascending no later
+    destination of the layer reads tables[r]."""
     base = len(tables)
     step = comb(i, 2) * base + 1
-    out = dict(tables[r])  # k = 0: no block placed, no shift
+    out = tables[r]  # k = 0: no block placed, no shift
     get = out.get
     ways = 1
     for k in range(1, (base - 1 - r) // i + 1):
@@ -129,53 +131,48 @@ def _place_blocks(tables: list, r: int, i: int) -> dict:
     return out
 
 
-def partition_classes(n: int) -> dict:
-    """Aggregate set-partition counts of an n-set by the class key
-    (s, l) = (edges inside blocks of K_n, number of blocks):
-    out[(s, l)] = sum of f(lambda) over partitions with that key.
+def partition_classes(n: int) -> list:
+    """Set-partition counts of an n-set by class (s, l) = (edges inside
+    blocks of K_n, number of blocks), as the Horner rows
+    rows[l][s] = W(s, l) = sum of f(lambda) over partitions with that
+    class, for l = 0 .. n and s = 0 .. min(C(n-l+1, 2), C(n, 2)).
 
     A DP over block sizes, so the p(n) partitions are never listed.  A
     state is (free elements r, packed key s*(n+1) + l); its weight
     counts the ways to choose the blocks placed so far.  Sizes
     i = n .. 3 are placed in turn (``_place_blocks``), and the r elements
     left at the end close into k pairs and r - 2k singletons in
-    r! / ((r-2k)! 2^k k!) ways, adding (k, r - k) to (s, l)."""
+    r! / ((r-2k)! 2^k k!) ways, adding (k, r - k) to (s, l), into one
+    dense list indexed by the packed key whose stride-(n+1) slices are
+    the rows."""
     if n < 0:
         raise BadParams("needs n >= 0")
     base = n + 1
     tables: list = [{} for _ in range(n)] + [{0: 1}]  # tables[r]: {key: weight}
-    # Ascending r: the table of r is the last source that destination r
-    # reads, so each layer overwrites the one before it in place.
     for i in range(n, 3, -1):
         for r in range(base):
-            tables[r] = _place_blocks(tables, r, i)
+            _place_blocks(tables, r, i)
     # The last layer (size 3) is closed as each r completes, never stored.
     fact = [factorial(i) for i in range(base)]
-    out: dict = {}
+    out = [0] * ((comb(n, 2) + 1) * base)
     for r in range(base):
         src = _place_blocks(tables, r, 3)
-        tables[r] = {}
-        for k in range(r // 2 + 1):
+        tables[r] = None
+        for key, w in src.items():  # k = 0: r singletons, one way
+            out[key + r] += w
+        for k in range(1, r // 2 + 1):
             ways = fact[r] // (fact[r - 2 * k] * fact[k] * 2**k)
             shift = k * base + r - k
             for key, w in src.items():
-                key += shift
-                out[key] = out.get(key, 0) + w * ways
-    return {divmod(key, base): w for key, w in out.items()}
+                out[key + shift] += w * ways
+    return [out[l : (comb(n - l + 1, 2) + 1) * base : base] for l in range(base)]
 
 
 def flow_kn_partitions(n: int) -> IntPoly:
     """F_{K_n} by the grouped partition sum (see module docstring)."""
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
-    classes = partition_classes(n)
-    # rows[l][s] = W(s, l), s up to the C(n - l + 1, 2) edges l blocks
-    # hold; the classes are freed as their weights move into the rows.
-    rows = [[0] * (comb(n - l + 1, 2) + 1) for l in range(n + 1)]
-    while classes:
-        (s, l), w = classes.popitem()
-        rows[l][s] = w
-    del classes
+    rows = partition_classes(n)
     # Horner over l in t = 1 - x: acc <- Q_l + (1 - l - t) * acc
     acc = rows.pop()
     for l in range(n - 1, -1, -1):

@@ -23,6 +23,24 @@ from matpoly.invariants import flow_poly
 F_K5 = IntPoly((51, -147, 175, -115, 45, -10, 1))
 
 
+def class_dict(n):
+    """The nonzero W(s, l) of partition_classes(n), keyed by (s, l)."""
+    return {
+        (s, l): w
+        for l, row in enumerate(partition_classes(n))
+        for s, w in enumerate(row)
+        if w
+    }
+
+
+def stirling2_row(n):
+    """S(n, l) for l = 0 .. n, by S(m, l) = l S(m-1, l) + S(m-1, l-1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [l * a + b for l, a, b in zip(range(m + 1), row + [0], [0] + row)]
+    return row
+
+
 def test_partitions_enumeration():
     assert list(partitions(0)) == [()]
     assert list(partitions(1)) == [(1,)]
@@ -116,7 +134,7 @@ def test_partition_classes_sums_to_bell_numbers():
         row = new
         bells.append(row[0])
     for n in range(0, 11):
-        classes = partition_classes(n)
+        classes = class_dict(n)
         assert sum(classes.values()) == bells[n], n
         for (s, length), weight in classes.items():
             assert weight > 0
@@ -131,13 +149,36 @@ def test_partition_classes_match_enumerated_grouping():
         for lam in partitions(n):
             key = (sum(comb(p, 2) for p in lam), len(lam))
             want[key] = want.get(key, 0) + set_partition_count(lam)
-        assert partition_classes(n) == want, n
+        assert class_dict(n) == want, n
 
 
 def test_partition_classes_small_case_by_hand():
     # n = 3: shapes 1+1+1 (1 partition, s=0, l=3), 1+2 (3, s=1, l=2),
     # 3 (1, s=3, l=1)
-    assert partition_classes(3) == {(0, 3): 1, (1, 2): 3, (3, 1): 1}
+    assert class_dict(3) == {(0, 3): 1, (1, 2): 3, (3, 1): 1}
+
+
+def test_partition_classes_row_shapes():
+    # rows[l] covers s = 0 .. the C(n-l+1, 2) edges that l blocks can
+    # hold, capped at the C(n, 2) edges of K_n
+    for n in (0, 1, 2, 5, 13, 30):
+        rows = partition_classes(n)
+        assert len(rows) == n + 1, n
+        for l, row in enumerate(rows):
+            assert len(row) == min(comb(n - l + 1, 2), comb(n, 2)) + 1, (n, l)
+
+
+def test_partition_classes_at_paper_scale():
+    # no enumeration reaches n = 60 (p(60) = 966,467 partitions); the
+    # oracles come from their recurrences: the row of l blocks sums to
+    # the Stirling number S(n, l), and each of the C(n, 2) vertex pairs
+    # shares a block in Bell(n-1) partitions, so sum_s s W(s, l) summed
+    # over l is C(n, 2) Bell(n-1)
+    for n in (30, 60):
+        rows = partition_classes(n)
+        assert [sum(row) for row in rows] == stirling2_row(n), n
+        inside = sum(s * w for row in rows for s, w in enumerate(row))
+        assert inside == comb(n, 2) * sum(stirling2_row(n - 1)), n
 
 
 def test_flow_kn_small_values_match_census_route():
