@@ -50,10 +50,6 @@ class IntPoly:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @classmethod
     def const(cls, c: int) -> "IntPoly":
         return cls((c,))
 

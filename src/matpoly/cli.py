@@ -6,7 +6,7 @@ Subcommands:
     chi          characteristic polynomial of a matroid spec
     chi-pg-dual  chi of the dual of PG(n-1, q), closed form
     tutte-pg     Tutte polynomial of PG(n-1, q), closed form
-    verify       run one duality identity on one target
+    verify       prove one duality identity on one target, as polynomials
     oracle       brute-force counts and the broken-circuit chi
     bench        time the flow-kn routes and compare checksums
 
@@ -103,13 +103,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _split_samples(text):
-    """Comma-separated tokens; verify_identity parses and checks them."""
-    if text is None:
-        return None
-    return [tok for tok in text.split(",") if tok.strip()]
-
-
 def cmd_flow_kn(args) -> int:
     if args.method == "partitions":
         poly = flow_kn_partitions(args.n)
@@ -150,9 +143,7 @@ def cmd_verify(args) -> int:
         target = g
     else:
         target = m
-    report = verify_identity(
-        kind, target, samples=_split_samples(args.samples), label=args.matroid
-    )
+    report = verify_identity(kind, target, label=args.matroid)
     _emit(report.to_json())
     return 0 if report.passed else 3
 
@@ -265,13 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in IdentityKind],
     )
     p.add_argument("--matroid", required=True)
-    p.add_argument(
-        "--samples",
-        default=None,
-        help="kung only: comma-separated rationals read four at a time as "
-        "(lambda, xi, x, y) points; every other kind is exact-polynomial "
-        "and exits 2 when given samples",
-    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force cross-checks")

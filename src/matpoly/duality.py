@@ -19,12 +19,12 @@ verifier:
   T = T(x,0) + T(0,y) valid on uniform matroids, and the two hyperbola
   evaluations along xy = x + y style curves.
 
-Every identity except Kung's is proved as a polynomial: its checker
-clears the (1-x)^n and x^k denominators of the zeta-weighted form and
-returns the two sides (``IntPoly``s, or ``BiPoly``s for the Tutte
-convolution and split), which must be equal.  Kung's bilinear
-convolution has four variables and is checked with exact rationals at
-sample points.
+Every identity is proved as a polynomial: its checker clears the
+(1-x)^n and x^k denominators of the zeta-weighted form and returns the
+two sides (``IntPoly``s, or ``BiPoly``s for the Tutte convolution and
+split), which must be equal.  Kung's bilinear convolution has four
+variables; one Kronecker substitution, injective on the monomials within
+its degree bounds, maps both of its sides to polynomials in one variable.
 
 Every subset sum over minors is one call of ``_lattice_sums``: a value
 per subset, read off (|A|, r(A)), then one zeta/Moebius transform over
@@ -39,12 +39,10 @@ refuses more than 20 elements before any rank query.
 The exact work is on ints and ``IntPoly``s.  A right side whose weight
 depends on (|A|, r(A)) or |A| alone first sums its table per weight key
 (``_group_sums``) and multiplies only those <= (n+1)^2 groups by their
-weights, powers of (1-x) and x.  Kung's rational cell values are scaled
-by the lcm d of their denominators, so both of its transforms add ints
-and each point divides once, by d_p * d_q.
+weights, powers of (1-x) and x; Kung's right side groups its restriction
+sums by their contraction sum and |A| mod 2 the same way.
 Each checker only states the two sides of its identity, and ``_KINDS``
-maps every kind to its checker.  ``_kung_points`` parses Kung's points
-and ``_first_mismatch`` is the one loop over them.
+maps every kind to its checker.
 """
 
 from __future__ import annotations
@@ -53,10 +51,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from operator import add
 
-from .algebra import BiPoly, IntPoly, eval_bipoly, exact_div_monomial, poly_pow
+from .algebra import BiPoly, IntPoly, exact_div_monomial, poly_pow
 from .errors import BadParams, TooLarge
 from .graphs import MultiGraph, connected_partitions, quotient
 from .invariants import chi_subset, chromatic_poly, flow_poly, tutte, whitney_R
@@ -86,14 +83,6 @@ GRAPH_KINDS = frozenset(
     }
 )
 
-DEFAULT_KUNG = (
-    (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5)),
-    (Fraction(3), Fraction(2), Fraction(2), Fraction(3)),
-    (Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3, 2)),
-    (Fraction(5), Fraction(2), Fraction(2, 3), Fraction(2)),
-    (Fraction(2), Fraction(2), Fraction(3), Fraction(5, 2)),
-)
-
 PARTITION_VERTEX_GUARD = 12
 # Every minor table holds 2^n entries and grows about 2x per element.  At
 # n = 20 (uniform:3,20, or K6 plus 5 parallel edges for the Matiyasevich
@@ -109,8 +98,8 @@ class VerifyReport:
 
     kind: IdentityKind
     target: str
-    mode: str  # "exact-polynomial" or "sampled-points"
-    samples: list
+    mode: str  # always "exact-polynomial"
+    samples: list  # always ["exact"]
     passed: bool
     first_mismatch: str | None = None
 
@@ -346,38 +335,6 @@ def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
     return exact_div_monomial(_signed(len(g.edges), _partition_sum(g)), g.n)
 
 
-def _kung_points(samples) -> list:
-    """[(label, (lam, xi, x, y))] for ``samples`` (a flat list read four
-    at a time), or for DEFAULT_KUNG when ``samples`` is None.  No
-    coordinate may be 0, a pole of Kung's identity."""
-    flat = sum(DEFAULT_KUNG, ()) if samples is None else samples
-    try:
-        flat = [Fraction(s) for s in flat]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise BadParams(f"cannot parse samples {samples!r}") from exc
-    if not flat:
-        raise BadParams("need at least one sample point")
-    if len(flat) % 4:
-        raise BadParams("kung samples come in groups of 4")
-    out = []
-    for i in range(0, len(flat), 4):
-        point = tuple(flat[i : i + 4])
-        label = ",".join(f"{name}={v}" for name, v in zip(("lam", "xi", "x", "y"), point))
-        if 0 in point:
-            raise BadParams(f"{label} is a pole of kung")
-        out.append((label, point))
-    return out
-
-
-def _first_mismatch(points, lhs, rhs) -> str | None:
-    """The first point where the two sides differ, as "label: lhs=... rhs=..."."""
-    for label, point in points:
-        left, right = lhs(*point), rhs(*point)
-        if left != right:
-            return f"{label}: lhs={left} rhs={right}"
-    return None
-
-
 # Each checker below returns (lhs, rhs) with every denominator of the
 # zeta-weighted form cleared: zeta_q(1) = x/(x-1) and zeta_q(-1) = 1/(1-x),
 # so multiplying by (1-x)^n turns each side into a polynomial.  n = |E|,
@@ -483,30 +440,51 @@ def _verify_convolution(m: Matroid):
     return tutte(m), rhs
 
 
+def _sparse(terms) -> IntPoly:
+    """sum c x^e over the (e, c) pairs ``terms``."""
+    terms = list(terms)
+    out = [0] * (max((e for e, _c in terms), default=-1) + 1)
+    for e, c in terms:
+        out[e] += c
+    return IntPoly(out)
+
+
 def _verify_kung(m: Matroid):
+    """R(lam xi, x y) = sum_A (-1)^|A| P_A(lam, x) Q_A(xi, y), with
+      P_A = sum_{B sub A} (-1)^|B| lam^(R-r(B)) x^(|B|-r(B))
+      Q_A = sum_{C sup A} xi^(R-r(C)) y^(|C|-r(C)),
+    proved in one variable t by the Kronecker substitution lam = t,
+    x = t^(R+1), xi = t^D, y = t^(D(R+1)) with D = (R+1)(n-R+1).  Every
+    exponent of lam is at most R and every exponent of x at most n - R, so
+    lam^i x^j goes to t^(i+(R+1)j) with i+(R+1)j < D, xi^k y^l to
+    D times that, and distinct monomials in the four variables go to
+    distinct powers of t: the identity holds exactly when the two
+    polynomials in t are equal.
+    """
     ranks = rank_table(m)
     rfull = ranks[-1]
-    keys = {(mask.bit_count(), r) for mask, r in enumerate(ranks)}
-    rpoly = whitney_R(m)
+    d = (rfull + 1) * (m.ground_size - rfull + 1)
 
-    def int_sums(value, superset=False):
-        """_lattice_sums of the rational value(|B|, r(B)), run on ints: the
-        cell values are scaled by d, the lcm of their denominators, and
-        returned with d."""
-        cells = {key: value(*key) for key in keys}
-        d = lcm(*(v.denominator for v in cells.values()))
-        ints = {key: v.numerator * (d // v.denominator) for key, v in cells.items()}
-        return _lattice_sums(ranks, lambda a, r: ints[a, r], superset), d
+    def power(i, j):
+        """The power of t that lam^i x^j (or, times D, xi^i y^j) goes to."""
+        return i + (rfull + 1) * j
 
-    def rhs(lam, xi, x, y):
-        pv, dp = int_sums(lambda a, r: (-lam) ** -r * (-x) ** (a - r))
-        qv, dq = int_sums(lambda a, r: xi ** (rfull - r) * y ** (a - r), superset=True)
-        # The weight of cell A, lam^(R-r(A)) (-y)^(|A|-r(A)) (-lam)^r(A)
-        # y^(r(A)-|A|), is (-1)^|A| lam^R.
-        total = sum(p * q for p, q in zip(_negate_odd(pv), qv))
-        return lam**rfull * Fraction(total, dp * dq)
-
-    return lambda lam, xi, x, y: eval_bipoly(rpoly, lam * xi, x * y), rhs
+    pv = _lattice_sums(
+        ranks, lambda a, r: IntPoly.monomial((-1) ** a, power(rfull - r, a - r))
+    )
+    qv = _lattice_sums(
+        ranks, lambda a, r: IntPoly.monomial(1, power(rfull - r, a - r)), superset=True
+    )
+    groups = _group_sums(pv, lambda mask: (qv[mask], mask.bit_count() % 2))
+    rhs = sum(
+        (
+            _signed(odd, _sparse((d * k, c) for k, c in enumerate(q.coeffs)) * p)
+            for (q, odd), p in groups.items()
+        ),
+        IntPoly.zero(),
+    )
+    lhs = _sparse((power(i, j) * (1 + d), c) for (i, j), c in whitney_R(m).terms.items())
+    return lhs, rhs
 
 
 def _verify_uniform_split(m: Matroid):
@@ -536,15 +514,11 @@ def _verify_hyperbola_r(m: Matroid):
     rp = whitney_R(m)
     n = m.ground_size
     nullity = n - m.full_rank()
-    lhs = sum(
-        (IntPoly.monomial(c, i + nullity - j) for (i, j), c in rp.terms.items()),
-        IntPoly.zero(),
-    )
+    lhs = _sparse((i + nullity - j, c) for (i, j), c in rp.terms.items())
     return lhs, poly_pow(IntPoly((1, 1)), n)
 
 
-# kind -> checker.  Kung's checker returns its two sides as functions of
-# one point (lam, xi, x, y); every other checker returns them exactly.
+# kind -> checker; each returns its two sides exactly.
 _KINDS = {
     IdentityKind.THM1_ONE: _verify_thm1_one,
     IdentityKind.THM1_TWO: _verify_finaltwo,
@@ -561,24 +535,19 @@ _KINDS = {
 }
 
 
-def verify_identity(
-    kind: IdentityKind, target, samples=None, label: str | None = None
-) -> VerifyReport:
+def verify_identity(kind: IdentityKind, target, label: str | None = None) -> VerifyReport:
     """Check one identity on one target and report the outcome.
 
     ``target`` is a Matroid, or a MultiGraph for the graph-level kinds
     (a MultiGraph is also accepted for matroid kinds and wrapped in its
-    cycle matroid).  KUNG is checked at sample points: ``samples``
-    overrides DEFAULT_KUNG with a non-empty flat list of rationals read
-    four at a time (lambda, xi, x, y), none of them 0, the pole.  Every
-    other kind is proved as a polynomial and rejects any ``samples``
-    with BadParams.
+    cycle matroid).  Every kind is proved as a polynomial: the report's
+    mode is "exact-polynomial", and a failing report gives both sides as
+    "lhs=... rhs=...".
     """
     try:
         kind = IdentityKind(kind)
     except ValueError:
         raise BadParams(f"unknown identity kind {kind!r}") from None
-    check = _KINDS[kind]
     if kind in GRAPH_KINDS:
         if not isinstance(target, MultiGraph):
             raise BadParams(f"{kind.value} is stated for graphs")
@@ -588,14 +557,6 @@ def verify_identity(
         if not isinstance(target, Matroid):
             raise BadParams("target must be a Matroid or MultiGraph")
         name = label or target.label
-    if kind is IdentityKind.KUNG:
-        points = _kung_points(samples)
-        mode, labels = "sampled-points", [lab for lab, _point in points]
-        mismatch = _first_mismatch(points, *check(target))
-    elif samples is not None:
-        raise BadParams(f"{kind.value} is proved exactly and takes no samples")
-    else:
-        lhs, rhs = check(target)
-        mode, labels = "exact-polynomial", ["exact"]
-        mismatch = None if lhs == rhs else f"lhs={lhs} rhs={rhs}"
-    return VerifyReport(kind, name, mode, labels, mismatch is None, mismatch)
+    lhs, rhs = _KINDS[kind](target)
+    mismatch = None if lhs == rhs else f"lhs={lhs} rhs={rhs}"
+    return VerifyReport(kind, name, "exact-polynomial", ["exact"], mismatch is None, mismatch)

@@ -143,9 +143,9 @@ def test_A5_identity_suite_full_corpus():
             8 * len(matroid_targets) + len(uniform_targets) + 3 * len(GRAPHS)
         )
         assert checked == want_checked
-        # kung, the one sampled kind, runs at its five default points
+        # kung, four-variate, is proved exactly like every other kind
         rep = verify_identity(IdentityKind.KUNG, make_uniform(2, 4))
-        assert len(rep.samples) == 5
+        assert (rep.mode, rep.samples) == ("exact-polynomial", ["exact"])
         # mutation: dropping the (1-x)^|A| factor must break the dual formula
         k3 = make_graphic(complete_graph(3))
         ones = [IntPoly.one()] * (k3.ground_size + 1)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,12 +10,10 @@ from corpus import GRAPHS
 from matpoly import BadParams, TooLarge, duality
 from matpoly.algebra import BiPoly, IntPoly, exact_div_monomial, poly_pow
 from matpoly.duality import (
-    DEFAULT_KUNG,
     GRAPH_KINDS,
     IdentityKind,
     _finaltwo_sum,
     _lattice_sums,
-    _negate_odd,
     _verify_kung,
     chi_contract_table,
     chi_dual_restrict_table,
@@ -28,7 +27,7 @@ from matpoly.duality import (
     zeta_q,
 )
 from matpoly.graphs import MultiGraph, complete_graph, component_count, subgraph
-from matpoly.invariants import chi_subset, chromatic_poly, flow_poly
+from matpoly.invariants import chi_subset, chromatic_poly, flow_poly, whitney_R
 from matpoly.matroids import Matroid, make_graphic, make_pg, make_uniform
 
 K3 = complete_graph(3)
@@ -208,7 +207,7 @@ def test_verify_identity_passes_on_samples():
         rep = verify_identity(kind, target)
         assert rep.passed, (kind, rep.first_mismatch)
         assert rep.first_mismatch is None
-        assert rep.mode in ("exact-polynomial", "sampled-points")
+        assert (rep.mode, rep.samples) == ("exact-polynomial", ["exact"])
         j = rep.to_json()
         assert j["kind"] == kind.value and j["passed"] is True
 
@@ -216,8 +215,6 @@ def test_verify_identity_passes_on_samples():
 def test_verify_identity_accepts_string_kind_and_custom_samples():
     rep = verify_identity("thm1-one", make_uniform(2, 4))
     assert rep.passed and rep.samples == ["exact"]
-    rep = verify_identity("kung", make_uniform(1, 2), samples=[2, 3, 2, 3])
-    assert rep.passed and rep.samples == ["lam=2,xi=3,x=2,y=3"]
 
 
 def test_verify_identity_failure_is_reported_not_raised():
@@ -232,49 +229,23 @@ def test_verify_identity_bad_inputs():
     with pytest.raises(BadParams):
         verify_identity(IdentityKind.MATIYASEVICH, make_uniform(1, 2))
     with pytest.raises(BadParams):
-        verify_identity(IdentityKind.THM1_ONE, make_uniform(1, 2), samples=[1])
-    with pytest.raises(BadParams):
-        verify_identity(IdentityKind.KUNG, make_uniform(1, 2), samples=[2, 3])
-    with pytest.raises(BadParams):
         verify_identity(IdentityKind.THM1_ONE, "not a matroid")
-    # kung needs a non-empty list of rationals; the exact kinds refuse any
-    for kind in ("thm1-one", "hyperbola-t", "hyperbola-r", "kung"):
-        for bad in ([], ["abc"], [2, "3/0"], [None]):
-            with pytest.raises(BadParams):
-                verify_identity(kind, make_uniform(1, 2), samples=bad)
 
 
 def test_exact_kinds_reject_samples():
-    # proved as polynomials, so sample points would be silently dropped
+    # every kind is proved as a polynomial; none takes sample points
     for kind in IdentityKind:
-        if kind in GRAPH_KINDS or kind is IdentityKind.KUNG:
+        if kind in GRAPH_KINDS:
             continue
-        for samples in (["abc"], [2, 3], []):
-            with pytest.raises(BadParams):
-                verify_identity(kind, make_uniform(2, 4), samples=samples)
-        assert verify_identity(kind, make_uniform(2, 4)).passed
+        rep = verify_identity(kind, make_uniform(2, 4))
+        assert rep.passed and rep.mode == "exact-polynomial", kind
 
 
-KUNG_LABELS = [
-    "lam=2,xi=3,x=1/2,y=5",
-    "lam=3,xi=2,x=2,y=3",
-    "lam=1/2,xi=1/3,x=2,y=3/2",
-    "lam=5,xi=2,x=2/3,y=2",
-    "lam=2,xi=2,x=3,y=5/2",
-]
-# a zero in each coordinate of the second point
-KUNG_POLES = tuple(
-    [2, 3, 2, 3] + [0 if j == i else 2 for j in range(4)] for i in range(4)
-)
-# Each mutation adds x - 2 to what the named duality function returns.  An
-# exact kind must then report its two sides.  For kung the first point
-# (lam*xi = 2) still passes, the two after it fail, and the report must
-# name the earlier of those two.
-KUNG_MUTANT_SAMPLES = [1, 2, 1, 1, 2, 2, 1, 1, 3, 2, 1, 1]
-EXACT = ("exact-polynomial", ["exact"], ())
+# Each mutation adds x - 2 to what the named duality function returns, and
+# every kind must then report its two sides.
+EXACT = ("exact-polynomial", ["exact"])
 
-# kind: (mode, default sample labels, sample lists that hit a pole,
-#        the duality function a mutation bumps)
+# kind: (mode, sample labels, the duality function a mutation bumps)
 REPORT_SHAPES = {
     "thm1-one": EXACT + ("chi_subset",),
     "thm1-two": EXACT + ("chi_subset",),
@@ -284,7 +255,7 @@ REPORT_SHAPES = {
     "matiyasevich-inverse": EXACT + ("flow_poly",),
     "th2-connected-partitions": EXACT + ("flow_poly",),
     "convolution": EXACT + ("tutte",),
-    "kung": ("sampled-points", KUNG_LABELS, KUNG_POLES, "whitney_R"),
+    "kung": EXACT + ("whitney_R",),
     "uniform-split": EXACT + ("tutte",),
     "hyperbola-t": EXACT + ("tutte",),
     "hyperbola-r": EXACT + ("whitney_R",),
@@ -293,25 +264,17 @@ REPORT_SHAPES = {
 
 @pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda k: k.value)
 def test_report_shape_poles_and_first_failing_point(kind, monkeypatch):
-    mode, labels, poles, mutated = REPORT_SHAPES[kind.value]
+    mode, labels, mutated = REPORT_SHAPES[kind.value]
     target = K3 if kind in GRAPH_KINDS else make_uniform(2, 4)
     rep = verify_identity(kind, target)
     assert (rep.mode, rep.samples, rep.passed) == (mode, labels, True)
-    for bad in poles:
-        with pytest.raises(BadParams):
-            verify_identity(kind, target, samples=bad)
     orig = getattr(duality, mutated)
     bivariate = mutated in ("tutte", "whitney_R")
     bump = BiPoly({(1, 0): 1, (0, 0): -2}) if bivariate else IntPoly((-2, 1))
     monkeypatch.setattr(duality, mutated, lambda t: orig(t) + bump)
-    if kind is IdentityKind.KUNG:
-        rep = verify_identity(kind, target, samples=KUNG_MUTANT_SAMPLES)
-        prefix = "lam=2,xi=2,x=1,y=1: lhs="
-    else:
-        rep = verify_identity(kind, target)
-        prefix = "lhs="
+    rep = verify_identity(kind, target)
     assert not rep.passed
-    assert rep.first_mismatch.startswith(prefix), rep.first_mismatch
+    assert rep.first_mismatch.startswith("lhs="), rep.first_mismatch
 
 
 # Every kind whose checker builds a minor table through rank_table.
@@ -465,30 +428,81 @@ def test_thm1_one_fails_when_one_restriction_entry_moves(
 
 @pytest.mark.parametrize("m", RHS_TARGETS, ids=lambda m: m.label)
 def test_kung_fails_when_one_rank_moves(m, monkeypatch):
+    # The rank moves down: on these targets every exponent then stays
+    # within the degree bounds of Kung's substitution, which a raised rank
+    # can leave (r(A) > |A| or r(A) > R gives no monomial).
     orig = duality.rank_table
     mask = m.full_mask // 3
 
     def bumped(t):
         ranks = list(orig(t))
-        ranks[mask] += 1
+        assert ranks[mask] > 0
+        ranks[mask] -= 1
         return ranks
 
     monkeypatch.setattr(duality, "rank_table", bumped)
     rep = verify_identity("kung", m)
     assert not rep.passed
-    assert rep.first_mismatch.startswith(KUNG_LABELS[0] + ": lhs="), rep.first_mismatch
+    assert rep.first_mismatch.startswith("lhs="), rep.first_mismatch
 
 
-@pytest.mark.parametrize("m", RHS_TARGETS, ids=lambda m: m.label)
-def test_integer_kung_matches_the_fraction_transform(m):
-    ranks = rank_table(m)
-    rfull = ranks[-1]
-    _lhs, rhs = _verify_kung(m)
-    for lam, xi, x, y in DEFAULT_KUNG:
-        # both transforms run on Fraction cells
-        pv = _lattice_sums(ranks, lambda a, r: (-lam) ** -r * (-x) ** (a - r))
-        qv = _lattice_sums(
-            ranks, lambda a, r: xi ** (rfull - r) * y ** (a - r), superset=True
-        )
-        want = lam**rfull * sum(p * q for p, q in zip(_negate_odd(pv), qv))
-        assert rhs(lam, xi, x, y) == want, (lam, xi, x, y)
+def kung_brute(m: Matroid) -> dict:
+    """{(i, j, k, l): c}: the right side of Kung's identity as a polynomial
+    in (lam, x, xi, y), summed over every chain B sub A sub C:
+    (-1)^(|A|+|B|) lam^(R-r(B)) x^(|B|-r(B)) xi^(R-r(C)) y^(|C|-r(C))."""
+    n, rfull = m.ground_size, m.full_rank()
+    out: dict = {}
+    for a in range(1 << n):
+        subs = [b for b in range(a + 1) if b & a == b]
+        sups = [c for c in range(a, 1 << n) if c & a == a]
+        for b in subs:
+            rb = m.rank(b)
+            sign = (-1) ** (a.bit_count() + b.bit_count())
+            for c in sups:
+                rc = m.rank(c)
+                key = (rfull - rb, b.bit_count() - rb, rfull - rc, c.bit_count() - rc)
+                out[key] = out.get(key, 0) + sign
+    return {k: c for k, c in out.items() if c}
+
+
+def kung_exponent(n: int, rfull: int, key) -> int:
+    """The power of t that lam = t, x = t^(R+1), xi = t^D, y = t^(D(R+1)),
+    D = (R+1)(n-R+1), gives the monomial lam^i x^j xi^k y^l."""
+    i, j, k, l = key
+    step = rfull + 1
+    d = step * (n - rfull + 1)
+    return i + step * j + d * (k + step * l)
+
+
+KUNG_REFERENCE_TARGETS = (
+    make_uniform(1, 3),
+    make_uniform(2, 4),
+    make_graphic(K4),
+    # a loop, a parallel pair and a pendant edge
+    make_graphic(MultiGraph(3, ((0, 0), (0, 1), (0, 1), (1, 2)))),
+)
+
+
+@pytest.mark.parametrize("m", KUNG_REFERENCE_TARGETS, ids=lambda m: m.label)
+def test_exact_kung_matches_a_brute_force_four_variable_sum(m):
+    n, rfull = m.ground_size, m.full_rank()
+    brute = kung_brute(m)
+    # Kung's identity itself: the sum is R(lam xi, x y)
+    want = {(i, j, i, j): c for (i, j), c in whitney_R(m).terms.items()}
+    assert brute == want
+    lhs, rhs = _verify_kung(m)
+    mapped: dict = {}
+    for key, c in brute.items():
+        e = kung_exponent(n, rfull, key)
+        mapped[e] = mapped.get(e, 0) + c
+    assert rhs == IntPoly([mapped.get(e, 0) for e in range(max(mapped) + 1)])
+    assert lhs == rhs
+
+
+def test_kung_substitution_is_injective_within_the_degree_bounds():
+    for n in range(7):
+        for rfull in range(n + 1):
+            top, null = range(rfull + 1), range(n - rfull + 1)
+            keys = list(product(top, null, top, null))
+            powers = {kung_exponent(n, rfull, key) for key in keys}
+            assert len(powers) == len(keys), (n, rfull)

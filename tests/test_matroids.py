@@ -244,11 +244,14 @@ def test_census_deadline_graphic_scan():
 
 
 def test_census_reads_but_does_not_fill_the_rank_cache_restrict_view():
-    # a restriction keeps the generic scan whatever its base
-    u = make_uniform(3, 13)
-    r = RestrictView(u, u.full_mask & ~1)
-    chi_subset(r)
-    assert len(r._rank_cache) <= 4
+    # a minor keeps the generic scan whatever its base, and fills neither
+    # its own cache nor its base's
+    for view in (RestrictView, ContractView):
+        u = make_uniform(3, 13)
+        r = view(u, u.full_mask & ~1)
+        chi_subset(r)
+        assert len(r._rank_cache) <= 4, view
+        assert len(u._rank_cache) <= 4, view
     m = RestrictView(make_pg(3, 3), 0b1111111111110)
     want = brute_census(m)
     rank_table(m)
