@@ -23,7 +23,6 @@ from .duality import (
     chi_dual_via_finaltwo,
     flow_via_connected_partitions,
     verify_identity,
-    zeta_q,
 )
 from .errors import (
     BadConstantTerm,

@@ -2,8 +2,9 @@
 
 The q-deformed zeta value zeta_q(z) = 1/(1 - q^(-z)) at z = +-1 turns the
 two-variable subset expansions into one-line identities between a matroid
-and its dual.  This module implements the identity zoo and a uniform
-verifier:
+and its dual; at q = x its two values are zeta_q(1) = x/(x-1) and
+zeta_q(-1) = 1/(1-x).  This module implements the identity zoo and a
+uniform verifier:
 
 * three zeta-weighted sum identities expressing chi of the dual (or of M
   itself) through characteristic polynomials of restrictions,
@@ -26,21 +27,27 @@ split), which must be equal.  Kung's bilinear convolution has four
 variables; one Kronecker substitution, injective on the monomials within
 its degree bounds, maps both of its sides to polynomials in one variable.
 
-Every subset sum over minors is one call of ``_lattice_sums``: a value
-per subset, read off (|A|, r(A)), then one zeta/Moebius transform over
-the subset lattice (one pass per ground element, 2^n cells), so a full
-table of minor polynomials costs n * 2^n additions instead of 3^n.  The
-transforms add plain ints: polynomial cells are packed into one int each
-(Kronecker substitution at x = 2^w, ``IntPoly.pack``), wide enough that
-no coefficient of any sum overflows its digit, and every distinct sum is
-unpacked once.
+Every subset sum over minors is one call of ``_packed_sums``: a value
+per subset, read off (|A|, r(A)) and packed into one int (Kronecker
+substitution at x = 2^w, ``IntPoly.pack``, wide enough that no
+coefficient of any sum overflows its digit), then one zeta/Moebius
+transform over the subset lattice (one pass per ground element, 2^n
+cells) that adds plain ints, so a full table of minor polynomials costs
+n * 2^n additions instead of 3^n.
 Every table starts from ``rank_table``, whose one guard (``TABLE_GUARD``)
 refuses more than 20 elements before any rank query.
-The exact work is on ints and ``IntPoly``s.  A right side whose weight
-depends on (|A|, r(A)) or |A| alone first sums its table per weight key
-(``_group_sums``) and multiplies only those <= (n+1)^2 groups by their
-weights, powers of (1-x) and x; Kung's right side groups its restriction
-sums by their contraction sum and |A| mod 2 the same way.
+The checkers never unpack a table cell by cell.  A right side whose
+weight depends on |A| or on (|A|, r(A)) tallies its packed table with
+``_tally``: a Counter over the (key, packed int) pairs, each distinct
+pair unpacked once and scaled by its count.  The signs (-1)^|A|, the
+division by x^(R - r(A)) and the weights, powers of (1-x) and x, then
+act on those <= (n+1)^2 groups.  Kung's and the Tutte convolution's
+right sides are sums of (-1)^|A| P_A Q_A over a subset table P and a
+superset table Q (``_class_product_sum``): Q is reduced to class ids
+before P is built, so one table of wide ints is alive at a time, P is
+tallied per class, and each distinct Q is multiplied once.  The public
+``chi_*_table``s unpack every cell (``_lattice_sums``); the tests use
+them as references.
 Each checker only states the two sides of its identity, and ``_KINDS``
 maps every kind to its checker.
 """
@@ -50,8 +57,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from operator import add
+from itertools import repeat
+from operator import add, and_
 
 from .algebra import BiPoly, IntPoly, exact_div_monomial, poly_pow
 from .errors import BadParams, TooLarge
@@ -114,21 +121,6 @@ class VerifyReport:
         }
 
 
-def zeta_q(q, z: int) -> Fraction:
-    """zeta_q(z) = 1/(1 - q^(-z)) for z in {1, -1}.
-
-    zeta_q(1) = q/(q-1) and zeta_q(-1) = 1/(1-q); undefined at q in {0,1}.
-    """
-    q = Fraction(q)
-    if q == 0 or q == 1:
-        raise BadParams("zeta_q undefined at q in {0, 1}")
-    if z == 1:
-        return q / (q - 1)
-    if z == -1:
-        return 1 / (1 - q)
-    raise BadParams("zeta_q implemented at z = +-1 only")
-
-
 def rank_table(m: Matroid) -> list[int]:
     """r(A) for every subset mask A, as a dense list of length 2^n, by the
     matroid class's own route (``Matroid.rank_table``).  Every table
@@ -185,30 +177,54 @@ def superset_zeta(vals: list, n: int) -> list:
     return _zeta(vals, n, superset=True)
 
 
-def _lattice_sums(ranks: list[int], value, superset: bool = False) -> list:
-    """sum of value(|B|, r(B)) over every B subset of A (superset of A when
-    ``superset``), for every A, given the rank table ``ranks``.
+def _packed_sums(
+    ranks: list[int], value, superset: bool = False
+) -> tuple[list[int], int]:
+    """(sums, w): for every A, the sum of value(|B|, r(B)) over every B
+    subset of A (superset of A when ``superset``), given the rank table
+    ``ranks``, packed at x = 2^w (``IntPoly.pack``).
 
-    value is called once per distinct (|B|, r(B)) pair; the transform
-    only adds, so cells may share one immutable value.  ``IntPoly`` values
-    are packed at x = 2^w (``IntPoly.pack``) so the transform adds ints,
-    and each distinct sum is unpacked once.  No sum has a coefficient of
-    2^n * max|coefficient| or more, so w = n + bits(max|coefficient|) + 1
-    keeps every balanced digit exact.
+    value is called once per distinct (|B|, r(B)) pair and returns an
+    ``IntPoly``; the transform adds plain ints.  No sum has a coefficient
+    of 2^n * max|coefficient| or more, so w = n + bits(max|coefficient|)
+    + 1 keeps every balanced digit of every sum exact.
     """
-    n = len(ranks).bit_length() - 1
-    keys = [(mask.bit_count(), r) for mask, r in enumerate(ranks)]
-    memo = {key: value(*key) for key in set(keys)}
-    polys = all(isinstance(v, IntPoly) for v in memo.values())
-    if polys:
-        top = max((abs(c) for v in memo.values() for c in v.coeffs), default=0)
-        w = n + top.bit_length() + 1
-        memo = {key: v.pack(w) for key, v in memo.items()}
-    vals = (superset_zeta if superset else subset_zeta)([memo[key] for key in keys], n)
-    if not polys:
-        return vals
-    unpacked = {v: IntPoly.unpack(v, w) for v in set(vals)}
-    return [unpacked[v] for v in vals]
+    size = len(ranks)
+    n = size.bit_length() - 1
+    memo = {
+        key: value(*key) for key in set(zip(map(int.bit_count, range(size)), ranks))
+    }
+    top = max((abs(c) for v in memo.values() for c in v.coeffs), default=0)
+    w = n + top.bit_length() + 1
+    packed = {key: v.pack(w) for key, v in memo.items()}
+    cells = [packed[key] for key in zip(map(int.bit_count, range(size)), ranks)]
+    return (superset_zeta if superset else subset_zeta)(cells, n), w
+
+
+def _lattice_sums(ranks: list[int], value, superset: bool = False) -> list[IntPoly]:
+    """``_packed_sums`` as one ``IntPoly`` per subset; each distinct sum
+    is unpacked once."""
+    sums, w = _packed_sums(ranks, value, superset)
+    unpacked = {v: IntPoly.unpack(v, w) for v in set(sums)}
+    return [unpacked[v] for v in sums]
+
+
+def _tally(keys, sums: list[int], w: int, signed: bool = False) -> dict:
+    """{k: sum of the packed sums[A], unpacked, over every mask A with
+    keys[A] = k}, each term times (-1)^|A| when ``signed``.
+
+    A Counter over the (key, packed int) pairs finds the few distinct
+    ones, and each is unpacked once and scaled by its signed count.  The
+    groups are added after unpacking, since a group sum may outgrow the
+    packing width."""
+    sizes = map(int.bit_count, range(len(sums)))
+    odd = map(and_, sizes, repeat(1)) if signed else repeat(0)
+    weights: dict = {}
+    for (k, v, sign), c in Counter(zip(keys, sums, odd)).items():
+        weights[k, v] = weights.get((k, v), 0) + (-c if sign else c)
+    return _sum_by_key(
+        (k, IntPoly.unpack(v, w).scale(c)) for (k, v), c in weights.items() if c
+    )
 
 
 def _sum_by_key(pairs) -> dict:
@@ -217,15 +233,6 @@ def _sum_by_key(pairs) -> dict:
     for k, p in pairs:
         out[k] = out[k] + p if k in out else p
     return out
-
-
-def _group_sums(table: list, key) -> dict:
-    """{key(A): sum of table[A] over every mask A with that key}.  A sum
-    over subsets whose weight depends on key(A) alone then weights one
-    group per key, at most (n+1)^2 of them, instead of 2^n entries.
-    Each distinct (key, value) pair is counted, then scaled once."""
-    counts = Counter((key(mask), p) for mask, p in enumerate(table))
-    return _sum_by_key((k, p.scale(c)) for (k, p), c in counts.items())
 
 
 def _one_minus_x_sum(groups: dict) -> IntPoly:
@@ -245,14 +252,14 @@ def _negate_odd(vals: list) -> list:
     return [-v if mask.bit_count() % 2 else v for mask, v in enumerate(vals)]
 
 
-def chi_restrict_table(m: Matroid, ranks: list[int] | None = None) -> list[IntPoly]:
+def chi_restrict_table(m: Matroid) -> list[IntPoly]:
     """chi of M restricted to A, for every A at once.
 
     Subset-sum f(B) = (-1)^|B| x^(R - r(B)), then divide the entry at A by
     x^(R - r(A)); divisibility is guaranteed because ranks of subsets of A
     never exceed r(A).  Each distinct (sum, r(A)) pair is divided once.
     """
-    ranks = ranks if ranks is not None else rank_table(m)
+    ranks = rank_table(m)
     rfull = ranks[-1]
     vals = _lattice_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r))
     pairs = list(zip(vals, ranks))
@@ -260,10 +267,10 @@ def chi_restrict_table(m: Matroid, ranks: list[int] | None = None) -> list[IntPo
     return [quotients[pair] for pair in pairs]
 
 
-def chi_contract_table(m: Matroid, ranks: list[int] | None = None) -> list[IntPoly]:
+def chi_contract_table(m: Matroid) -> list[IntPoly]:
     """chi of M with the subset A contracted away (ground set E - A),
     for every A at once, via a superset Moebius sum."""
-    ranks = ranks if ranks is not None else rank_table(m)
+    ranks = rank_table(m)
     rfull = ranks[-1]
     return _negate_odd(
         _lattice_sums(
@@ -272,22 +279,26 @@ def chi_contract_table(m: Matroid, ranks: list[int] | None = None) -> list[IntPo
     )
 
 
-def chi_dual_restrict_table(
-    m: Matroid, ranks: list[int] | None = None
-) -> list[IntPoly]:
+def chi_dual_restrict_table(m: Matroid) -> list[IntPoly]:
     """chi of (M|A)* = chi of M*.A, for every A, via a subset Moebius sum
     of x^(|C| - r(C))."""
-    ranks = ranks if ranks is not None else rank_table(m)
     return _negate_odd(
-        _lattice_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** a, a - r))
+        _lattice_sums(rank_table(m), lambda a, r: IntPoly.monomial((-1) ** a, a - r))
     )
 
 
 def _finaltwo_sum(m: Matroid, size_weights: list[IntPoly] | None = None) -> IntPoly:
     """sum_A w(|A|) * chi of (M with A contracted away), where the
-    default weight is w(k) = (1-x)^k.  The weight is a parameter so tests
-    can mutate it and watch the identity break."""
-    groups = _group_sums(chi_contract_table(m), int.bit_count)
+    default weight is w(k) = (1-x)^k.  That chi is (-1)^|A| times the
+    superset sum of chi_contract_table at A; the packed sums are tallied
+    per |A|.  The weight is a parameter so tests can mutate it and watch
+    the identity break."""
+    ranks = rank_table(m)
+    rfull = ranks[-1]
+    sums, w = _packed_sums(
+        ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r), superset=True
+    )
+    groups = _tally(map(int.bit_count, range(len(sums))), sums, w, signed=True)
     if size_weights is None:
         return _one_minus_x_sum(groups)
     return sum((size_weights[a] * p for a, p in groups.items()), IntPoly.zero())
@@ -336,33 +347,42 @@ def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
 
 
 # Each checker below returns (lhs, rhs) with every denominator of the
-# zeta-weighted form cleared: zeta_q(1) = x/(x-1) and zeta_q(-1) = 1/(1-x),
-# so multiplying by (1-x)^n turns each side into a polynomial.  n = |E|,
-# R = r(E).  A checker builds its table side first, so the table guard
-# refuses a large target before any census.
+# zeta-weighted form cleared: zeta_q(1) = x/(x-1) and zeta_q(-1) = 1/(1-x)
+# at q = x, so multiplying by (1-x)^n turns each side into a polynomial.
+# n = |E|, R = r(E).  A checker builds its table side first, so the table
+# guard refuses a large target before any census.
 
 
 def _restriction_sum(m: Matroid) -> IntPoly:
     """sum_A x^(|A|-r(A)) (1-x)^(n-|A|) chi_{M|A}: the right side of
     thm1-one up to the sign (-1)^n, and of matiyasevich-inverse on a
-    cycle matroid."""
+    cycle matroid.  The packed subset sums of chi_restrict_table are
+    tallied per (|A|, r(A)), and each group is divided by x^(R - r(A))
+    once."""
     n = m.ground_size
     ranks = rank_table(m)
-    groups = _group_sums(
-        chi_restrict_table(m, ranks), lambda mask: (mask.bit_count(), ranks[mask])
-    )
+    rfull = ranks[-1]
+    sums, w = _packed_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r))
+    groups = _tally(zip(map(int.bit_count, range(len(sums))), ranks), sums, w)
     return _one_minus_x_sum(
-        _sum_by_key((n - a, p.shift(a - r)) for (a, r), p in groups.items())
+        _sum_by_key(
+            (n - a, exact_div_monomial(p, rfull - r).shift(a - r))
+            for (a, r), p in groups.items()
+        )
     )
 
 
 def _dual_restriction_sum(m: Matroid) -> IntPoly:
     """sum_A (1-x)^(n-|A|) chi_{(M|A)*}: the right side of twozeta, and of
-    matiyasevich on a cycle matroid up to the factor x^|V|."""
+    matiyasevich on a cycle matroid up to the factor x^|V|.  The packed
+    subset sums of chi_dual_restrict_table are tallied per |A| with the
+    sign (-1)^|A|."""
     n = m.ground_size
-    return _one_minus_x_sum(
-        _group_sums(chi_dual_restrict_table(m), lambda mask: n - mask.bit_count())
+    sums, w = _packed_sums(
+        rank_table(m), lambda a, r: IntPoly.monomial((-1) ** a, a - r)
     )
+    groups = _tally(map(int.bit_count, range(len(sums))), sums, w, signed=True)
+    return _one_minus_x_sum({n - a: p for a, p in groups.items()})
 
 
 def _verify_thm1_one(m: Matroid):
@@ -410,6 +430,25 @@ def _verify_th2(g: MultiGraph):
     return _signed(len(g.edges), flow_poly(g).shift(g.n)), rhs
 
 
+def _class_product_sum(ranks: list[int], pvalue, qvalue) -> list:
+    """[(Q, P)] for sum_A (-1)^|A| P_A Q_A, P_A the subset sum of pvalue
+    at A and Q_A the superset sum of qvalue: Q runs over the distinct
+    Q_A, and P is the signed sum of P_A over every A with that Q_A, so
+    the sum is one product per pair.  The superset sums come first and
+    are kept only as class ids while the subset sums are built, so one
+    table of wide ints is alive at a time."""
+    qsums, wq = _packed_sums(ranks, qvalue, superset=True)
+    index = dict.fromkeys(qsums)
+    for k, v in enumerate(index):
+        index[v] = k
+    ids = list(map(index.__getitem__, qsums))
+    del qsums
+    psums, wp = _packed_sums(ranks, pvalue)
+    groups = _tally(ids, psums, wp, signed=True)
+    reps = list(index)
+    return [(IntPoly.unpack(reps[k], wq), p) for k, p in groups.items()]
+
+
 def _verify_convolution(m: Matroid):
     """T(x,y) = sum_A T_{M|A}(0,y) * T_{M.(E-A)}(x,0), checked exactly.
 
@@ -417,22 +456,20 @@ def _verify_convolution(m: Matroid):
       T_{M|A}(0,y)      = (-1)^r(A) sum_{B sub A} (-1)^r(B) (y-1)^(|B|-r(B))
       T_{M.(E-A)}(x,0)  = (-1)^(|A|+r(A)) sum_{C sup A} (-1)^(|C|-r(C))
                           (x-1)^(r(E)-r(C))
-    so two lattice transforms give every factor at once.  The tables hold
-    polynomials in a = x-1 and b = y-1; the summed product is translated
-    back to x and y once at the end.
+    so two lattice transforms give every factor at once, and the signs
+    (-1)^r(A) and (-1)^(|A|+r(A)) combine to (-1)^|A|.  The sums are
+    polynomials in a = x-1 and b = y-1, multiplied once per distinct
+    contraction factor; the summed product is translated back to x and y
+    once at the end.
     """
     ranks = rank_table(m)
     rfull = ranks[-1]
-    pvals = _lattice_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** r, a - r))
-    qvals = _lattice_sums(
-        ranks,
-        lambda a, r: IntPoly.monomial((-1) ** (a - r), rfull - r),
-        superset=True,
-    )
     terms: dict = {}
-    # (-1)^r(A) from the restriction side and (-1)^(|A|+r(A)) from the
-    # contraction side combine to (-1)^|A|.
-    for py, px in zip(pvals, _negate_odd(qvals)):
+    for px, py in _class_product_sum(
+        ranks,
+        lambda a, r: IntPoly.monomial((-1) ** r, a - r),
+        lambda a, r: IntPoly.monomial((-1) ** (a - r), rfull - r),
+    ):
         for i, cx in enumerate(px.coeffs):
             for j, cy in enumerate(py.coeffs):
                 terms[i, j] = terms.get((i, j), 0) + cx * cy
@@ -469,17 +506,14 @@ def _verify_kung(m: Matroid):
         """The power of t that lam^i x^j (or, times D, xi^i y^j) goes to."""
         return i + (rfull + 1) * j
 
-    pv = _lattice_sums(
-        ranks, lambda a, r: IntPoly.monomial((-1) ** a, power(rfull - r, a - r))
-    )
-    qv = _lattice_sums(
-        ranks, lambda a, r: IntPoly.monomial(1, power(rfull - r, a - r)), superset=True
-    )
-    groups = _group_sums(pv, lambda mask: (qv[mask], mask.bit_count() % 2))
     rhs = sum(
         (
-            _signed(odd, _sparse((d * k, c) for k, c in enumerate(q.coeffs)) * p)
-            for (q, odd), p in groups.items()
+            _sparse((d * k, c) for k, c in enumerate(q.coeffs)) * p
+            for q, p in _class_product_sum(
+                ranks,
+                lambda a, r: IntPoly.monomial((-1) ** a, power(rfull - r, a - r)),
+                lambda a, r: IntPoly.monomial(1, power(rfull - r, a - r)),
+            )
         ),
         IntPoly.zero(),
     )

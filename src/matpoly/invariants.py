@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebra import BiPoly, IntPoly, poly_pow
+from .algebra import BiPoly, IntPoly, poly_pow, substitute_one_minus_x
 from .errors import BadParams, TooLarge
 from .graphs import MultiGraph, quotient
 from .matroids import GraphicMatroid, Matroid, make_graphic
@@ -56,7 +56,9 @@ def chi_subset(m: Matroid, deadline: float | None = None) -> IntPoly:
     """Characteristic polynomial by direct subset expansion; raises
     BudgetExceeded once ``monotonic()`` passes ``deadline``."""
     _guard(m)
-    return _chi_from_counts(m.rank_size_counts(deadline), m.full_rank())
+    counts = m.rank_size_counts(deadline)
+    # r(E) is the largest rank in the census
+    return _chi_from_counts(counts, max(rho for _a, rho in counts))
 
 
 def _delcon(m: Matroid) -> IntPoly:
@@ -163,17 +165,19 @@ def whitney_R(m: Matroid) -> BiPoly:
 
 
 def chi_from_tutte(m: Matroid) -> IntPoly:
-    """chi(z) = (-1)^R T(1-z, 0), by exact substitution."""
-    t = tutte(m)
-    p = t.substitute(IntPoly((1, -1)), IntPoly.zero())
-    return p if m.full_rank() % 2 == 0 else -p
+    """chi(z) = (-1)^R T(1-z, 0): T's x-column at y = 0 (x-degree at most
+    R), Taylor-shifted."""
+    t, rank = tutte(m).terms, m.full_rank()
+    p = substitute_one_minus_x(IntPoly(t.get((i, 0), 0) for i in range(rank + 1)))
+    return p if rank % 2 == 0 else -p
 
 
 def chi_dual_from_tutte(m: Matroid) -> IntPoly:
-    """chi of the dual: (-1)^(n-R) T(0, 1-z)."""
-    t = tutte(m)
-    p = t.substitute(IntPoly.zero(), IntPoly((1, -1)))
-    return p if (m.ground_size - m.full_rank()) % 2 == 0 else -p
+    """chi of the dual: (-1)^(n-R) T(0, 1-z), T's y-column at x = 0
+    (y-degree at most n - R), Taylor-shifted."""
+    t, nullity = tutte(m).terms, m.ground_size - m.full_rank()
+    p = substitute_one_minus_x(IntPoly(t.get((0, j), 0) for j in range(nullity + 1)))
+    return p if nullity % 2 == 0 else -p
 
 
 def _dedup_parallel(g: MultiGraph) -> MultiGraph:
@@ -197,8 +201,8 @@ def chromatic_poly(g: MultiGraph) -> IntPoly:
     """Chromatic polynomial P(x) = x^c(G) * chi of the cycle matroid."""
     m = make_graphic(_dedup_parallel(g))
     chi = chi_subset(m) if m.ground_size <= SUBSET_GUARD else chi_delcon(m)
-    # c(G) = |V| - r(E); on the census route chi_subset has cached r(E)
-    return chi.shift(g.n - m.full_rank())
+    # c(G) = |V| - r(E), and chi has degree r(E) unless a loop makes it 0
+    return chi.shift(g.n - chi.degree)
 
 
 def flow_poly(g: MultiGraph) -> IntPoly:

@@ -56,8 +56,7 @@ components of A, through ``graphs.components`` and the one general
 union-find in ``graphs._roots_over`` (path halving).  Their census takes
 one of two routes, chosen by ``census_route`` from a cost estimate:
 ``vertex_census``, the Fortuin-Kasteleyn expansion over subsets of the
-non-isolated vertices V' (3^|V'| steps), when
-VERTEX_STEP_COST * 3^|V'| < 2^|E|, and otherwise ``edge_census``, a
+non-isolated vertices V' (3^|V'| steps), or ``edge_census``, a
 backtracking scan over edge subsets that keeps its own union-find
 (union by size, no path compression) so each union rolls back in O(1).
 The F_p scan rolls back its echelon basis the same way.
@@ -389,17 +388,32 @@ class GraphicMatroid(Matroid):
         nv = len(index)
         full = (1 << nv) - 1
         bits = m + 1
-        # ends[i]: one mask per edge whose lower end is vertex i, holding its
-        # other end, so e(S) = e(S - i) + #{masks within S} with i = min S
-        ends: list[list[int]] = [[] for _ in range(nv)]
+        # layers[i][k]: the vertices j >= i joined to vertex i by more than k
+        # edges (a loop joins i to itself), so with i = min S,
+        # e(S) = e(S - i) + sum_k |layers[i][k] within S|
+        layers: list[list[int]] = [[] for _ in range(nv)]
         for u, w in g.edges:
-            iu, iw = sorted((index[u], index[w]))
-            ends[iu].append(1 << iw)
+            i, j = index[u], index[w]
+            if i > j:
+                i, j = j, i
+            row, bit = layers[i], 1 << j
+            k = 0
+            while k < len(row) and row[k] & bit:  # the first layer without j
+                k += 1
+            if k < len(row):
+                row[k] |= bit
+            else:
+                row.append(bit)
         inner = [0] * (full + 1)
         for s in range(1, full + 1):
-            i = (s & -s).bit_length() - 1
-            inner[s] = inner[s & s - 1] + sum(1 for e in ends[i] if e & s)
-        pw = [(1 << bits | 1) ** k for k in range(m + 1)]
+            low = s & -s
+            e = inner[s ^ low]
+            for layer in layers[low.bit_length() - 1]:
+                e += (layer & s).bit_count()
+            inner[s] = e
+        pw = [1]  # (1+v)^k, one shift-and-add per k
+        for _ in range(m):
+            pw.append(pw[-1] + (pw[-1] << bits))
         inside = [pw[e] for e in inner]  # (1+v)^e(S)
 
         conn = [0] * (full + 1)
@@ -411,7 +425,9 @@ class GraphicMatroid(Matroid):
             total = inside[s]
             while sub:  # proper subsets of rest, down to the empty set
                 sub = (sub - 1) & rest
-                total -= conn[sub | low] * inside[rest ^ sub]
+                c = conn[sub | low]
+                if c:  # 0 when G[T] is disconnected
+                    total -= c * inside[rest ^ sub]
             conn[s] = total
 
         # Z is only needed on V' and on the sets that miss vertex 0
@@ -425,16 +441,24 @@ class GraphicMatroid(Matroid):
             total = conn[s]  # T = S, with Z[empty set] = 1
             while sub:
                 sub = (sub - 1) & rest
-                total += conn[sub | low] * z[rest ^ sub]
+                c = conn[sub | low]
+                if c:
+                    total += c * z[rest ^ sub]
             z[s] = total << bits * (m + 1)
 
         counts: Counter = Counter()
-        top, mask = z[full], (1 << bits) - 1
-        for k in range(nv + 1):
-            for a in range(m + 1):
-                c = top >> (k * (m + 1) + a) * bits & mask
+        rows, mask, step = z[full], (1 << bits) - 1, bits * (m + 1)
+        rank = nv  # q-digit k of Z[V'] is rank |V'| - k, read from k = 0 up
+        while rows:
+            row, a = rows & (1 << step) - 1, 0
+            while row:
+                c = row & mask
                 if c:
-                    counts[(a, nv - k)] = c
+                    counts[(a, rank)] = c
+                row >>= bits
+                a += 1
+            rows >>= step
+            rank -= 1
         return counts
 
 

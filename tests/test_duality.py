@@ -1,7 +1,6 @@
 """Unit tests for the duality formulas and the identity checker."""
 
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -24,7 +23,6 @@ from matpoly.duality import (
     subset_zeta,
     superset_zeta,
     verify_identity,
-    zeta_q,
 )
 from matpoly.graphs import MultiGraph, complete_graph, component_count, subgraph
 from matpoly.invariants import chi_subset, chromatic_poly, flow_poly, whitney_R
@@ -32,39 +30,6 @@ from matpoly.matroids import Matroid, make_graphic, make_pg, make_uniform
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
-
-
-def test_zeta_q_values():
-    assert zeta_q(2, 1) == Fraction(2)
-    assert zeta_q(2, -1) == Fraction(-1)
-    assert zeta_q(3, 1) == Fraction(3, 2)
-    assert zeta_q(3, -1) == Fraction(-1, 2)
-    assert zeta_q(Fraction(1, 2), 1) == Fraction(-1)
-    for q in (2, 3, 5, Fraction(7, 2)):
-        assert zeta_q(q, 1) == Fraction(q) / (Fraction(q) - 1)
-        assert zeta_q(q, -1) == 1 / (1 - Fraction(q))
-    with pytest.raises(BadParams):
-        zeta_q(1, 1)
-    with pytest.raises(BadParams):
-        zeta_q(0, -1)
-    with pytest.raises(BadParams):
-        zeta_q(2, 2)
-
-
-def test_zeta_q_functional_equations():
-    # zeta_q(z) = -q^z zeta_q(-z) and zeta_q(z) - 1 = -zeta_q(-z),
-    # checked at 50 random rationals q outside {0, 1}.
-    rng = random.Random(717002)
-    seen = set()
-    while len(seen) < 50:
-        q = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-        if q in (0, 1):
-            continue
-        seen.add(q)
-    for q in seen:
-        for z in (1, -1):
-            assert zeta_q(q, z) == -(q**z) * zeta_q(q, -z)
-            assert zeta_q(q, z) - 1 == -zeta_q(q, -z)
 
 
 def test_zeta_transforms_match_brute_force():
@@ -387,40 +352,71 @@ def test_uniform_split_holds_only_for_uniforms():
     assert not rep.passed
 
 
-# Right-side mutations: each bumps one entry of a table the right side
-# reads, so a right side that ignored its table would still pass.
+# Right-side mutations: each bumps one cell of a packed lattice sum that
+# the right side reads, so a right side that ignored its table would still
+# pass.  The bump adds x^(n+2), above every degree of a cell, so no cell
+# coefficient overflows its digit, and at least x^(R - r(A)), so each
+# per-group division by that power stays exact and the report shows both
+# sides.
 RHS_TARGETS = (make_uniform(2, 4), make_pg(3, 2), make_graphic(K4))
 
 
-# (kind, target, the table its right side sums): thm1-one on every right-
-# side target, and each graph kind on K4, whose right side is thm1-one's
-# (matiyasevich-inverse) or twozeta's (matiyasevich) on the cycle matroid.
+def bump_packed_cell(monkeypatch, mask, which: bool):
+    """Patch duality._packed_sums so that its subset sums (its superset
+    sums when ``which``) gain x^(n+2) at ``mask``."""
+    orig = duality._packed_sums
+
+    def bumped(ranks, value, superset=False):
+        sums, w = orig(ranks, value, superset)
+        if superset == which:
+            n = len(ranks).bit_length() - 1
+            sums[mask] += 1 << w * (n + 2)
+        return sums, w
+
+    monkeypatch.setattr(duality, "_packed_sums", bumped)
+
+
+# thm1-one on every right-side target, and each graph kind on K4, whose
+# right side is thm1-one's (matiyasevich-inverse) or twozeta's
+# (matiyasevich) on the cycle matroid; all three read a subset sum.
 RESTRICTION_CASES = [
-    pytest.param("thm1-one", m, "chi_restrict_table", id=m.label)
-    for m in RHS_TARGETS
+    pytest.param("thm1-one", m, id=m.label) for m in RHS_TARGETS
 ] + [
-    pytest.param(kind, K4, table, id=f"{kind}:K4")
-    for kind, table in (
-        ("matiyasevich-inverse", "chi_restrict_table"),
-        ("matiyasevich", "chi_dual_restrict_table"),
-    )
+    pytest.param(kind, K4, id=f"{kind}:K4")
+    for kind in ("matiyasevich-inverse", "matiyasevich")
 ]
 
 
-@pytest.mark.parametrize("kind, target, table", RESTRICTION_CASES)
-def test_thm1_one_fails_when_one_restriction_entry_moves(
-    kind, target, table, monkeypatch
-):
-    orig = getattr(duality, table)
+@pytest.mark.parametrize("kind, target", RESTRICTION_CASES)
+def test_thm1_one_fails_when_one_restriction_entry_moves(kind, target, monkeypatch):
     full = target.full_edge_mask if isinstance(target, MultiGraph) else target.full_mask
-    mask = full // 3  # a proper, nonempty subset
+    bump_packed_cell(monkeypatch, full // 3, which=False)  # a proper, nonempty subset
+    rep = verify_identity(kind, target)
+    assert not rep.passed
+    assert rep.first_mismatch.startswith("lhs="), rep.first_mismatch
 
-    def bumped(t, ranks=None):
-        vals = list(orig(t, ranks))
-        vals[mask] = vals[mask] + IntPoly((0, 0, 1))  # + q^2
-        return vals
 
-    monkeypatch.setattr(duality, table, bumped)
+# (kind, which packed sum moves, the mask): finaltwo reads the superset
+# sums of its contraction table at every mask; the convolution pairs the
+# subset sum at the empty set, T of the empty restriction, with T_M(x, 0),
+# which is nonzero on these loopless targets.
+PACKED_CASES = [
+    pytest.param(kind, m, superset, mask, id=f"{kind}:{m.label}")
+    for kind, superset, mask in (
+        ("finaltwo", True, None),
+        ("convolution", False, 0),
+    )
+    for m in RHS_TARGETS
+]
+
+
+@pytest.mark.parametrize("kind, target, superset, mask", PACKED_CASES)
+def test_packed_right_sides_fail_when_one_cell_moves(
+    kind, target, superset, mask, monkeypatch
+):
+    bump_packed_cell(
+        monkeypatch, target.full_mask // 3 if mask is None else mask, superset
+    )
     rep = verify_identity(kind, target)
     assert not rep.passed
     assert rep.first_mismatch.startswith("lhs="), rep.first_mismatch

@@ -1,5 +1,6 @@
 """Unit tests for the matroid polynomial invariants."""
 
+import random
 from math import comb
 
 import pytest
@@ -165,6 +166,25 @@ def test_chi_from_tutte_matches_subset_expansion():
     for m in small_matroids(12):
         assert chi_from_tutte(m) == chi_subset(m), m.label
         assert chi_dual_from_tutte(m) == chi_subset(m.dual()), m.label
+
+
+def random_multigraph(rng):
+    n = rng.randrange(1, 7)
+    return MultiGraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(10))])
+
+
+def test_chi_from_tutte_matches_the_generic_substitution():
+    # the column-and-Taylor-shift route against BiPoly.substitute of 1 - z
+    one_minus_z, zero = IntPoly((1, -1)), IntPoly.zero()
+    rng = random.Random(616020)
+    graphs = [make_graphic(random_multigraph(rng)) for _ in range(40)]
+    for m in all_matroids() + graphs:
+        t, rank = tutte(m), m.full_rank()
+        nullity = m.ground_size - rank
+        want = t.substitute(one_minus_z, zero)
+        want_dual = t.substitute(zero, one_minus_z)
+        assert chi_from_tutte(m) == (-want if rank % 2 else want), m.label
+        assert chi_dual_from_tutte(m) == (-want_dual if nullity % 2 else want_dual), m.label
 
 
 def test_chromatic_known_values():

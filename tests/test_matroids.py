@@ -283,6 +283,14 @@ def test_graphic_census_routes_match_generic_scan():
     rng = random.Random(616010)
     graphs = [random_multigraph(rng) for _ in range(150)]
     graphs += [MultiGraph(0, ()), MultiGraph(3, ()), MultiGraph(2, ((1, 1), (1, 1)))]
+    # the vertex route counts e(S) one multiplicity layer at a time: three
+    # and four parallel edges on one pair, two and three loops on one vertex
+    graphs += [
+        MultiGraph(3, ((0, 1), (1, 0), (0, 1), (1, 2), (2, 0))),
+        MultiGraph(4, ((2, 3),) * 4 + ((0, 2), (0, 2), (1, 3))),
+        MultiGraph(3, ((1, 1), (1, 1), (0, 1), (1, 2))),
+        MultiGraph(4, ((0, 0), (0, 0), (0, 0), (0, 1), (1, 0), (2, 2), (2, 3), (3, 2))),
+    ]
     seen = Counter()
     for g in graphs:
         m = make_graphic(g)
@@ -297,6 +305,15 @@ def test_graphic_census_routes_match_generic_scan():
         seen["isolated"] += len(set(ends)) < g.n
         seen["disconnected"] += component_count(g) - (g.n - len(set(ends))) > 1
     assert min(seen[k] for k in ("loop", "parallel", "isolated", "disconnected")) >= 10, seen
+    # a sparse graph on 12 vertices and 22 edges (a path plus seeded chords)
+    # takes the vertex route; the generic scan of 2^22 masks is too slow, so
+    # the edge scan is its reference
+    edges = [(i, i + 1) for i in range(11)]
+    while len(edges) < 22:
+        edges.append(tuple(rng.sample(range(12), 2)))
+    m = make_graphic(MultiGraph(12, edges))
+    assert m.census_route() == "vertex"
+    assert m.rank_size_counts() == m.edge_census()
 
 
 def fp_configs():
