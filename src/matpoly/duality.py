@@ -506,19 +506,24 @@ def _verify_kung(m: Matroid):
         """The power of t that lam^i x^j (or, times D, xi^i y^j) goes to."""
         return i + (rfull + 1) * j
 
-    rhs = sum(
-        (
-            _sparse((d * k, c) for k, c in enumerate(q.coeffs)) * p
-            for q, p in _class_product_sum(
-                ranks,
-                lambda a, r: IntPoly.monomial((-1) ** a, power(rfull - r, a - r)),
-                lambda a, r: IntPoly.monomial(1, power(rfull - r, a - r)),
-            )
-        ),
-        IntPoly.zero(),
+    groups = _class_product_sum(
+        ranks,
+        lambda a, r: IntPoly.monomial((-1) ** a, power(rfull - r, a - r)),
+        lambda a, r: IntPoly.monomial(1, power(rfull - r, a - r)),
     )
+    # q(t^D) p(t) puts q_k p_e at D k + e: the right side is one flat
+    # coefficient list, one slice of p added per nonzero q_k.  It is sized
+    # from the actual degrees, so it is still the product when a table that
+    # is not a matroid's gives p degree D or more.
+    rhs = [0] * max((d * (len(q.coeffs) - 1) + len(p.coeffs) for q, p in groups), default=0)
+    for q, p in groups:
+        pc = p.coeffs
+        for k, qk in enumerate(q.coeffs):
+            if qk:
+                at, end = d * k, d * k + len(pc)
+                rhs[at:end] = [c + qk * pe for c, pe in zip(rhs[at:end], pc)]
     lhs = _sparse((power(i, j) * (1 + d), c) for (i, j), c in whitney_R(m).terms.items())
-    return lhs, rhs
+    return lhs, IntPoly(rhs)
 
 
 def _verify_uniform_split(m: Matroid):

@@ -26,7 +26,10 @@ class MultiGraph:
         # truncate 1.9 to 1
         if type(n) is not int or n < 0:
             raise BadParams(f"vertex count must be an int >= 0, got {n!r}")
-        es = tuple((u, v) for u, v in edges)
+        try:
+            es = tuple((u, v) for u, v in edges)
+        except (TypeError, ValueError) as exc:
+            raise BadParams(f"edges must be (u, v) pairs: {exc}") from exc
         for u, v in es:
             if type(u) is not int or type(v) is not int:
                 raise BadParams(f"edge ({u!r},{v!r}) needs int endpoints")
@@ -34,6 +37,16 @@ class MultiGraph:
                 raise BadParams(f"edge ({u},{v}) out of range for {n} vertices")
         self.n = n
         self.edges = es
+
+    @classmethod
+    def _unchecked(cls, n: int, edges: tuple) -> "MultiGraph":
+        """A graph from a vertex count and an edge tuple already known to
+        be valid, such as edges relabeled from a valid graph; skips the
+        checks of ``__init__``."""
+        g = object.__new__(cls)
+        g.n = n
+        g.edges = edges
+        return g
 
     @property
     def edge_count(self) -> int:
@@ -69,78 +82,87 @@ def _check_edge_mask(g: MultiGraph, mask: int):
         raise BadParams(f"edge mask {mask:#x} outside the graph's edge list")
 
 
-def _roots_over(g: MultiGraph, mask: int):
-    """Union-find roots over the edges in mask; returns (parent, support)."""
+def _union(g: MultiGraph, mask: int):
+    """Union-find over the edges in mask, with path halving.  Each class's
+    root is its least vertex, so parent[v] < v for every other vertex.
+    Returns (parent, joins), joins the number of edges that merged two
+    classes: the rank of mask in the cycle matroid."""
     _check_edge_mask(g, mask)
     parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    support = set()
-    m = mask
-    i = 0
     edges = g.edges
-    while m:
-        if m & 1:
+    joins = 0
+    i = 0
+    while mask:
+        if mask & 1:
             u, v = edges[i]
-            support.add(u)
-            support.add(v)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        m >>= 1
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                if u < v:
+                    parent[v] = u
+                else:
+                    parent[u] = v
+                joins += 1
+        mask >>= 1
         i += 1
-    return find, support
+    return parent, joins
+
+
+def _support(g: MultiGraph, mask: int) -> set:
+    """The endpoints of the edges in mask."""
+    _check_edge_mask(g, mask)
+    return {w for i, e in enumerate(g.edges) if mask >> i & 1 for w in e}
 
 
 def components(g: MultiGraph, mask: int) -> tuple[int, int]:
     """(number of components, number of vertices) of the edge-induced
     subgraph on mask; isolated vertices outside the support do not count.
     The empty mask gives (0, 0)."""
-    find, support = _roots_over(g, mask)
-    roots = {find(v) for v in support}
-    return len(roots), len(support)
+    _, joins = _union(g, mask)
+    support = len(_support(g, mask))
+    return support - joins, support
 
 
 def component_count(g: MultiGraph) -> int:
     """Components of g over all vertices, counting isolated ones."""
-    find, _ = _roots_over(g, g.full_edge_mask)
-    return len({find(v) for v in range(g.n)})
+    return g.n - _union(g, g.full_edge_mask)[1]
 
 
 def subgraph(g: MultiGraph, mask: int) -> MultiGraph:
     """Edge-induced subgraph: support vertices re-labeled ascending,
     edges of mask kept in ascending index order."""
-    _, support = _roots_over(g, mask)
-    relab = {v: i for i, v in enumerate(sorted(support))}
-    es = [
+    support = sorted(_support(g, mask))
+    relab = {v: i for i, v in enumerate(support)}
+    es = tuple(
         (relab[u], relab[v])
         for i, (u, v) in enumerate(g.edges)
         if mask >> i & 1
-    ]
-    return MultiGraph(len(support), es)
+    )
+    return MultiGraph._unchecked(len(support), es)
 
 
 def quotient(g: MultiGraph, mask: int) -> MultiGraph:
     """Contract every edge in mask; keep the other edges (loops and
     parallels may appear).  New vertex labels are dense, assigned in
     order of first appearance of each merged class along 0..n-1."""
-    find, _ = _roots_over(g, mask)
-    relab = {}
+    parent, _ = _union(g, mask)
+    # a root is its class's least vertex, so classes are met in label
+    # order, and a non-root v shares the label of parent[v] < v
+    label = parent
+    k = 0
     for v in range(g.n):
-        r = find(v)
-        if r not in relab:
-            relab[r] = len(relab)
-    es = [
-        (relab[find(u)], relab[find(v)])
-        for i, (u, v) in enumerate(g.edges)
-        if not (mask >> i & 1)
-    ]
-    return MultiGraph(len(relab), es)
+        p = parent[v]
+        if p == v:
+            label[v] = k
+            k += 1
+        else:
+            label[v] = label[p]
+    es = tuple(
+        [(label[u], label[v]) for i, (u, v) in enumerate(g.edges) if not mask >> i & 1]
+    )
+    return MultiGraph._unchecked(k, es)
 
 
 def connected_partitions(g: MultiGraph):

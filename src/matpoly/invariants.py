@@ -194,7 +194,8 @@ def _dedup_parallel(g: MultiGraph) -> MultiGraph:
             continue
         seen.add(key)
         out.append((u, v))
-    return MultiGraph(g.n, out)
+    # a sublist of g's valid edges needs no checks
+    return MultiGraph._unchecked(g.n, tuple(out))
 
 
 def chromatic_poly(g: MultiGraph) -> IntPoly:

@@ -53,7 +53,7 @@ ask ``rank`` for r(E) at most.
 
 Graphic matroids compute rank(A) as |support of A| minus the number of
 components of A, through ``graphs.components`` and the one general
-union-find in ``graphs._roots_over`` (path halving).  Their census takes
+union-find in ``graphs._union`` (path halving).  Their census takes
 one of two routes, chosen by ``census_route`` from a cost estimate:
 ``vertex_census``, the Fortuin-Kasteleyn expansion over subsets of the
 non-isolated vertices V' (3^|V'| steps), or ``edge_census``, a
@@ -73,11 +73,11 @@ from .errors import BadParams, BudgetExceeded, TooLarge
 from .graphs import MultiGraph, components, quotient, subgraph
 
 ENUM_GUARD = 20  # hard cap for circuit/flat enumeration
-# Time of one vertex-route step over one edge-scan node.  Break-even values
-# timed on dense and sparse graphs near the crossover ran from 0.10 to 0.36,
-# most of them 0.15-0.30 (CHANGES.md); near a tie the edge scan, which keeps
-# no tables, is as good a pick.
-VERTEX_STEP_COST = 0.25
+# Time of one vertex-route step over one edge-scan node, fitted to
+# break-even timings on graphs of 3 to 11 non-isolated vertices
+# (CHANGES.md).  ``census_route`` counts the vertex route's tables and
+# fixed cost as 2^(|V'|+3) more steps; near a tie either route is as good.
+VERTEX_STEP_COST = 0.1
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -280,6 +280,9 @@ class GraphicMatroid(Matroid):
             label = f"graphic:{graph.n}v{len(graph.edges)}e"
         super().__init__(len(graph.edges), label)
         self.graph = graph
+        # the non-isolated vertices V', ascending: the vertex route's cost
+        # and its tables are over them
+        self._vertices = sorted({v for e in graph.edges for v in e})
 
     def _rank_impl(self, mask: int) -> int:
         count, support = components(self.graph, mask)
@@ -301,11 +304,15 @@ class GraphicMatroid(Matroid):
     rank_size_counts = Matroid.rank_size_counts
 
     def census_route(self) -> str:
-        """"vertex" when VERTEX_STEP_COST * 3^|V'| < 2^|E|, with V' the
-        non-isolated vertices, else "edge"."""
-        g = self.graph
-        nv = len({v for e in g.edges for v in e})
-        return "vertex" if VERTEX_STEP_COST * 3**nv < 1 << len(g.edges) else "edge"
+        """"vertex" when VERTEX_STEP_COST * (3^|V'| + 2^(|V'|+3)) < 2^|E|,
+        with V' the non-isolated vertices, else "edge".  The vertex route
+        takes 3^|V'| steps over pairs of nested vertex sets; building its
+        tables of 2^|V'| entries and its fixed cost come to about eight
+        steps per entry, which is what sends a triangle to the edge
+        scan."""
+        nv = len(self._vertices)
+        steps = 3**nv + (1 << nv + 3)
+        return "vertex" if VERTEX_STEP_COST * steps < 1 << self.ground_size else "edge"
 
     def _census(self, deadline: float | None) -> Counter:
         if self.census_route() == "vertex":
@@ -325,7 +332,7 @@ class GraphicMatroid(Matroid):
         counts: Counter = Counter()
         calls = [0]
 
-        # Not graphs._roots_over: path compression would rewrite parents
+        # Not graphs._union: path compression would rewrite parents
         # that the rollback below must restore.
         def find(x):
             while parent[x] != x:
@@ -384,33 +391,33 @@ class GraphicMatroid(Matroid):
         _check_deadline(deadline)
         g = self.graph
         m = len(g.edges)
-        index = {v: i for i, v in enumerate(sorted({v for e in g.edges for v in e}))}
-        nv = len(index)
+        vertices = self._vertices
+        nv = len(vertices)
         full = (1 << nv) - 1
         bits = m + 1
-        # layers[i][k]: the vertices j >= i joined to vertex i by more than k
-        # edges (a loop joins i to itself), so with i = min S,
-        # e(S) = e(S - i) + sum_k |layers[i][k] within S|
+        index = {v: i for i, v in enumerate(vertices)}
+        # layers[j][k]: the vertices i <= j joined to vertex j by more than k
+        # edges (a loop joins j to itself), so with j = max S,
+        # e(S) = e(S - j) + sum_k |layers[j][k] within S|
         layers: list[list[int]] = [[] for _ in range(nv)]
         for u, w in g.edges:
             i, j = index[u], index[w]
             if i > j:
                 i, j = j, i
-            row, bit = layers[i], 1 << j
+            row, bit = layers[j], 1 << i
             k = 0
-            while k < len(row) and row[k] & bit:  # the first layer without j
+            while k < len(row) and row[k] & bit:  # the first layer without i
                 k += 1
             if k < len(row):
                 row[k] |= bit
             else:
                 row.append(bit)
-        inner = [0] * (full + 1)
-        for s in range(1, full + 1):
-            low = s & -s
-            e = inner[s ^ low]
-            for layer in layers[low.bit_length() - 1]:
-                e += (layer & s).bit_count()
-            inner[s] = e
+        inner = [0]  # e(S); vertex j doubles it with the sets whose max is j
+        for row in layers:
+            ext = inner
+            for layer in row:
+                ext = [e + (layer & s).bit_count() for s, e in enumerate(ext, len(inner))]
+            inner += ext
         pw = [1]  # (1+v)^k, one shift-and-add per k
         for _ in range(m):
             pw.append(pw[-1] + (pw[-1] << bits))
@@ -450,7 +457,8 @@ class GraphicMatroid(Matroid):
         rows, mask, step = z[full], (1 << bits) - 1, bits * (m + 1)
         rank = nv  # q-digit k of Z[V'] is rank |V'| - k, read from k = 0 up
         while rows:
-            row, a = rows & (1 << step) - 1, 0
+            # an edge set of rank r has at least r edges: start at a = r
+            row, a = (rows & (1 << step) - 1) >> bits * rank, rank
             while row:
                 c = row & mask
                 if c:

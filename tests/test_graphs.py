@@ -40,6 +40,14 @@ def test_multigraph_validation():
         MultiGraph(2.5, ())
 
 
+def test_multigraph_rejects_edges_that_are_not_pairs():
+    # unpacking these raised ValueError or TypeError, not BadParams
+    for edges in ([(0, 1, 2)], [(0,)], [5], [()], [None], 7, [[0, 1], "ab", (0, 1)]):
+        with pytest.raises(BadParams):
+            MultiGraph(3, edges)
+    assert MultiGraph(3, [[0, 1], (1, 2)]).edges == ((0, 1), (1, 2))
+
+
 def test_complete_graph_edges_lexicographic():
     assert complete_graph(1).edges == ()
     assert complete_graph(3).edges == ((0, 1), (0, 2), (1, 2))
@@ -85,6 +93,49 @@ def test_quotient_contracts_masked_edges():
     # contracting nothing keeps the graph (vertex count included)
     g = MultiGraph(4, ((0, 1), (2, 3)))
     assert quotient(g, 0) == g
+
+
+def reference_quotient(g, mask):
+    """Contract the edges of mask one at a time, each by renaming every
+    vertex of one endpoint's class to the other's; then label the classes
+    densely by first appearance along 0..n-1 and keep the other edges in
+    order."""
+    cls = list(range(g.n))
+    for i, (u, v) in enumerate(g.edges):
+        if mask >> i & 1 and cls[u] != cls[v]:
+            gone, keep = cls[v], cls[u]
+            cls = [keep if c == gone else c for c in cls]
+    label = {}
+    for v in range(g.n):
+        label.setdefault(cls[v], len(label))
+    kept = [
+        (label[cls[u]], label[cls[v]])
+        for i, (u, v) in enumerate(g.edges)
+        if not mask >> i & 1
+    ]
+    return MultiGraph(len(label), kept)
+
+
+def test_quotient_matches_one_edge_at_a_time_contraction():
+    seen = {"loop": 0, "parallel": 0, "isolated": 0}
+    for k, g in enumerate(random_multigraphs(170001, 150, 8)):
+        rng = random.Random(k)
+        full = g.full_edge_mask
+        masks = {0, full} | {rng.randrange(full + 1) for _ in range(6)}
+        for mask in sorted(masks):
+            got, want = quotient(g, mask), reference_quotient(g, mask)
+            assert (got.n, got.edges) == (want.n, want.edges), (g, mask)
+            assert type(got.edges) is tuple
+        ends = {v for e in g.edges for v in e}
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
+        seen["isolated"] += len(ends) < g.n
+    assert min(seen.values()) >= 10, seen
+    for _name, g in GRAPHS + SIX_VERTEX_GRAPHS:
+        for mask in range(g.full_edge_mask + 1):
+            assert quotient(g, mask) == reference_quotient(g, mask), (g, mask)
+    with pytest.raises(BadParams):
+        quotient(complete_graph(3), 0b1000)
 
 
 def test_quotient_composition_matches_single_quotient():

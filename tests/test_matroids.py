@@ -316,6 +316,31 @@ def test_graphic_census_routes_match_generic_scan():
     assert m.rank_size_counts() == m.edge_census()
 
 
+def test_vertex_census_matches_edge_census_on_seeded_multigraphs():
+    # more edges than the generic scan can take: up to 8 vertices and 16
+    # edges, with loops, parallel edges, isolated vertices and up to four
+    # edges on one pair
+    rng = random.Random(170002)
+    seen = Counter()
+    for _ in range(100):
+        n = min(rng.randint(1, 10), 8)
+        used = rng.sample(range(n), n if rng.random() < 0.5 else rng.randint(1, n))
+        # half of the graphs start from a path through every used vertex
+        edges = list(zip(used, used[1:])) if rng.random() < 0.5 else []
+        for _ in range(rng.randint(0, 16)):
+            u, v = rng.choice(used), rng.choice(used)
+            edges += [(u, v)] * min(rng.choice((1, 1, 1, 2, 4)), 16 - len(edges))
+        g = MultiGraph(n, edges)
+        m = make_graphic(g)
+        assert m.vertex_census() == m.edge_census(), g.edges
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
+        seen["isolated"] += len({v for e in g.edges for v in e}) < n
+        seen["8 vertices"] += len({v for e in g.edges for v in e}) == 8
+    assert min(seen[k] for k in ("loop", "parallel", "isolated")) >= 10, seen
+    assert seen["8 vertices"] >= 5, seen
+
+
 def fp_configs():
     """Seeded F_p configurations, p in {2, 3, 5}: each has a zero vector
     and repeated vectors; empty ground sets and dimension 0 included."""
@@ -424,10 +449,16 @@ def grid_3x3():
 
 
 def test_graphic_census_route_follows_the_cost_estimate():
-    # K7: 3^7 vertex steps against 2^21 edge subsets; the 3x3 grid: 3^9
-    # against 2^12
+    # K7: 0.1 (3^7 + 2^10) against 2^21 edge subsets; the 3x3 grid:
+    # 0.1 (3^9 + 2^12) = 2,378 against 2^12, and its vertex route is about
+    # twice as fast
     assert make_graphic(complete_graph(7)).census_route() == "vertex"
-    assert make_graphic(grid_3x3()).census_route() == "edge"
+    assert make_graphic(grid_3x3()).census_route() == "vertex"
+    # the 12-vertex path has only 2^11 edge subsets; on a triangle the
+    # vertex route's tables cost more than the 8 subsets
+    path12 = MultiGraph(12, [(i, i + 1) for i in range(11)])
+    assert make_graphic(path12).census_route() == "edge"
+    assert make_graphic(complete_graph(3)).census_route() == "edge"
     # isolated vertices do not count against the vertex route
     k4_spread = MultiGraph(12, [(u * 3, v * 3) for u, v in complete_graph(4).edges])
     assert make_graphic(k4_spread).census_route() == "vertex"
