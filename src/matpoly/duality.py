@@ -92,10 +92,10 @@ GRAPH_KINDS = frozenset(
 
 PARTITION_VERTEX_GUARD = 12
 # Every minor table holds 2^n entries and grows about 2x per element.  At
-# n = 20 (uniform:3,20, or K6 plus 5 parallel edges for the Matiyasevich
-# kinds; Python 3.11) the table kinds peak between 185 MB (thm1-two,
-# finaltwo) and 275 MB (twozeta).  20 admits K6 (15 edges) and refuses K7
-# (21 edges).
+# n = 20 (uniform:3,20, or K6 plus 5 parallel edges and K7 minus one edge
+# for the Matiyasevich kinds; Python 3.11) the table kinds peak between
+# 34 MB (thm1-two, finaltwo) and 98 MB (convolution), and kung at 284 MB.
+# 20 admits K7 minus one edge and refuses K7 (21 edges).
 TABLE_GUARD = 20
 
 

@@ -15,9 +15,10 @@ dichromatic Q = u^c(G) * R.  Everything is exact integer arithmetic.
 
 Each matroid class takes the census by its cheapest exact route (see
 ``matroids``): O(n) for uniform matroids, 3^|V'| steps for a graph with
-few vertices for its edges, and at most 2^n subsets otherwise.  Minors
-and explicit tables still scan all 2^n, so each entry point is guarded
-at n <= 24.
+few vertices for its edges, and otherwise one scan that branches only
+on elements outside the span of the taken ones.  That scan still visits
+up to 2^n nodes on a matroid with few dependencies, so each entry point
+is guarded at n <= 24.
 ``chi_delcon`` is the independent recursive route (delete/contract) used
 to cross-check ``chi_subset``; for graphic matroids it memoizes, for
 the length of one call, on a densely re-labeled copy of the graph, which

@@ -12,44 +12,37 @@ so view stacks of any depth stay exact.  ``contract(M, S)`` keeps S as
 the ground set and contracts the complement away.
 
 ``rank`` memoizes every value it computes in the per-instance dict
-``_rank_cache``, so point queries fill it, and so does the generic
-``rank_table``.  ``_peek`` is its read-only twin: a cache hit, or the
-value computed and not stored.  Restriction and contraction views ask
-their base through ``_peek``, so only the view's own cache grows.
+``_rank_cache``, so point queries fill it.  ``_peek`` is its read-only
+twin: a cache hit, or the value computed and not stored.  Dual,
+restriction and contraction views ask their base through ``_peek``, so
+only the view's own cache grows.
 
 Every invariant is read off one object, the rank-size census
 {(|A|, r(A)): count}.  ``rank_size_counts(deadline)`` is its one entry
 point: it checks the deadline and calls the class's ``_census``.
 ``rank_table()`` lists r(A) for every mask, for the lattice transforms
-of ``duality.rank_table``.  Each class takes its cheapest exact route:
+of ``duality.rank_table``.  Each class takes its cheapest exact census:
 
-    class            census route                       rank-table route
-    UniformMatroid   closed form, C(n, a) at min(m, a)  generic
-    LinearMatroidFp  echelon scan branching only off    echelon scan, one
-                     the span, binomial row at a stop   slice per folded
-                                                        subset at a stop
-    GraphicMatroid   vertex expansion (3^|V'|) or edge  generic
-                     scan (2^|E|)
-    DualView         its base's census, reindexed       generic
-    minors, tables   generic scan over ``_rank_impl``   generic
+    class            census route
+    UniformMatroid   closed form, C(n, a) at min(m, a)
+    GraphicMatroid   vertex expansion (3^|V'|) or edge scan (2^|E|)
+    DualView         its base's census, reindexed
+    others           ``Matroid._scan``
 
-The generic rank table is ``[rank(A) for every A]``: 2^n rank queries,
-all of them kept in the cache.  The F_p echelon scan branches only on
-elements outside the span of the taken ones: an element inside it is
-folded, since taking it or leaving it gives every set below the same
-rank.  The scan stops once the taken prefix spans or the elements run
-out; there the census adds the binomial row of the folded and untaken
-elements and the rank table writes the stop's rank into every extension,
-one slice assignment per subset of the folded elements, so neither
-visits those sets.
+Every rank table, and every other census, comes from the one scan,
+``Matroid._scan``.  It branches only on elements outside the span of the
+taken ones and folds the rest, so at a stop the census adds one binomial
+row and the rank table writes one slice per subset of the folded
+elements, and neither visits the sets below.  The span test is the one
+per-class hook, ``_span_test``: the generic test asks ``_peek`` whether
+r(taken + i) is still |taken|, and ``LinearMatroidFp`` reduces vector i
+against an echelon basis of the taken set, one row per taken element.
 
-The generic scan reads the rank cache through ``_peek`` and never writes
-to it, nor to the cache of a minor view's base: a cold census computes
-each of its 2^n ranks once and keeps none, so it runs in
-memory bounded by the census itself (a cache of all 2^22 masks of
-uniform:10,22 held 342 MB), while a census after the generic
-``rank_table`` still reads every rank from the cache.  The class routes
-ask ``rank`` for r(E) at most.
+The scan reads the rank cache through ``_peek`` and never writes to it,
+nor to the cache of a view's base, so a table or census runs in memory
+bounded by its own output (a cache of all 2^22 masks of uniform:10,22
+held 342 MB), while a scan after point queries still reads their ranks
+from the cache.  Every route asks ``rank`` for r(E) at most.
 
 Graphic matroids compute rank(A) as |support of A| minus the number of
 components of A, through ``graphs.components`` and the one general
@@ -59,7 +52,6 @@ one of two routes, chosen by ``census_route`` from a cost estimate:
 non-isolated vertices V' (3^|V'| steps), or ``edge_census``, a
 backtracking scan over edge subsets that keeps its own union-find
 (union by size, no path compression) so each union rolls back in O(1).
-The F_p scan rolls back its echelon basis the same way.
 """
 
 from __future__ import annotations
@@ -159,9 +151,24 @@ class Matroid:
         return m
 
     def rank_table(self) -> list[int]:
-        """r(A) for every mask A, as a dense list of length 2^n, through
-        ``rank``; classes with a faster route override it."""
-        return [self.rank(mask) for mask in range(1 << self.ground_size)]
+        """r(A) for every mask A, as a dense list of length 2^n, from
+        ``_scan``: a stop at element i writes its rank into the masks
+        mask + F + B for every F within ``free``; for each F, the 2^(n-i)
+        masks mask + F + B sit 2^i apart, so one slice each."""
+        n = self.ground_size
+        out = [0] * (1 << n)
+
+        def leaf(i, mask, free, rk):
+            row = [rk] * (1 << n - i)
+            sub = free
+            while True:  # every submask of free, down to the empty set
+                out[mask | sub :: 1 << i] = row
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+
+        self._scan(leaf)
+        return out
 
     def rank_size_counts(self, deadline: float | None = None) -> Counter:
         """Census {(|A|, r(A)): count} over all 2^n subsets, by this
@@ -170,15 +177,71 @@ class Matroid:
         return self._census(deadline)
 
     def _census(self, deadline: float | None) -> Counter:
-        """Generic scan over every mask; reads the rank cache without
-        adding to it."""
+        """``_scan``; a stop at element i with k = |free| + n - i free
+        elements (folded ones and the untaken tail) adds C(k, j) sets of
+        size |mask| + j at its rank, for every j.  Stops are tallied by
+        (k, |mask|, rank) first, so each binomial row is added once per
+        tally rather than once per stop."""
+        n = self.ground_size
+        stops: Counter = Counter()
+
+        def leaf(i, mask, free, rk):
+            stops[n - i + free.bit_count(), mask.bit_count(), rk] += 1
+
+        self._scan(leaf, deadline)
         counts: Counter = Counter()
-        peek = self._peek
-        for mask in range(1 << self.ground_size):
-            if mask & 0xFFF == 0:
-                _check_deadline(deadline)
-            counts[(mask.bit_count(), peek(mask))] += 1
+        for (k, sz, rk), c in stops.items():
+            for j in range(k + 1):
+                counts[(sz + j, rk)] += c * comb(k, j)
         return counts
+
+    def _scan(self, leaf, deadline: float | None = None) -> None:
+        """Depth-first scan over elements that keeps the taken set
+        ``mask`` independent.  Only elements outside its span branch: an
+        element in the span leaves every rank as it is, taken or not, so
+        both of its subtrees would repeat the same choices at the same
+        ranks; it is folded into the mask ``free`` instead.  The scan
+        stops at element i once the taken set spans or i = n, and calls
+        leaf(i, mask, free, rank): every extension of a spanning set
+        keeps the full rank, so the 2^(|free| + n - i) sets mask + F + B,
+        F within ``free`` and B within elements i..n-1, share that rank
+        unvisited."""
+        n = self.ground_size
+        top = self.full_rank()
+        start, extend = self._span_test()
+        calls = [0]
+
+        def rec(i, mask, free, rk, state):
+            if rk == top or i == n:
+                leaf(i, mask, free, rk)
+                return
+            calls[0] += 1
+            if calls[0] & 0x3FFF == 0:
+                _check_deadline(deadline)
+            grown = extend(state, i)
+            if grown is None:
+                rec(i + 1, mask, free | 1 << i, rk, state)
+                return
+            rec(i + 1, mask, free, rk, state)
+            rec(i + 1, mask | 1 << i, free, rk + 1, grown)
+
+        rec(0, 0, 0, 0, start)
+
+    def _span_test(self):
+        """(start, extend), the span test of ``_scan``: a state stands for
+        the independent taken set, ``start`` for the empty set, and
+        extend(state, i) is None when element i is in its span, else the
+        state of the set grown by i.  No state is changed in place.  The
+        generic state is the taken mask: i is in its span when
+        r(mask + i) is still |mask|, read through ``_peek`` so the scan
+        fills no rank cache."""
+        peek = self._peek
+
+        def extend(mask, i):
+            grown = mask | 1 << i
+            return None if peek(grown) == mask.bit_count() else grown
+
+        return 0, extend
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label} on {self.ground_size} elements>"
@@ -191,7 +254,7 @@ class DualView(Matroid):
 
     def _rank_impl(self, mask: int) -> int:
         b = self.base
-        return b.rank(b.full_mask & ~mask) + mask.bit_count() - b.full_rank()
+        return b._peek(b.full_mask & ~mask) + mask.bit_count() - b.full_rank()
 
     def dual(self) -> Matroid:
         return self.base
@@ -505,30 +568,16 @@ class LinearMatroidFp(Matroid):
             col += 1
         return rank
 
-    def _scan(self, leaf, deadline: float | None = None) -> None:
-        """Depth-first scan over elements that keeps an echelon basis,
-        ``basis[c]`` the row whose leading 1 sits in column c; taking an
-        independent element adds one row and returning removes it.  Each
-        element is reduced once per node.
-
-        Only elements outside the span of the taken set branch.  An
-        element in the span leaves the basis as it is, taken or not, so
-        both of its subtrees would repeat the same choices at the same
-        ranks; it is folded into the mask ``free`` instead.  The scan
-        stops at element i once the taken set ``mask`` spans or i = n,
-        and calls leaf(i, mask, free, rank): every extension of a spanning
-        set keeps the full rank, so the 2^(|free| + n - i) sets
-        mask + F + B, F within ``free`` and B within elements i..n-1,
-        share that rank unvisited."""
-        vecs, p, n = self.vectors, self.p, self.ground_size
+    def _span_test(self):
+        """Echelon span test: the state is the taken set's echelon basis,
+        ``basis[c]`` the row with its leading 1 in column c, or None.  The
+        remainder of vector i against it, if any, joins a copy scaled to
+        a leading 1."""
+        vecs, p = self.vectors, self.p
         dim = len(vecs[0]) if vecs else 0
-        top = self.full_rank()
-        basis: list = [None] * dim
-        calls = [0]
 
-        def pivot_row(vec):
-            """(c, row) for vec reduced against the basis and scaled to a
-            leading 1 in column c, or None when vec is in the span."""
+        def extend(basis, i):
+            vec = vecs[i]
             for c in range(dim):
                 a = vec[c]
                 if not a:
@@ -536,65 +585,13 @@ class LinearMatroidFp(Matroid):
                 row = basis[c]
                 if row is None:
                     inv = pow(a, -1, p)
-                    return c, [x * inv % p for x in vec]
+                    grown = basis.copy()
+                    grown[c] = [x * inv % p for x in vec]
+                    return grown
                 vec = [(x - a * y) % p for x, y in zip(vec, row)]
             return None
 
-        def rec(i, mask, free, rk):
-            if rk == top or i == n:
-                leaf(i, mask, free, rk)
-                return
-            calls[0] += 1
-            if calls[0] & 0x3FFF == 0:
-                _check_deadline(deadline)
-            piv = pivot_row(vecs[i])
-            if piv is None:
-                rec(i + 1, mask, free | 1 << i, rk)
-                return
-            rec(i + 1, mask, free, rk)
-            basis[piv[0]] = piv[1]
-            rec(i + 1, mask | 1 << i, free, rk + 1)
-            basis[piv[0]] = None
-
-        rec(0, 0, 0, 0)
-
-    def _census(self, deadline: float | None) -> Counter:
-        """The echelon scan; a stop at element i with k = |free| + n - i
-        free elements (folded ones and the untaken tail) adds C(k, j) sets
-        of size |mask| + j at its rank, for every j.  Stops are tallied by
-        (k, |mask|, rank) first, so each binomial row is added once per
-        tally rather than once per stop."""
-        n = self.ground_size
-        stops: Counter = Counter()
-
-        def leaf(i, mask, free, rk):
-            stops[n - i + free.bit_count(), mask.bit_count(), rk] += 1
-
-        self._scan(leaf, deadline)
-        counts: Counter = Counter()
-        for (k, sz, rk), c in stops.items():
-            for j in range(k + 1):
-                counts[(sz + j, rk)] += c * comb(k, j)
-        return counts
-
-    def rank_table(self) -> list[int]:
-        """The echelon scan; a stop at element i writes its rank into the
-        masks mask + F + B for every F within ``free``: for each F, the
-        2^(n-i) masks mask + F + B sit 2^i apart, so one slice each."""
-        n = self.ground_size
-        out = [0] * (1 << n)
-
-        def leaf(i, mask, free, rk):
-            row = [rk] * (1 << n - i)
-            sub = free
-            while True:  # every submask of free, down to the empty set
-                out[mask | sub :: 1 << i] = row
-                if not sub:
-                    break
-                sub = (sub - 1) & free
-
-        self._scan(leaf)
-        return out
+        return [None] * dim, extend
 
 
 class TableMatroid(Matroid):

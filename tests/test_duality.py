@@ -502,3 +502,11 @@ def test_kung_substitution_is_injective_within_the_degree_bounds():
             keys = list(product(top, null, top, null))
             powers = {kung_exponent(n, rfull, key) for key in keys}
             assert len(powers) == len(keys), (n, rfull)
+
+
+def test_matiyasevich_kinds_pass_at_the_table_guard():
+    # K7 minus one edge has 20 edges, the most TABLE_GUARD admits
+    g = MultiGraph(7, complete_graph(7).edges[:-1])
+    assert len(g.edges) == duality.TABLE_GUARD
+    for kind in ("matiyasevich", "matiyasevich-inverse"):
+        assert verify_identity(kind, g).passed, kind

@@ -36,6 +36,10 @@ def brute_census(m):
     return c
 
 
+def brute_table(m):
+    return [m.rank(mask) for mask in range(1 << m.ground_size)]
+
+
 def test_uniform_rank_and_validation():
     u = make_uniform(2, 5)
     assert u.full_rank() == 2
@@ -208,9 +212,24 @@ def test_fano_independent_triples():
 
 
 def test_census_matches_brute_force():
-    for m in small_matroids(9):
-        assert m.rank_size_counts() == brute_census(m)
-        assert m.dual().rank_size_counts() == brute_census(m.dual())
+    rng = random.Random(180001)
+    # a seeded multigraph with a loop, a parallel edge and a part apart
+    edges = [(rng.randrange(5), rng.randrange(5)) for _ in range(6)]
+    edges += [(0, 0), edges[0], (5, 6), (6, 6)]
+    pg33 = make_pg(3, 3)
+    extra = [
+        make_graphic(MultiGraph(8, edges)),
+        TableMatroid(7, brute_table(make_pg(3, 2)), "pg:3,2 table"),
+        pg33.contract(0b1111011110111).restrict(0b110111101),
+        pg33.restrict(0b1101111011110).dual(),
+        ContractView(make_graphic(complete_graph(5)), 0b1110111111).dual(),
+    ]
+    for m in small_matroids(9) + extra:
+        # the scans run on cold instances; the references fill the caches
+        d = m.dual()
+        got = (m.rank_size_counts(), d.rank_size_counts(), m.rank_table(), d.rank_table())
+        want = (brute_census(m), brute_census(d), brute_table(m), brute_table(d))
+        assert got == want, m
 
 
 def test_census_reads_but_does_not_fill_the_rank_cache():
@@ -218,11 +237,12 @@ def test_census_reads_but_does_not_fill_the_rank_cache():
     u = make_uniform(3, 12)
     chi_subset(u)
     assert len(u._rank_cache) <= 4
-    # after rank_table every census rank is a cache hit; a TableMatroid
-    # takes the generic scan, which a make_pg matroid no longer does
+    # after a rank query on every mask every census rank is a cache hit;
+    # a TableMatroid takes the generic span test, which a make_pg matroid
+    # does not
     want = brute_census(make_pg(3, 2))
     m = TableMatroid(7, rank_table(make_pg(3, 2)), "pg:3,2 table")
-    rank_table(m)
+    brute_table(m)
 
     def no_rank_impl(mask):
         raise AssertionError(f"rank of {mask:#x} recomputed")
@@ -254,7 +274,6 @@ def test_census_reads_but_does_not_fill_the_rank_cache_restrict_view():
         assert len(u._rank_cache) <= 4, view
     m = RestrictView(make_pg(3, 3), 0b1111111111110)
     want = brute_census(m)
-    rank_table(m)
 
     def no_rank_impl(mask):
         raise AssertionError(f"rank of {mask:#x} recomputed")
@@ -263,14 +282,29 @@ def test_census_reads_but_does_not_fill_the_rank_cache_restrict_view():
     assert m.rank_size_counts() == want
 
 
+def test_rank_table_fills_no_rank_cache():
+    # the scan asks ``rank`` for r(E) alone and reads every other rank
+    # through ``_peek``; a contraction also keeps r of its contracted set
+    # in its base's cache
+    for m in (make_graphic(complete_graph(6)), make_uniform(3, 12)):
+        m.rank_table()
+        assert len(m._rank_cache) <= 4, m
+    for view in (
+        lambda b: RestrictView(b, b.full_mask & ~1),
+        lambda b: ContractView(b, b.full_mask & ~1),
+        DualView,
+    ):
+        base = make_graphic(complete_graph(6))
+        m = view(base)
+        m.rank_table()
+        assert len(m._rank_cache) <= 4, m
+        assert len(base._rank_cache) <= 4, m
+
+
 def test_census_deadline_restrict_view():
     u = make_uniform(3, 16)
     with pytest.raises(BudgetExceeded):
         RestrictView(u, u.full_mask).rank_size_counts(deadline=monotonic() - 1.0)
-
-
-def generic_census(m):
-    return Matroid._census(m, None)
 
 
 def random_multigraph(rng):
@@ -294,11 +328,13 @@ def test_graphic_census_routes_match_generic_scan():
     seen = Counter()
     for g in graphs:
         m = make_graphic(g)
-        want = generic_census(m)
-        assert m.vertex_census() == want, g.edges
-        assert m.edge_census() == want, g.edges
-        assert m.rank_size_counts() == want, g.edges
-        assert m.dual().rank_size_counts() == generic_census(m.dual()), g.edges
+        d = m.dual()
+        got = (m.vertex_census(), m.edge_census(), m.rank_size_counts())
+        got_dual, table = d.rank_size_counts(), m.rank_table()
+        want = brute_census(m)
+        assert got == (want, want, want), g.edges
+        assert got_dual == brute_census(d), g.edges
+        assert table == brute_table(m), g.edges
         ends = [v for e in g.edges for v in e]
         seen["loop"] += any(u == v for u, v in g.edges)
         seen["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
@@ -306,8 +342,8 @@ def test_graphic_census_routes_match_generic_scan():
         seen["disconnected"] += component_count(g) - (g.n - len(set(ends))) > 1
     assert min(seen[k] for k in ("loop", "parallel", "isolated", "disconnected")) >= 10, seen
     # a sparse graph on 12 vertices and 22 edges (a path plus seeded chords)
-    # takes the vertex route; the generic scan of 2^22 masks is too slow, so
-    # the edge scan is its reference
+    # takes the vertex route; a rank query for each of its 2^22 masks is
+    # too slow, so the edge scan is its reference
     edges = [(i, i + 1) for i in range(11)]
     while len(edges) < 22:
         edges.append(tuple(rng.sample(range(12), 2)))
@@ -358,8 +394,9 @@ def fp_configs():
 
 def test_fp_census_matches_generic_scan():
     for m in fp_configs():
-        assert m.rank_size_counts() == generic_census(m), (m.p, m.vectors)
-        assert m.dual().rank_size_counts() == generic_census(m.dual()), (m.p, m.vectors)
+        d = m.dual()
+        got = (m.rank_size_counts(), d.rank_size_counts(), d.rank_table())
+        assert got == (brute_census(m), brute_census(d), brute_table(d)), (m.p, m.vectors)
 
 
 def test_fp_rank_table_matches_rank_impl():
@@ -391,19 +428,18 @@ def low_rank_fp_configs():
 
 def test_fp_scan_matches_generic_scan_where_folding_dominates():
     for m in low_rank_fp_configs():
-        # the dual's generic scan asks m.rank for every mask, so m's cache
-        # then holds _rank_impl of every mask and the checks after it
-        # read those values instead of eliminating each mask again
-        assert m.dual().rank_size_counts() == generic_census(m.dual()), (m.p, m.vectors)
-        assert m.rank_size_counts() == generic_census(m), (m.p, m.vectors)
-        want = [m.rank(mask) for mask in range(1 << m.ground_size)]
-        assert m.rank_table() == want, (m.p, m.vectors)
+        d = m.dual()
+        got = (m.rank_size_counts(), d.rank_size_counts(), m.rank_table(), d.rank_table())
+        # brute_census(m) fills m's cache, so the other references read it
+        # instead of eliminating each mask again
+        want = (brute_census(m), brute_census(d), brute_table(m), brute_table(d))
+        assert got == want, (m.p, m.vectors)
 
 
 def scan_stops(m, monkeypatch):
     """Stops the echelon scan makes during ``m.rank_size_counts()``."""
     stops = [0]
-    scan = LinearMatroidFp._scan
+    scan = Matroid._scan
 
     def counting_scan(self, leaf, deadline=None):
         def counted(*args):
@@ -413,7 +449,7 @@ def scan_stops(m, monkeypatch):
         scan(self, counted, deadline)
 
     with monkeypatch.context() as patch:
-        patch.setattr(LinearMatroidFp, "_scan", counting_scan)
+        patch.setattr(Matroid, "_scan", counting_scan)
         m.rank_size_counts()
     return stops[0]
 
@@ -438,8 +474,9 @@ def test_uniform_census_matches_generic_scan():
     cases += [(m, n) for n in range(2, 9) for m in range(1, n)]
     for m, n in cases:
         u = make_uniform(m, n)
-        assert u.rank_size_counts() == generic_census(u), (m, n)
-        assert u.dual().rank_size_counts() == generic_census(u.dual()), (m, n)
+        d = u.dual()
+        got = (u.rank_size_counts(), d.rank_size_counts(), u.rank_table(), d.rank_table())
+        assert got == (brute_census(u), brute_census(d), brute_table(u), brute_table(d)), (m, n)
 
 
 def grid_3x3():
@@ -467,6 +504,9 @@ def test_graphic_census_route_follows_the_cost_estimate():
 def census_routes():
     """name -> (census taking a deadline, whether its checks recur)."""
     u, k7, pg = make_uniform(3, 14), make_graphic(complete_graph(7)), make_pg(4, 2)
+    # the folded scan of uniform:8,20 passes 2^14 nodes, so it reaches its
+    # in-loop deadline check
+    big = make_uniform(8, 20)
     return {
         "uniform": u.rank_size_counts,
         "fp": pg.rank_size_counts,
@@ -475,7 +515,7 @@ def census_routes():
         "graphic-vertex": k7.vertex_census,
         "graphic-edge": k7.edge_census,
         "dual": pg.dual().rank_size_counts,
-        "generic": RestrictView(u, u.full_mask).rank_size_counts,
+        "generic": RestrictView(big, big.full_mask).rank_size_counts,
     }
 
 
