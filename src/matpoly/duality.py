@@ -287,21 +287,18 @@ def chi_dual_restrict_table(m: Matroid) -> list[IntPoly]:
     )
 
 
-def _finaltwo_sum(m: Matroid, size_weights: list[IntPoly] | None = None) -> IntPoly:
-    """sum_A w(|A|) * chi of (M with A contracted away), where the
-    default weight is w(k) = (1-x)^k.  That chi is (-1)^|A| times the
-    superset sum of chi_contract_table at A; the packed sums are tallied
-    per |A|.  The weight is a parameter so tests can mutate it and watch
-    the identity break."""
+def _finaltwo_sum(m: Matroid) -> IntPoly:
+    """sum_A (1-x)^|A| * chi of (M with A contracted away).  That chi is
+    (-1)^|A| times the superset sum of chi_contract_table at A; the packed
+    sums are tallied per |A|."""
     ranks = rank_table(m)
     rfull = ranks[-1]
     sums, w = _packed_sums(
         ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r), superset=True
     )
-    groups = _tally(map(int.bit_count, range(len(sums))), sums, w, signed=True)
-    if size_weights is None:
-        return _one_minus_x_sum(groups)
-    return sum((size_weights[a] * p for a, p in groups.items()), IntPoly.zero())
+    return _one_minus_x_sum(
+        _tally(map(int.bit_count, range(len(sums))), sums, w, signed=True)
+    )
 
 
 def chi_dual_via_finaltwo(m: Matroid) -> IntPoly:

@@ -38,7 +38,8 @@ binomial recurrences with no division, so n! [z^n] is integral by
 construction; its divisibility by x^n is checked, not assumed.
 
 The third route (for benchmarking the claim that it loses) goes through
-the subset census of the cycle matroid of K_n under a time budget.
+the subset census of the cycle matroid of K_n under a time budget, by
+the shared span-folding scan over edge subsets (``Matroid._scan``).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .algebra import (
 from .errors import BadParams
 from .graphs import complete_graph
 from .invariants import _chi_from_counts, flow_poly
-from .matroids import _dual_counts, make_graphic
+from .matroids import Matroid, _dual_counts, make_graphic
 
 
 def partitions(n: int):
@@ -207,11 +208,11 @@ def flow_kn_tutte(n: int, budget_s: float | None = None) -> IntPoly:
     """F_{K_n} through the 2^|E| subset census of the cycle matroid.
 
     Without a budget this delegates to flow_poly and inherits its size
-    guard and census route.  With a budget the census is always the edge
-    scan, under a deadline instead of a size guard, and raises
-    BudgetExceeded when time runs out; the point of this route is to
-    demonstrate how quickly brute force loses to the partition sum, so it
-    must be allowed to try and fail."""
+    guard and census route.  With a budget the census is always the scan
+    over edge subsets, ``Matroid._census``, under a deadline instead of a
+    size guard, and raises BudgetExceeded when time runs out; the point of
+    this route is to demonstrate how quickly brute force loses to the
+    partition sum, so it must be allowed to try and fail."""
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
     g = complete_graph(n)
@@ -219,7 +220,7 @@ def flow_kn_tutte(n: int, budget_s: float | None = None) -> IntPoly:
         return flow_poly(g)
     deadline = monotonic() + budget_s
     m = make_graphic(g)
-    counts = _dual_counts(m.edge_census(deadline), m.ground_size, m.full_rank())
+    counts = _dual_counts(Matroid._census(m, deadline), m.ground_size, m.full_rank())
     return _chi_from_counts(counts, len(g.edges) - (n - 1))
 
 

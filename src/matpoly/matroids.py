@@ -25,18 +25,20 @@ of ``duality.rank_table``.  Each class takes its cheapest exact census:
 
     class            census route
     UniformMatroid   closed form, C(n, a) at min(m, a)
-    GraphicMatroid   vertex expansion (3^|V'|) or edge scan (2^|E|)
+    GraphicMatroid   vertex expansion (3^|V'|) or ``Matroid._scan``
     DualView         its base's census, reindexed
     others           ``Matroid._scan``
 
 Every rank table, and every other census, comes from the one scan,
-``Matroid._scan``.  It branches only on elements outside the span of the
-taken ones and folds the rest, so at a stop the census adds one binomial
-row and the rank table writes one slice per subset of the folded
-elements, and neither visits the sets below.  The span test is the one
+``Matroid._scan`` (a dual reads its base's table backwards).  The scan
+branches only on elements outside the span of the taken ones and folds
+the rest, so at a stop the census adds one binomial row and the rank
+table writes one slice per subset of the folded elements, and neither
+visits the sets below.  The span test is the one
 per-class hook, ``_span_test``: the generic test asks ``_peek`` whether
-r(taken + i) is still |taken|, and ``LinearMatroidFp`` reduces vector i
-against an echelon basis of the taken set, one row per taken element.
+r(taken + i) is still |taken|, ``LinearMatroidFp`` reduces vector i
+against an echelon basis of the taken set, one row per taken element,
+and ``GraphicMatroid`` compares the component labels of edge i's ends.
 
 The scan reads the rank cache through ``_peek`` and never writes to it,
 nor to the cache of a view's base, so a table or census runs in memory
@@ -45,13 +47,11 @@ held 342 MB), while a scan after point queries still reads their ranks
 from the cache.  Every route asks ``rank`` for r(E) at most.
 
 Graphic matroids compute rank(A) as |support of A| minus the number of
-components of A, through ``graphs.components`` and the one general
-union-find in ``graphs._union`` (path halving).  Their census takes
-one of two routes, chosen by ``census_route`` from a cost estimate:
-``vertex_census``, the Fortuin-Kasteleyn expansion over subsets of the
-non-isolated vertices V' (3^|V'| steps), or ``edge_census``, a
-backtracking scan over edge subsets that keeps its own union-find
-(union by size, no path compression) so each union rolls back in O(1).
+components of A, through ``graphs.components`` and the one union-find in
+``graphs._union`` (path halving).  Their census takes one of two routes,
+chosen by ``census_route`` from a cost estimate: ``vertex_census``, the
+Fortuin-Kasteleyn expansion over subsets of the non-isolated vertices V'
+(3^|V'| steps), or the shared scan over edge subsets.
 """
 
 from __future__ import annotations
@@ -65,11 +65,13 @@ from .errors import BadParams, BudgetExceeded, TooLarge
 from .graphs import MultiGraph, components, quotient, subgraph
 
 ENUM_GUARD = 20  # hard cap for circuit/flat enumeration
-# Time of one vertex-route step over one edge-scan node, fitted to
-# break-even timings on graphs of 3 to 11 non-isolated vertices
-# (CHANGES.md).  ``census_route`` counts the vertex route's tables and
+# Time of one vertex-route step over one edge subset, fitted to
+# break-even timings of the vertex route and the scan on graphs of 2 to 11
+# non-isolated vertices (CHANGES.md): the value keeps every graph of at
+# most 4 such vertices, where the scan's fixed cost dominates, on the
+# vertex route.  ``census_route`` counts the vertex route's tables and
 # fixed cost as 2^(|V'|+3) more steps; near a tie either route is as good.
-VERTEX_STEP_COST = 0.1
+VERTEX_STEP_COST = 0.035
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -263,6 +265,15 @@ class DualView(Matroid):
     # under their own name.
     rank_size_counts = Matroid.rank_size_counts
 
+    def rank_table(self) -> list[int]:
+        """The base's table read backwards: E - A is full ^ A, the index
+        of A counted from the end."""
+        base = self.base
+        top = base.full_rank()
+        return [
+            r + a.bit_count() - top for a, r in enumerate(reversed(base.rank_table()))
+        ]
+
     def _census(self, deadline: float | None) -> Counter:
         base = self.base
         return _dual_counts(
@@ -368,11 +379,12 @@ class GraphicMatroid(Matroid):
 
     def census_route(self) -> str:
         """"vertex" when VERTEX_STEP_COST * (3^|V'| + 2^(|V'|+3)) < 2^|E|,
-        with V' the non-isolated vertices, else "edge".  The vertex route
-        takes 3^|V'| steps over pairs of nested vertex sets; building its
-        tables of 2^|V'| entries and its fixed cost come to about eight
-        steps per entry, which is what sends a triangle to the edge
-        scan."""
+        with V' the non-isolated vertices, else "edge", the scan over edge
+        subsets.  The vertex route takes 3^|V'| steps over pairs of nested
+        vertex sets; building its tables of 2^|V'| entries and its fixed
+        cost come to about eight steps per entry.  The scan folds every
+        edge that closes a cycle, so it stays ahead only on sparse graphs,
+        such as forests of 5 or more vertices."""
         nv = len(self._vertices)
         steps = 3**nv + (1 << nv + 3)
         return "vertex" if VERTEX_STEP_COST * steps < 1 << self.ground_size else "edge"
@@ -380,59 +392,21 @@ class GraphicMatroid(Matroid):
     def _census(self, deadline: float | None) -> Counter:
         if self.census_route() == "vertex":
             return self.vertex_census(deadline)
-        return self.edge_census(deadline)
+        return Matroid._census(self, deadline)
 
-    def edge_census(self, deadline: float | None = None) -> Counter:
-        """Census by depth-first scan over all 2^|E| edge subsets with
-        union-find rollback; union by size, no path compression, so undo
-        is O(1)."""
-        _check_deadline(deadline)
-        g = self.graph
-        edges = g.edges
-        m = len(edges)
-        parent = list(range(g.n))
-        size = [1] * g.n
-        counts: Counter = Counter()
-        calls = [0]
+    def _span_test(self):
+        """Component-label span test: the state holds one character per
+        vertex, the label of its component in the taken set.  Edge i =
+        (u, v) is in the span when both ends share a label; otherwise the
+        grown state relabels v's component as u's, one C-level pass."""
+        edges = self.graph.edges
 
-        # Not graphs._union: path compression would rewrite parents
-        # that the rollback below must restore.
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        def rec(i, sz, rk):
-            calls[0] += 1
-            if calls[0] & 0x3FFF == 0:
-                _check_deadline(deadline)
-            if i == m - 1:
-                u, v = edges[i]
-                counts[(sz, rk)] += 1
-                if find(u) == find(v):
-                    counts[(sz + 1, rk)] += 1
-                else:
-                    counts[(sz + 1, rk + 1)] += 1
-                return
-            rec(i + 1, sz, rk)
+        def extend(label, i):
             u, v = edges[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                rec(i + 1, sz + 1, rk)
-            else:
-                if size[ru] > size[rv]:
-                    ru, rv = rv, ru
-                parent[ru] = rv
-                size[rv] += size[ru]
-                rec(i + 1, sz + 1, rk + 1)
-                size[rv] -= size[ru]
-                parent[ru] = ru
+            lu, lv = label[u], label[v]
+            return None if lu == lv else label.replace(lv, lu)
 
-        if m == 0:
-            counts[(0, 0)] = 1
-        else:
-            rec(0, 0, 0)
-        return counts
+        return "".join(map(chr, range(self.graph.n))), extend
 
     def vertex_census(self, deadline: float | None = None) -> Counter:
         """Census by the Fortuin-Kasteleyn vertex-subset expansion

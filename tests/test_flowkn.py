@@ -228,6 +228,8 @@ def test_flow_kn_first_coefficient_past_the_binomials():
 def test_flow_kn_tutte_route():
     for n in range(1, 7):
         assert flow_kn_tutte(n) == flow_kn_partitions(n), n
+    # the budgeted path scans the 2^28 edge subsets of K8 folded
+    assert flow_kn_tutte(8, budget_s=60.0) == flow_kn_partitions(8)
     with pytest.raises(BudgetExceeded):
         flow_kn_tutte(9, budget_s=0.2)
 

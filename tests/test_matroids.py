@@ -329,12 +329,13 @@ def test_graphic_census_routes_match_generic_scan():
     for g in graphs:
         m = make_graphic(g)
         d = m.dual()
-        got = (m.vertex_census(), m.edge_census(), m.rank_size_counts())
-        got_dual, table = d.rank_size_counts(), m.rank_table()
+        got = (m.vertex_census(), Matroid._census(m, None), m.rank_size_counts())
+        got_dual, table, dual_table = d.rank_size_counts(), m.rank_table(), d.rank_table()
         want = brute_census(m)
         assert got == (want, want, want), g.edges
         assert got_dual == brute_census(d), g.edges
         assert table == brute_table(m), g.edges
+        assert dual_table == brute_table(d), g.edges
         ends = [v for e in g.edges for v in e]
         seen["loop"] += any(u == v for u, v in g.edges)
         seen["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
@@ -343,13 +344,13 @@ def test_graphic_census_routes_match_generic_scan():
     assert min(seen[k] for k in ("loop", "parallel", "isolated", "disconnected")) >= 10, seen
     # a sparse graph on 12 vertices and 22 edges (a path plus seeded chords)
     # takes the vertex route; a rank query for each of its 2^22 masks is
-    # too slow, so the edge scan is its reference
+    # too slow, so the scan over edge subsets is its reference
     edges = [(i, i + 1) for i in range(11)]
     while len(edges) < 22:
         edges.append(tuple(rng.sample(range(12), 2)))
     m = make_graphic(MultiGraph(12, edges))
     assert m.census_route() == "vertex"
-    assert m.rank_size_counts() == m.edge_census()
+    assert m.rank_size_counts() == Matroid._census(m, None)
 
 
 def test_vertex_census_matches_edge_census_on_seeded_multigraphs():
@@ -368,7 +369,7 @@ def test_vertex_census_matches_edge_census_on_seeded_multigraphs():
             edges += [(u, v)] * min(rng.choice((1, 1, 1, 2, 4)), 16 - len(edges))
         g = MultiGraph(n, edges)
         m = make_graphic(g)
-        assert m.vertex_census() == m.edge_census(), g.edges
+        assert m.vertex_census() == Matroid._census(m, None), g.edges
         seen["loop"] += any(u == v for u, v in g.edges)
         seen["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
         seen["isolated"] += len({v for e in g.edges for v in e}) < n
@@ -486,16 +487,16 @@ def grid_3x3():
 
 
 def test_graphic_census_route_follows_the_cost_estimate():
-    # K7: 0.1 (3^7 + 2^10) against 2^21 edge subsets; the 3x3 grid:
-    # 0.1 (3^9 + 2^12) = 2,378 against 2^12, and its vertex route is about
-    # twice as fast
+    # K7: 0.035 (3^7 + 2^10) against 2^21 edge subsets; the 3x3 grid:
+    # 0.035 (3^9 + 2^12) = 832 against 2^12, and its vertex route is the
+    # faster
     assert make_graphic(complete_graph(7)).census_route() == "vertex"
     assert make_graphic(grid_3x3()).census_route() == "vertex"
     # the 12-vertex path has only 2^11 edge subsets; on a triangle the
-    # vertex route's tables cost more than the 8 subsets
+    # scan's fixed cost outweighs the vertex route's tables
     path12 = MultiGraph(12, [(i, i + 1) for i in range(11)])
     assert make_graphic(path12).census_route() == "edge"
-    assert make_graphic(complete_graph(3)).census_route() == "edge"
+    assert make_graphic(complete_graph(3)).census_route() == "vertex"
     # isolated vertices do not count against the vertex route
     k4_spread = MultiGraph(12, [(u * 3, v * 3) for u, v in complete_graph(4).edges])
     assert make_graphic(k4_spread).census_route() == "vertex"
@@ -504,8 +505,8 @@ def test_graphic_census_route_follows_the_cost_estimate():
 def census_routes():
     """name -> (census taking a deadline, whether its checks recur)."""
     u, k7, pg = make_uniform(3, 14), make_graphic(complete_graph(7)), make_pg(4, 2)
-    # the folded scan of uniform:8,20 passes 2^14 nodes, so it reaches its
-    # in-loop deadline check
+    # the folded scans of uniform:8,20 and K7 (59,944 nodes) pass 2^14
+    # nodes, so they reach their in-loop deadline checks
     big = make_uniform(8, 20)
     return {
         "uniform": u.rank_size_counts,
@@ -513,7 +514,7 @@ def census_routes():
         "fp-large": make_pg(5, 2).rank_size_counts,
         "graphic": k7.rank_size_counts,
         "graphic-vertex": k7.vertex_census,
-        "graphic-edge": k7.edge_census,
+        "graphic-edge": lambda deadline: Matroid._census(k7, deadline),
         "dual": pg.dual().rank_size_counts,
         "generic": RestrictView(big, big.full_mask).rank_size_counts,
     }
