@@ -307,29 +307,6 @@ class BiPoly:
         """p(px(z), py(z)) as a univariate polynomial, exactly."""
         return _nested_horner(self.terms, px, py, IntPoly.const)
 
-    def translate(self, cx: int, cy: int) -> "BiPoly":
-        """p(x + cx, y + cy), expanded exactly."""
-
-        def pascal(c, top):
-            # rows[k] = coefficients of (z + c)^k in ascending degree
-            rows = [[1]]
-            for _ in range(top):
-                prev = rows[-1]
-                rows.append([c * a + b for a, b in zip(prev + [0], [0] + prev)])
-            return rows
-
-        xrows = pascal(cx, max((i for i, _ in self.terms), default=0))
-        yrows = pascal(cy, max((j for _, j in self.terms), default=0))
-        out: dict = {}
-        for (i, j), c in self.terms.items():
-            ys = yrows[j]
-            for s, xs in enumerate(xrows[i]):
-                if xs:
-                    w = c * xs
-                    for t, yt in enumerate(ys):
-                        out[s, t] = out.get((s, t), 0) + w * yt
-        return BiPoly(out)
-
     def __call__(self, u, v):
         return eval_bipoly(self, u, v)
 

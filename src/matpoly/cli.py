@@ -8,7 +8,7 @@ Subcommands:
     tutte-pg     Tutte polynomial of PG(n-1, q), closed form
     verify       prove one duality identity on one target, as polynomials
     oracle       brute-force counts and the broken-circuit chi
-    bench        time the flow-kn routes and compare checksums
+    bench        time the flow-kn routes and compare their coefficients
 
 Matroid specs: "uniform:m,n", "graphic:<path-to-json>", "pg:n,p", each
 optionally suffixed ":dual".  Graph files hold {"n": ..., "edges": ...}.
@@ -183,7 +183,7 @@ def cmd_bench(args) -> int:
         if meth not in runners:
             raise BadParams(f"unknown method {meth!r}")
     rows = []
-    sums: dict = {}
+    polys: dict = {}
     dead = set()
     for n in range(1, args.n_max + 1):
         for meth in methods:
@@ -213,8 +213,9 @@ def cmd_bench(args) -> int:
                     "wall_ms": round((monotonic() - t0) * 1000, 3),
                 }
             )
-            sums.setdefault(n, set()).add(poly_checksum(poly))
-    consistent = all(len(s) == 1 for s in sums.values())
+            # the checksum cannot tell p from -p, so compare coefficients
+            polys.setdefault(n, set()).add(poly.coeffs)
+    consistent = all(len(s) == 1 for s in polys.values())
     _emit({"consistent": consistent, "rows": rows})
     return 0 if consistent else 3
 
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("bench", help="time flow-kn methods, compare checksums")
+    p = sub.add_parser("bench", help="time flow-kn methods, compare coefficients")
     p.add_argument("target", choices=("flow-kn",))
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--methods", default="partitions,egf")

@@ -17,15 +17,18 @@ uniform verifier:
   polynomial;
 * the Tutte convolution T(x,y) = sum_A T_{M|A}(0,y) T_{M/A}(x,0), Kung's
   bilinear convolution for the Whitney rank polynomial, the split
-  T = T(x,0) + T(0,y) valid on uniform matroids, and the two hyperbola
-  evaluations along xy = x + y style curves.
+  T = T(x,0) + T(0,y) valid on uniform matroids, and the hyperbola
+  evaluation R(x, 1/x) = (x+1)^n x^(R-n), which is T(x, x/(x-1)) =
+  x^n (x-1)^(R-n) in a = x - 1.
 
 Every identity is proved as a polynomial: its checker clears the
 (1-x)^n and x^k denominators of the zeta-weighted form and returns the
 two sides (``IntPoly``s, or ``BiPoly``s for the Tutte convolution and
-split), which must be equal.  Kung's bilinear convolution has four
-variables; one Kronecker substitution, injective on the monomials within
-its degree bounds, maps both of its sides to polynomials in one variable.
+split), which must be equal.  No checker changes variables; the Tutte
+convolution is compared with R in a = x - 1, b = y - 1.  Kung's bilinear
+convolution has four variables; one Kronecker substitution, injective on
+the monomials within its degree bounds, maps both of its sides to
+polynomials in one variable.
 
 Every subset sum over minors is one call of ``_packed_sums``: a value
 per subset, read off (|A|, r(A)) and packed into one int (Kronecker
@@ -48,8 +51,10 @@ before P is built, so one table of wide ints is alive at a time, P is
 tallied per class, and each distinct Q is multiplied once.  The public
 ``chi_*_table``s unpack every cell (``_lattice_sums``); the tests use
 them as references.
-Each checker only states the two sides of its identity, and ``_KINDS``
-maps every kind to its checker.
+Each checker only states the two sides of its identity.  Kinds that
+state one identity share its checker in ``_KINDS``: thm1-two is
+finaltwo, matiyasevich-inverse is thm1-one on the cycle matroid times
+(-1)^|E|, and hyperbola-t is hyperbola-r, so 12 kinds have 9 checkers.
 """
 
 from __future__ import annotations
@@ -101,14 +106,15 @@ TABLE_GUARD = 20
 
 @dataclass
 class VerifyReport:
-    """Outcome of one identity check on one target."""
+    """Outcome of one identity check on one target.  Every kind is proved
+    as a polynomial, so ``mode`` and ``samples`` are the same for all."""
 
     kind: IdentityKind
     target: str
-    mode: str  # always "exact-polynomial"
-    samples: list  # always ["exact"]
     passed: bool
     first_mismatch: str | None = None
+    mode = "exact-polynomial"
+    samples = ("exact",)
 
     def to_json(self) -> dict:
         return {
@@ -382,8 +388,10 @@ def _dual_restriction_sum(m: Matroid) -> IntPoly:
     return _one_minus_x_sum({n - a: p for a, p in groups.items()})
 
 
-def _verify_thm1_one(m: Matroid):
-    """chi_{M*} = (-1)^n sum_A x^(|A|-r(A)) (1-x)^(n-|A|) chi_{M|A}."""
+def _verify_thm1_one(m):
+    """chi_{M*} = (-1)^n sum_A x^(|A|-r(A)) (1-x)^(n-|A|) chi_{M|A}.  On a
+    graph, M is its cycle matroid and chi_{M*} = F_G: matiyasevich-inverse."""
+    m = make_graphic(m) if isinstance(m, MultiGraph) else m
     rhs = _signed(m.ground_size, _restriction_sum(m))
     return chi_subset(m.dual()), rhs
 
@@ -403,22 +411,13 @@ def _verify_twozeta(m: Matroid):
     return _signed(n, chi_subset(m).shift(n - m.full_rank())), rhs
 
 
-# On the cycle matroid M of g, F_{G|A} = chi_{(M|A)*}, and P_{G|A} /
-# x^|V(A)| = chi_{M|A} / x^r(A) because ``subgraph`` keeps only the support
-# vertices, so c(A) = |V(A)| - r(A).  So matiyasevich's right side is
-# twozeta's times x^|V| and matiyasevich-inverse's is thm1-one's without
-# its sign; the left sides stay on the graph.
+# On the cycle matroid M of g, F_{G|A} = chi_{(M|A)*}, so matiyasevich's
+# right side is twozeta's times x^|V|; its left side stays on the graph.
 def _verify_matiyasevich(g: MultiGraph):
     """(-1)^|E| x^|E| P_G = x^|V| sum_A (1-x)^(|E|-|A|) F_{G|A}."""
     rhs = _dual_restriction_sum(make_graphic(g)).shift(g.n)
     ne = len(g.edges)
     return _signed(ne, chromatic_poly(g).shift(ne)), rhs
-
-
-def _verify_matiyasevich_inverse(g: MultiGraph):
-    """(-1)^|E| F_G = sum_A x^(|A|-r(A)) (1-x)^(|E|-|A|) chi_{M|A}."""
-    rhs = _restriction_sum(make_graphic(g))
-    return _signed(len(g.edges), flow_poly(g)), rhs
 
 
 def _verify_th2(g: MultiGraph):
@@ -456,8 +455,8 @@ def _verify_convolution(m: Matroid):
     so two lattice transforms give every factor at once, and the signs
     (-1)^r(A) and (-1)^(|A|+r(A)) combine to (-1)^|A|.  The sums are
     polynomials in a = x-1 and b = y-1, multiplied once per distinct
-    contraction factor; the summed product is translated back to x and y
-    once at the end.
+    contraction factor, and compared with R(a, b) = T(a+1, b+1): the
+    change of variable is a ring automorphism, so this proves the identity.
     """
     ranks = rank_table(m)
     rfull = ranks[-1]
@@ -470,8 +469,7 @@ def _verify_convolution(m: Matroid):
         for i, cx in enumerate(px.coeffs):
             for j, cy in enumerate(py.coeffs):
                 terms[i, j] = terms.get((i, j), 0) + cx * cy
-    rhs = BiPoly(terms).translate(-1, -1)
-    return tutte(m), rhs
+    return whitney_R(m), BiPoly(terms)
 
 
 def _sparse(terms) -> IntPoly:
@@ -531,22 +529,10 @@ def _verify_uniform_split(m: Matroid):
     return t, tx + ty
 
 
-def _verify_hyperbola_t(m: Matroid):
-    """T(x, x/(x-1)) = x^n (x-1)^(R-n), times (x-1)^N with N = n - R, the
-    top y-degree of T: sum t_ij x^(i+j) (x-1)^(N-j) = x^n."""
-    t = tutte(m)
-    n = m.ground_size
-    nullity = n - m.full_rank()
-    groups = _sum_by_key(
-        (nullity - j, IntPoly.monomial(_signed(nullity - j, c), i + j))
-        for (i, j), c in t.terms.items()
-    )
-    return _one_minus_x_sum(groups), IntPoly.monomial(1, n)
-
-
 def _verify_hyperbola_r(m: Matroid):
     """R(x, 1/x) = (x+1)^n x^(R-n), times x^N with N = n - R, the top
-    y-degree of R: sum r_ij x^(i+N-j) = (x+1)^n."""
+    y-degree of R: sum r_ij x^(i+N-j) = (x+1)^n.  It is hyperbola-t,
+    T(x, x/(x-1)) = x^n (x-1)^(R-n), read in a = x - 1."""
     rp = whitney_R(m)
     n = m.ground_size
     nullity = n - m.full_rank()
@@ -561,12 +547,12 @@ _KINDS = {
     IdentityKind.TWOZETA: _verify_twozeta,
     IdentityKind.FINALTWO: _verify_finaltwo,
     IdentityKind.MATIYASEVICH: _verify_matiyasevich,
-    IdentityKind.MATIYASEVICH_INVERSE: _verify_matiyasevich_inverse,
+    IdentityKind.MATIYASEVICH_INVERSE: _verify_thm1_one,
     IdentityKind.TH2_CONNECTED_PARTITIONS: _verify_th2,
     IdentityKind.CONVOLUTION: _verify_convolution,
     IdentityKind.KUNG: _verify_kung,
     IdentityKind.UNIFORM_SPLIT: _verify_uniform_split,
-    IdentityKind.HYPERBOLA_T: _verify_hyperbola_t,
+    IdentityKind.HYPERBOLA_T: _verify_hyperbola_r,
     IdentityKind.HYPERBOLA_R: _verify_hyperbola_r,
 }
 
@@ -576,9 +562,8 @@ def verify_identity(kind: IdentityKind, target, label: str | None = None) -> Ver
 
     ``target`` is a Matroid, or a MultiGraph for the graph-level kinds
     (a MultiGraph is also accepted for matroid kinds and wrapped in its
-    cycle matroid).  Every kind is proved as a polynomial: the report's
-    mode is "exact-polynomial", and a failing report gives both sides as
-    "lhs=... rhs=...".
+    cycle matroid).  Every kind is proved as a polynomial, and a failing
+    report gives both sides as "lhs=... rhs=...".
     """
     try:
         kind = IdentityKind(kind)
@@ -595,4 +580,4 @@ def verify_identity(kind: IdentityKind, target, label: str | None = None) -> Ver
         name = label or target.label
     lhs, rhs = _KINDS[kind](target)
     mismatch = None if lhs == rhs else f"lhs={lhs} rhs={rhs}"
-    return VerifyReport(kind, name, "exact-polynomial", ["exact"], mismatch is None, mismatch)
+    return VerifyReport(kind, name, mismatch is None, mismatch)

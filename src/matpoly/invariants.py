@@ -8,10 +8,11 @@ ground set, n = |E| and R = r(E):
     Tutte           T(x, y)  = sum_A (x-1)^(R - r(A)) (y-1)^(|A| - r(A))
     Whitney rank    R(u, v)  = sum_A u^(R - r(A)) v^(|A| - r(A))
 
-so ``tutte`` is ``whitney_R`` translated by (-1, -1): T(x, y) =
-R(x-1, y-1).  The graph polynomials are read off the same census of the
-cycle matroid: chromatic P = x^c(G) * chi, flow F = chi of the dual,
-dichromatic Q = u^c(G) * R.  Everything is exact integer arithmetic.
+so T(x, y) = R(x-1, y-1), and ``tutte`` takes R to T through the one
+Taylor-shift kernel, ``substitute_one_minus_x``.  The graph polynomials
+are read off the same census of the cycle matroid: chromatic
+P = x^c(G) * chi, flow F = chi of the dual, dichromatic Q = u^c(G) * R.
+Everything is exact integer arithmetic.
 
 Each matroid class takes the census by its cheapest exact route (see
 ``matroids``): O(n) for uniform matroids, 3^|V'| steps for a graph with
@@ -123,8 +124,23 @@ def chi_delcon(m: Matroid) -> IntPoly:
 
 
 def tutte(m: Matroid) -> BiPoly:
-    """Tutte polynomial T(x, y) = R(x-1, y-1) via the rank-size census."""
-    return whitney_R(m).translate(-1, -1)
+    """Tutte polynomial T(x, y) = R(x-1, y-1) via the rank-size census:
+    T is R(-u, -v) at u = 1 - x, v = 1 - y, so r_ij flips by (-1)^(i+j)
+    and one Taylor shift runs per x-column and one per y-row."""
+    r = whitney_R(m).terms
+    nx = 1 + max((i for i, _ in r), default=0)
+    ny = 1 + max((j for _, j in r), default=0)
+    cols = [
+        substitute_one_minus_x(
+            IntPoly((-1) ** (i + j) * r.get((i, j), 0) for i in range(nx))
+        ).coeffs
+        for j in range(ny)
+    ]
+    terms = {}
+    for i in range(nx):
+        row = substitute_one_minus_x(IntPoly(c[i] if i < len(c) else 0 for c in cols))
+        terms.update(((i, j), c) for j, c in enumerate(row.coeffs))
+    return BiPoly(terms)
 
 
 def tutte_uniform_closed(m: int, n: int) -> BiPoly:

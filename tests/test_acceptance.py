@@ -144,7 +144,7 @@ def test_A5_identity_suite_full_corpus(monkeypatch):
         assert checked == want_checked
         # kung, four-variate, is proved exactly like every other kind
         rep = verify_identity(IdentityKind.KUNG, make_uniform(2, 4))
-        assert (rep.mode, rep.samples) == ("exact-polynomial", ["exact"])
+        assert (rep.mode, rep.samples) == ("exact-polynomial", ("exact",))
         # mutation: dropping the (1-x)^|A| factor must break the dual formula
         monkeypatch.setattr(
             duality, "_one_minus_x_sum", lambda groups: sum(groups.values(), IntPoly.zero())

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from matpoly import cli
 from matpoly.cli import main, parse_matroid_spec, poly_checksum
 from matpoly.algebra import BiPoly, IntPoly
 
@@ -229,6 +230,22 @@ def test_bench_consistent(capsys):
     by_n = {}
     for row in data["rows"]:
         assert row["status"] == "ok"
+        by_n.setdefault(row["n"], set()).add(row["checksum"])
+    assert all(len(s) == 1 for s in by_n.values())
+
+
+def test_bench_catches_a_sign_error(capsys, monkeypatch):
+    # -F has the same sum of |coefficients|, so the checksums still agree
+    orig = cli.flow_kn_egf
+    monkeypatch.setattr(cli, "flow_kn_egf", lambda n: -orig(n))
+    code, out, _ = run(
+        capsys, ["bench", "flow-kn", "--n-max", "6", "--methods", "partitions,egf"]
+    )
+    assert code == 3
+    data = json.loads(out)
+    assert data["consistent"] is False
+    by_n = {}
+    for row in data["rows"]:
         by_n.setdefault(row["n"], set()).add(row["checksum"])
     assert all(len(s) == 1 for s in by_n.values())
 

@@ -167,14 +167,14 @@ def test_verify_identity_passes_on_samples():
         rep = verify_identity(kind, target)
         assert rep.passed, (kind, rep.first_mismatch)
         assert rep.first_mismatch is None
-        assert (rep.mode, rep.samples) == ("exact-polynomial", ["exact"])
+        assert (rep.mode, rep.samples) == ("exact-polynomial", ("exact",))
         j = rep.to_json()
         assert j["kind"] == kind.value and j["passed"] is True
 
 
 def test_verify_identity_accepts_string_kind_and_custom_samples():
     rep = verify_identity("thm1-one", make_uniform(2, 4))
-    assert rep.passed and rep.samples == ["exact"]
+    assert rep.passed and rep.samples == ("exact",)
 
 
 def test_verify_identity_failure_is_reported_not_raised():
@@ -203,7 +203,7 @@ def test_exact_kinds_reject_samples():
 
 # Each mutation adds x - 2 to what the named duality function returns, and
 # every kind must then report its two sides.
-EXACT = ("exact-polynomial", ["exact"])
+EXACT = ("exact-polynomial", ("exact",))
 
 # kind: (mode, sample labels, the duality function a mutation bumps)
 REPORT_SHAPES = {
@@ -212,12 +212,12 @@ REPORT_SHAPES = {
     "twozeta": EXACT + ("chi_subset",),
     "finaltwo": EXACT + ("chi_subset",),
     "matiyasevich": EXACT + ("chromatic_poly",),
-    "matiyasevich-inverse": EXACT + ("flow_poly",),
+    "matiyasevich-inverse": EXACT + ("chi_subset",),
     "th2-connected-partitions": EXACT + ("flow_poly",),
-    "convolution": EXACT + ("tutte",),
+    "convolution": EXACT + ("whitney_R",),
     "kung": EXACT + ("whitney_R",),
     "uniform-split": EXACT + ("tutte",),
-    "hyperbola-t": EXACT + ("tutte",),
+    "hyperbola-t": EXACT + ("whitney_R",),
     "hyperbola-r": EXACT + ("whitney_R",),
 }
 
@@ -296,7 +296,9 @@ def test_matiyasevich_right_sides_match_a_per_subgraph_reference():
         ne = len(g.edges)
         subs = [subgraph(g, mask) for mask in range(1 << ne)]
         _lhs, rhs = duality._verify_matiyasevich(g)
-        _lhs, rhs_inverse = duality._verify_matiyasevich_inverse(g)
+        # matiyasevich-inverse is thm1-one's check, whose sides carry
+        # the sign (-1)^|E|
+        _lhs, rhs_inverse = duality._KINDS[IdentityKind.MATIYASEVICH_INVERSE](g)
         # with the denominators cleared, G|A weighs (1-x)^(|E|-|A|) in both
         weights = [poly_pow(IntPoly((1, -1)), ne - h.edge_count) for h in subs]
         want = sum(
@@ -311,7 +313,7 @@ def test_matiyasevich_right_sides_match_a_per_subgraph_reference():
             IntPoly.zero(),
         )
         assert rhs == want, g
-        assert rhs_inverse == want_inverse, g
+        assert rhs_inverse == (-want_inverse if ne % 2 else want_inverse), g
         ends = {v for e in g.edges for v in e}
         seen.update(
             name

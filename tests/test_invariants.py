@@ -116,7 +116,7 @@ def test_tutte_golden_values():
 
 
 def test_tutte_uniform_closed_matches_census():
-    for m, n in UNIFORM_PARAMS:
+    for m, n in UNIFORM_PARAMS + [(10, 22)]:
         assert tutte_uniform_closed(m, n) == tutte(make_uniform(m, n)), (m, n)
 
 
@@ -147,6 +147,22 @@ def test_tutte_counting_evaluations():
         assert t(2, 2) == 1 << m.ground_size, m.label
 
 
+def shifted_by_products(r: BiPoly) -> BiPoly:
+    """sum r_ij (x-1)^i (y-1)^j, expanded term by term with BiPoly
+    products."""
+    x_minus_1 = BiPoly({(1, 0): 1, (0, 0): -1})
+    y_minus_1 = x_minus_1.swap_vars()
+    acc = BiPoly.zero()
+    for (i, j), c in r.terms.items():
+        term = BiPoly.const(c)
+        for _ in range(i):
+            term = term * x_minus_1
+        for _ in range(j):
+            term = term * y_minus_1
+        acc = acc + term
+    return acc
+
+
 def test_whitney_rank_polynomial():
     for m in small_matroids(9):
         r = whitney_R(m)
@@ -159,7 +175,9 @@ def test_whitney_rank_polynomial():
             terms[k] = terms.get(k, 0) + 1
         assert r == BiPoly(terms), m.label
         # T(x, y) = R(x-1, y-1)
-        assert tutte(m) == r.translate(-1, -1), m.label
+        assert tutte(m) == shifted_by_products(r), m.label
+    big = make_uniform(10, 22)
+    assert tutte(big) == shifted_by_products(whitney_R(big))
 
 
 def test_chi_from_tutte_matches_subset_expansion():
