@@ -1,16 +1,15 @@
 """Exact polynomial invariants of matroids and graphs.
 
-Characteristic, chromatic, flow, Tutte, Whitney rank and dichromatic
-polynomials over exact integer/rational arithmetic, the duality
-identities connecting them, fast closed forms for complete graphs and
-projective geometries, and brute-force oracles to check it all against.
+Characteristic, chromatic, flow, Tutte and Whitney rank polynomials
+over exact integer/rational arithmetic, the duality identities
+connecting them, fast closed forms for complete graphs and projective
+geometries, and brute-force oracles to check it all against.
 """
 
 from .algebra import (
     BiPoly,
     IntPoly,
     PolySeries,
-    eval_bipoly,
     exact_div_monomial,
     falling_factorial,
     poly_pow,
@@ -55,11 +54,8 @@ from .graphs import (
 )
 from .invariants import (
     chi_delcon,
-    chi_dual_from_tutte,
-    chi_from_tutte,
     chi_subset,
     chromatic_poly,
-    dichromatic_Q,
     flow_poly,
     tutte,
     tutte_uniform_closed,

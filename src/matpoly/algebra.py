@@ -304,11 +304,19 @@ class BiPoly:
         return BiPoly({(j, i): c for (i, j), c in self.terms.items()})
 
     def substitute(self, px: IntPoly, py: IntPoly) -> IntPoly:
-        """p(px(z), py(z)) as a univariate polynomial, exactly."""
-        return _nested_horner(self.terms, px, py, IntPoly.const)
-
-    def __call__(self, u, v):
-        return eval_bipoly(self, u, v)
+        """p(px(z), py(z)) as a univariate polynomial, exactly: each
+        y-column by Horner in px, then Horner in py over the columns."""
+        cols: dict = {}
+        for (i, j), c in self.terms.items():
+            cols.setdefault(j, {})[i] = c
+        acc = IntPoly.zero()
+        for j in range(max(cols, default=-1), -1, -1):
+            col = cols.get(j, {})
+            cacc = IntPoly.zero()
+            for i in range(max(col, default=-1), -1, -1):
+                cacc = cacc * px + IntPoly.const(col.get(i, 0))
+            acc = acc * py + cacc
+        return acc
 
     def __str__(self) -> str:
         if not self.terms:
@@ -334,27 +342,6 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.terms!r})"
-
-
-def eval_bipoly(p: BiPoly, u, v):
-    """Evaluate p at (u, v); exact for int/rational arguments."""
-    return _nested_horner(p.terms, u, v, int)
-
-
-def _nested_horner(terms: dict, u, v, const):
-    """sum c_ij u^i v^j: each v-column by Horner in u, then Horner in v
-    over the columns; ``const`` lifts an int coefficient to u's ring."""
-    cols: dict = {}
-    for (i, j), c in terms.items():
-        cols.setdefault(j, {})[i] = c
-    acc = const(0)
-    for j in range(max(cols, default=-1), -1, -1):
-        col = cols.get(j, {})
-        cacc = const(0)
-        for i in range(max(col, default=-1), -1, -1):
-            cacc = cacc * u + const(col.get(i, 0))
-        acc = acc * v + cacc
-    return acc
 
 
 class PolySeries:

@@ -32,10 +32,10 @@ from .duality import GRAPH_KINDS, IdentityKind, verify_identity
 from .errors import BadParams, BudgetExceeded, MatpolyError, TooLarge
 from .flowkn import flow_kn_egf, flow_kn_partitions, flow_kn_tutte
 from .graphs import MultiGraph, graph_from_json
-from .invariants import chi_subset
+from .invariants import SUBSET_GUARD, chi_subset
 from .matroids import Matroid, make_graphic, make_pg, make_uniform
 from .oracles import chi_via_broken_circuits, count_colorings, count_nz_flows
-from .projective import chi_pg_dual, tutte_pg
+from .projective import chi_pg_dual, points_count, tutte_pg
 
 
 def poly_json(p: IntPoly) -> dict:
@@ -85,6 +85,9 @@ def parse_matroid_spec(spec: str):
             n, p = int(n_str), int(p_str)
         except ValueError as exc:
             raise BadParams(f"bad pg spec {spec!r}") from exc
+        # make_pg walks all p^n vectors, so refuse before building
+        if points_count(n, p) > SUBSET_GUARD:
+            raise TooLarge(f"{spec} has more than {SUBSET_GUARD} points")
         m = make_pg(n, p)
         g = None
     elif kind == "graphic":

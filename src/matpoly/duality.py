@@ -39,7 +39,7 @@ cells) that adds plain ints, so a full table of minor polynomials costs
 n * 2^n additions instead of 3^n.
 Every table starts from ``rank_table``, whose one guard (``TABLE_GUARD``)
 refuses more than 20 elements before any rank query.
-The checkers never unpack a table cell by cell.  A right side whose
+No table is unpacked cell by cell.  A right side whose
 weight depends on |A| or on (|A|, r(A)) tallies its packed table with
 ``_tally``: a Counter over the (key, packed int) pairs, each distinct
 pair unpacked once and scaled by its count.  The signs (-1)^|A|, the
@@ -48,9 +48,7 @@ act on those <= (n+1)^2 groups.  Kung's and the Tutte convolution's
 right sides are sums of (-1)^|A| P_A Q_A over a subset table P and a
 superset table Q (``_class_product_sum``): Q is reduced to class ids
 before P is built, so one table of wide ints is alive at a time, P is
-tallied per class, and each distinct Q is multiplied once.  The public
-``chi_*_table``s unpack every cell (``_lattice_sums``); the tests use
-them as references.
+tallied per class, and each distinct Q is multiplied once.
 Each checker only states the two sides of its identity.  Kinds that
 state one identity share its checker in ``_KINDS``: thm1-two is
 finaltwo, matiyasevich-inverse is thm1-one on the cycle matroid times
@@ -207,14 +205,6 @@ def _packed_sums(
     return (superset_zeta if superset else subset_zeta)(cells, n), w
 
 
-def _lattice_sums(ranks: list[int], value, superset: bool = False) -> list[IntPoly]:
-    """``_packed_sums`` as one ``IntPoly`` per subset; each distinct sum
-    is unpacked once."""
-    sums, w = _packed_sums(ranks, value, superset)
-    unpacked = {v: IntPoly.unpack(v, w) for v in set(sums)}
-    return [unpacked[v] for v in sums]
-
-
 def _tally(keys, sums: list[int], w: int, signed: bool = False) -> dict:
     """{k: sum of the packed sums[A], unpacked, over every mask A with
     keys[A] = k}, each term times (-1)^|A| when ``signed``.
@@ -253,50 +243,10 @@ def _signed(k: int, p):
     return -p if k % 2 else p
 
 
-def _negate_odd(vals: list) -> list:
-    """(-1)^|A| vals[A] for every A."""
-    return [-v if mask.bit_count() % 2 else v for mask, v in enumerate(vals)]
-
-
-def chi_restrict_table(m: Matroid) -> list[IntPoly]:
-    """chi of M restricted to A, for every A at once.
-
-    Subset-sum f(B) = (-1)^|B| x^(R - r(B)), then divide the entry at A by
-    x^(R - r(A)); divisibility is guaranteed because ranks of subsets of A
-    never exceed r(A).  Each distinct (sum, r(A)) pair is divided once.
-    """
-    ranks = rank_table(m)
-    rfull = ranks[-1]
-    vals = _lattice_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r))
-    pairs = list(zip(vals, ranks))
-    quotients = {(v, r): exact_div_monomial(v, rfull - r) for v, r in set(pairs)}
-    return [quotients[pair] for pair in pairs]
-
-
-def chi_contract_table(m: Matroid) -> list[IntPoly]:
-    """chi of M with the subset A contracted away (ground set E - A),
-    for every A at once, via a superset Moebius sum."""
-    ranks = rank_table(m)
-    rfull = ranks[-1]
-    return _negate_odd(
-        _lattice_sums(
-            ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r), superset=True
-        )
-    )
-
-
-def chi_dual_restrict_table(m: Matroid) -> list[IntPoly]:
-    """chi of (M|A)* = chi of M*.A, for every A, via a subset Moebius sum
-    of x^(|C| - r(C))."""
-    return _negate_odd(
-        _lattice_sums(rank_table(m), lambda a, r: IntPoly.monomial((-1) ** a, a - r))
-    )
-
-
 def _finaltwo_sum(m: Matroid) -> IntPoly:
     """sum_A (1-x)^|A| * chi of (M with A contracted away).  That chi is
-    (-1)^|A| times the superset sum of chi_contract_table at A; the packed
-    sums are tallied per |A|."""
+    (-1)^|A| sum_{C superset A} (-1)^|C| x^(R - r(C)), so the packed
+    superset sums are tallied per |A| with the sign (-1)^|A|."""
     ranks = rank_table(m)
     rfull = ranks[-1]
     sums, w = _packed_sums(
@@ -359,9 +309,9 @@ def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
 def _restriction_sum(m: Matroid) -> IntPoly:
     """sum_A x^(|A|-r(A)) (1-x)^(n-|A|) chi_{M|A}: the right side of
     thm1-one up to the sign (-1)^n, and of matiyasevich-inverse on a
-    cycle matroid.  The packed subset sums of chi_restrict_table are
-    tallied per (|A|, r(A)), and each group is divided by x^(R - r(A))
-    once."""
+    cycle matroid.  chi_{M|A} is sum_{B subset A} (-1)^|B| x^(R - r(B))
+    over x^(R - r(A)): the packed subset sums are tallied per (|A|, r(A)),
+    and each group is divided once."""
     n = m.ground_size
     ranks = rank_table(m)
     rfull = ranks[-1]
@@ -377,9 +327,9 @@ def _restriction_sum(m: Matroid) -> IntPoly:
 
 def _dual_restriction_sum(m: Matroid) -> IntPoly:
     """sum_A (1-x)^(n-|A|) chi_{(M|A)*}: the right side of twozeta, and of
-    matiyasevich on a cycle matroid up to the factor x^|V|.  The packed
-    subset sums of chi_dual_restrict_table are tallied per |A| with the
-    sign (-1)^|A|."""
+    matiyasevich on a cycle matroid up to the factor x^|V|.  chi_{(M|A)*}
+    is (-1)^|A| sum_{C subset A} (-1)^|C| x^(|C| - r(C)), so the packed
+    subset sums are tallied per |A| with the sign (-1)^|A|."""
     n = m.ground_size
     sums, w = _packed_sums(
         rank_table(m), lambda a, r: IntPoly.monomial((-1) ** a, a - r)

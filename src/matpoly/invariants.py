@@ -11,7 +11,7 @@ ground set, n = |E| and R = r(E):
 so T(x, y) = R(x-1, y-1), and ``tutte`` takes R to T through the one
 Taylor-shift kernel, ``substitute_one_minus_x``.  The graph polynomials
 are read off the same census of the cycle matroid: chromatic
-P = x^c(G) * chi, flow F = chi of the dual, dichromatic Q = u^c(G) * R.
+P = x^c(G) * chi and flow F = chi of the dual.
 Everything is exact integer arithmetic.
 
 Each matroid class takes the census by its cheapest exact route (see
@@ -181,22 +181,6 @@ def whitney_R(m: Matroid) -> BiPoly:
     return BiPoly(terms)
 
 
-def chi_from_tutte(m: Matroid) -> IntPoly:
-    """chi(z) = (-1)^R T(1-z, 0): T's x-column at y = 0 (x-degree at most
-    R), Taylor-shifted."""
-    t, rank = tutte(m).terms, m.full_rank()
-    p = substitute_one_minus_x(IntPoly(t.get((i, 0), 0) for i in range(rank + 1)))
-    return p if rank % 2 == 0 else -p
-
-
-def chi_dual_from_tutte(m: Matroid) -> IntPoly:
-    """chi of the dual: (-1)^(n-R) T(0, 1-z), T's y-column at x = 0
-    (y-degree at most n - R), Taylor-shifted."""
-    t, nullity = tutte(m).terms, m.ground_size - m.full_rank()
-    p = substitute_one_minus_x(IntPoly(t.get((0, j), 0) for j in range(nullity + 1)))
-    return p if nullity % 2 == 0 else -p
-
-
 def _dedup_parallel(g: MultiGraph) -> MultiGraph:
     """Drop repeated parallel edges and repeated loops, keeping the first
     of each class.  Proper colorings cannot tell the difference, and the
@@ -226,13 +210,4 @@ def chromatic_poly(g: MultiGraph) -> IntPoly:
 def flow_poly(g: MultiGraph) -> IntPoly:
     """Flow polynomial F(x) = chi of the dual of the cycle matroid."""
     return chi_subset(make_graphic(g).dual())
-
-
-def dichromatic_Q(g: MultiGraph) -> BiPoly:
-    """Dichromatic polynomial Q(u, v) = u^c(G) * R(u, v) of the cycle
-    matroid; loops and parallel edges all contribute."""
-    m = make_graphic(g)
-    r = whitney_R(m)
-    c = g.n - m.full_rank()
-    return BiPoly({(i + c, j): v for (i, j), v in r.terms.items()})
 

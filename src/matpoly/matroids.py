@@ -138,20 +138,6 @@ class Matroid:
     def is_coloop(self, e: int) -> bool:
         return self.rank(self.full_mask & ~(1 << e)) == self.full_rank() - 1
 
-    def loops_mask(self) -> int:
-        m = 0
-        for e in range(self.ground_size):
-            if self.is_loop(e):
-                m |= 1 << e
-        return m
-
-    def coloops_mask(self) -> int:
-        m = 0
-        for e in range(self.ground_size):
-            if self.is_coloop(e):
-                m |= 1 << e
-        return m
-
     def rank_table(self) -> list[int]:
         """r(A) for every mask A, as a dense list of length 2^n, from
         ``_scan``: a stop at element i writes its rank into the masks
@@ -396,17 +382,19 @@ class GraphicMatroid(Matroid):
 
     def _span_test(self):
         """Component-label span test: the state holds one character per
-        vertex, the label of its component in the taken set.  Edge i =
-        (u, v) is in the span when both ends share a label; otherwise the
-        grown state relabels v's component as u's, one C-level pass."""
-        edges = self.graph.edges
+        non-isolated vertex, the label of its component in the taken set.
+        Edge i = (u, v) is in the span when both ends share a label;
+        otherwise the grown state relabels v's component as u's, one
+        C-level pass."""
+        index = {v: i for i, v in enumerate(self._vertices)}
+        edges = [(index[u], index[v]) for u, v in self.graph.edges]
 
         def extend(label, i):
             u, v = edges[i]
             lu, lv = label[u], label[v]
             return None if lu == lv else label.replace(lv, lu)
 
-        return "".join(map(chr, range(self.graph.n))), extend
+        return "".join(map(chr, range(len(index)))), extend
 
     def vertex_census(self, deadline: float | None = None) -> Counter:
         """Census by the Fortuin-Kasteleyn vertex-subset expansion

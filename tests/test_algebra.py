@@ -11,7 +11,6 @@ from matpoly.algebra import (
     BiPoly,
     IntPoly,
     PolySeries,
-    eval_bipoly,
     exact_div_monomial,
     falling_factorial,
     poly_pow,
@@ -182,7 +181,7 @@ def test_bipoly_basics():
     # zero coefficients are never stored
     assert (t - t).terms == {}
     assert BiPoly({(2, 0): 0}).terms == {}
-    assert eval_bipoly(t, 3, 5) == (3 - 1) * (5 - 1)
+    assert t.substitute(IntPoly.const(3), IntPoly.const(5)) == IntPoly.const((3 - 1) * (5 - 1))
 
 
 def test_bipoly_swap_vars():

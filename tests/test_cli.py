@@ -6,6 +6,7 @@ user sees.
 """
 
 import json
+import signal
 
 import pytest
 
@@ -215,6 +216,30 @@ def test_oracle_missing_arguments_exit_2(capsys):
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert json.loads(err)["error"]["type"] == "BadParams"
+
+
+def test_oversized_pg_spec_is_refused_before_it_is_built(capsys):
+    # make_pg walks all p^n vectors, so pg:30,2 and pg:12,5 would take
+    # minutes and gigabytes; every command must refuse them within 1 s
+    def too_slow(*_):
+        raise TimeoutError("the spec was built before a guard refused it")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        for spec in ("pg:30,2", "pg:12,5:dual"):
+            for argv in (
+                ["chi", "--matroid", spec],
+                ["verify", "--identity", "kung", "--matroid", spec],
+                ["oracle", "chi-bc", "--matroid", spec],
+            ):
+                signal.setitimer(signal.ITIMER_REAL, 1.0)
+                code, out, err = run(capsys, argv)
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                assert code == 2 and out == "", argv
+                assert json.loads(err)["error"]["type"] == "TooLarge", argv
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_bench_consistent(capsys):

@@ -11,12 +11,9 @@ from matpoly.algebra import BiPoly, IntPoly, exact_div_monomial, poly_pow
 from matpoly.duality import (
     GRAPH_KINDS,
     IdentityKind,
-    _lattice_sums,
+    _packed_sums,
     _verify_kung,
-    chi_contract_table,
-    chi_dual_restrict_table,
     chi_dual_via_finaltwo,
-    chi_restrict_table,
     flow_via_connected_partitions,
     rank_table,
     subset_zeta,
@@ -77,7 +74,7 @@ def test_packed_lattice_sums_match_brute_force():
                 }
             cells = [table[mask.bit_count(), r] for mask, r in enumerate(ranks)]
             for superset in (False, True):
-                got = _lattice_sums(ranks, lambda a, r: table[a, r], superset)
+                sums, w = _packed_sums(ranks, lambda a, r: table[a, r], superset)
                 for mask in range(1 << n):
                     terms = (
                         cells[b]
@@ -85,7 +82,8 @@ def test_packed_lattice_sums_match_brute_force():
                         if b & mask == (mask if superset else b)
                     )
                     want = sum(terms, IntPoly.zero())
-                    assert got[mask] == want, (n, trial, superset, mask)
+                    got = IntPoly.unpack(sums[mask], w)
+                    assert got == want, (n, trial, superset, mask)
 
 
 def test_rank_table():
@@ -98,20 +96,30 @@ def test_rank_table():
 
 
 def test_minor_chi_tables_match_direct_computation():
+    # the packed sums that _restriction_sum, _finaltwo_sum and
+    # _dual_restriction_sum tally, cell by cell against the minors' chi
     for m in (make_uniform(2, 4), make_graphic(K3), make_pg(2, 2)):
         n = m.ground_size
         full = m.full_mask
-        rt = chi_restrict_table(m)
-        ct = chi_contract_table(m)
-        dt = chi_dual_restrict_table(m)
+        ranks = rank_table(m)
+        rfull = ranks[-1]
+        rs, rw = _packed_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r))
+        cs, cw = _packed_sums(
+            ranks, lambda a, r: IntPoly.monomial((-1) ** a, rfull - r), superset=True
+        )
+        ds, dw = _packed_sums(ranks, lambda a, r: IntPoly.monomial((-1) ** a, a - r))
         d = m.dual()
         for mask in range(1 << n):
+            sign = (-1) ** mask.bit_count()
+            rt = exact_div_monomial(IntPoly.unpack(rs[mask], rw), rfull - ranks[mask])
+            ct = IntPoly.unpack(cs[mask], cw).scale(sign)
+            dt = IntPoly.unpack(ds[mask], dw).scale(sign)
             # rt and dt are indexed by the kept set A; ct by the set
             # contracted away (its ground set is E - A)
-            assert rt[mask] == chi_subset(m.restrict(mask)), (m.label, mask)
-            assert ct[mask] == chi_subset(m.contract(full & ~mask)), (m.label, mask)
-            assert dt[mask] == chi_subset(m.restrict(mask).dual()), (m.label, mask)
-            assert dt[mask] == chi_subset(d.contract(mask)), (m.label, mask)
+            assert rt == chi_subset(m.restrict(mask)), (m.label, mask)
+            assert ct == chi_subset(m.contract(full & ~mask)), (m.label, mask)
+            assert dt == chi_subset(m.restrict(mask).dual()), (m.label, mask)
+            assert dt == chi_subset(d.contract(mask)), (m.label, mask)
 
 
 def test_chi_dual_via_finaltwo_matches_subset_expansion():

@@ -6,16 +6,13 @@ from math import comb
 import pytest
 
 from matpoly import TooLarge
-from matpoly.algebra import BiPoly, IntPoly, poly_pow
+from matpoly.algebra import BiPoly, IntPoly, poly_pow, substitute_one_minus_x
 import matpoly.invariants as invariants_module
 from matpoly.graphs import MultiGraph, complete_graph, component_count
 from matpoly.invariants import (
     chi_delcon,
-    chi_dual_from_tutte,
-    chi_from_tutte,
     chi_subset,
     chromatic_poly,
-    dichromatic_Q,
     flow_poly,
     tutte,
     tutte_uniform_closed,
@@ -125,6 +122,11 @@ def test_tutte_duality_swaps_variables():
         assert tutte(m.dual()) == tutte(m).swap_vars(), m.label
 
 
+def at(t, x, y):
+    """t(x, y) at integers, term by term."""
+    return sum(c * x**i * y**j for (i, j), c in t.terms.items())
+
+
 def test_tutte_counting_evaluations():
     """T(1,1)=bases, T(2,1)=independent sets, T(1,2)=spanning sets,
     T(2,2)=2^n, re-counted by brute force."""
@@ -141,10 +143,10 @@ def test_tutte_counting_evaluations():
                     bases += 1
             if rho == r:
                 spanning += 1
-        assert t(1, 1) == bases, m.label
-        assert t(2, 1) == indep, m.label
-        assert t(1, 2) == spanning, m.label
-        assert t(2, 2) == 1 << m.ground_size, m.label
+        assert at(t, 1, 1) == bases, m.label
+        assert at(t, 2, 1) == indep, m.label
+        assert at(t, 1, 2) == spanning, m.label
+        assert at(t, 2, 2) == 1 << m.ground_size, m.label
 
 
 def shifted_by_products(r: BiPoly) -> BiPoly:
@@ -181,9 +183,15 @@ def test_whitney_rank_polynomial():
 
 
 def test_chi_from_tutte_matches_subset_expansion():
+    # chi(z) = (-1)^R T(1-z, 0) and chi of the dual = (-1)^(n-R) T(0, 1-z)
+    one_minus_z, zero = IntPoly((1, -1)), IntPoly.zero()
     for m in small_matroids(12):
-        assert chi_from_tutte(m) == chi_subset(m), m.label
-        assert chi_dual_from_tutte(m) == chi_subset(m.dual()), m.label
+        t, rank = tutte(m), m.full_rank()
+        nullity = m.ground_size - rank
+        want = t.substitute(one_minus_z, zero)
+        want_dual = t.substitute(zero, one_minus_z)
+        assert chi_subset(m) == (-want if rank % 2 else want), m.label
+        assert chi_subset(m.dual()) == (-want_dual if nullity % 2 else want_dual), m.label
 
 
 def random_multigraph(rng):
@@ -192,17 +200,20 @@ def random_multigraph(rng):
 
 
 def test_chi_from_tutte_matches_the_generic_substitution():
-    # the column-and-Taylor-shift route against BiPoly.substitute of 1 - z
+    # the column-and-Taylor-shift route against BiPoly.substitute of 1 - z:
+    # T(1-z, 0) is the x-column of T at y = 0 shifted once, T(0, 1-z) the
+    # y-column at x = 0
     one_minus_z, zero = IntPoly((1, -1)), IntPoly.zero()
     rng = random.Random(616020)
     graphs = [make_graphic(random_multigraph(rng)) for _ in range(40)]
     for m in all_matroids() + graphs:
-        t, rank = tutte(m), m.full_rank()
-        nullity = m.ground_size - rank
-        want = t.substitute(one_minus_z, zero)
-        want_dual = t.substitute(zero, one_minus_z)
-        assert chi_from_tutte(m) == (-want if rank % 2 else want), m.label
-        assert chi_dual_from_tutte(m) == (-want_dual if nullity % 2 else want_dual), m.label
+        t = tutte(m)
+        nx = 1 + max((i for i, _ in t.terms), default=0)
+        ny = 1 + max((j for _, j in t.terms), default=0)
+        x_col = IntPoly(t.terms.get((i, 0), 0) for i in range(nx))
+        y_col = IntPoly(t.terms.get((0, j), 0) for j in range(ny))
+        assert substitute_one_minus_x(x_col) == t.substitute(one_minus_z, zero), m.label
+        assert substitute_one_minus_x(y_col) == t.substitute(zero, one_minus_z), m.label
 
 
 def test_chromatic_known_values():
@@ -244,7 +255,8 @@ def test_dichromatic_matches_definition():
             rho = m.rank(mask)
             k = (rfull - rho + c, mask.bit_count() - rho)
             terms[k] = terms.get(k, 0) + 1
-        assert dichromatic_Q(g) == BiPoly(terms), name
+        # Q(u, v) = u^c(G) R(u, v)
+        assert whitney_R(m) * BiPoly({(c, 0): 1}) == BiPoly(terms), name
 
 
 def test_chromatic_flow_consistency_with_tutte():
