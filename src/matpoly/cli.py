@@ -85,7 +85,7 @@ def parse_matroid_spec(spec: str):
             n, p = int(n_str), int(p_str)
         except ValueError as exc:
             raise BadParams(f"bad pg spec {spec!r}") from exc
-        # make_pg walks all p^n vectors, so refuse before building
+        # make_pg lists every point, so refuse before building
         if points_count(n, p) > SUBSET_GUARD:
             raise TooLarge(f"{spec} has more than {SUBSET_GUARD} points")
         m = make_pg(n, p)
@@ -283,18 +283,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (BadParams, TooLarge) as exc:
-        print(
-            json.dumps(
-                {"error": {"message": str(exc), "type": type(exc).__name__}},
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
-        return 2
     except MatpolyError as exc:
-        # integrality escapes and blown budgets are bug signals, not
-        # usage errors; report and fail loudly
         print(
             json.dumps(
                 {"error": {"message": str(exc), "type": type(exc).__name__}},
@@ -302,7 +291,9 @@ def main(argv=None) -> int:
             ),
             file=sys.stderr,
         )
-        return 1
+        # rejected input exits 2; integrality escapes and blown budgets are
+        # bug signals, not usage errors, and fail loudly
+        return 2 if isinstance(exc, (BadParams, TooLarge)) else 1
 
 
 if __name__ == "__main__":

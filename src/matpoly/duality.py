@@ -8,7 +8,8 @@ uniform verifier:
 
 * three zeta-weighted sum identities expressing chi of the dual (or of M
   itself) through characteristic polynomials of restrictions,
-  contractions, and duals of restrictions;
+  contractions, and duals of restrictions; since (M|A)* = M*.(E-A), the
+  last (twozeta) is the contraction sum (finaltwo) on M*;
 * an all-polynomial contraction formula for chi of the dual,
   exposed as ``chi_dual_via_finaltwo``;
 * the chromatic/flow specializations on graphs (Matiyasevich's identity
@@ -51,8 +52,9 @@ before P is built, so one table of wide ints is alive at a time, P is
 tallied per class, and each distinct Q is multiplied once.
 Each checker only states the two sides of its identity.  Kinds that
 state one identity share its checker in ``_KINDS``: thm1-two is
-finaltwo, matiyasevich-inverse is thm1-one on the cycle matroid times
-(-1)^|E|, and hyperbola-t is hyperbola-r, so 12 kinds have 9 checkers.
+finaltwo, twozeta is finaltwo on M*, matiyasevich-inverse is thm1-one
+on the cycle matroid times (-1)^|E|, and hyperbola-t is hyperbola-r, so
+12 kinds have 8 checkers.
 """
 
 from __future__ import annotations
@@ -244,9 +246,10 @@ def _signed(k: int, p):
 
 
 def _finaltwo_sum(m: Matroid) -> IntPoly:
-    """sum_A (1-x)^|A| * chi of (M with A contracted away).  That chi is
-    (-1)^|A| sum_{C superset A} (-1)^|C| x^(R - r(C)), so the packed
-    superset sums are tallied per |A| with the sign (-1)^|A|."""
+    """sum_A (1-x)^|A| * chi of (M with A contracted away): finaltwo's
+    right side, and on M* twozeta's (matiyasevich's up to x^|V|).  That
+    chi is (-1)^|A| sum_{C superset A} (-1)^|C| x^(R - r(C)), so the
+    packed superset sums are tallied per |A| with the sign (-1)^|A|."""
     ranks = rank_table(m)
     rfull = ranks[-1]
     sums, w = _packed_sums(
@@ -325,23 +328,9 @@ def _restriction_sum(m: Matroid) -> IntPoly:
     )
 
 
-def _dual_restriction_sum(m: Matroid) -> IntPoly:
-    """sum_A (1-x)^(n-|A|) chi_{(M|A)*}: the right side of twozeta, and of
-    matiyasevich on a cycle matroid up to the factor x^|V|.  chi_{(M|A)*}
-    is (-1)^|A| sum_{C subset A} (-1)^|C| x^(|C| - r(C)), so the packed
-    subset sums are tallied per |A| with the sign (-1)^|A|."""
-    n = m.ground_size
-    sums, w = _packed_sums(
-        rank_table(m), lambda a, r: IntPoly.monomial((-1) ** a, a - r)
-    )
-    groups = _tally(map(int.bit_count, range(len(sums))), sums, w, signed=True)
-    return _one_minus_x_sum({n - a: p for a, p in groups.items()})
-
-
-def _verify_thm1_one(m):
+def _verify_thm1_one(m: Matroid):
     """chi_{M*} = (-1)^n sum_A x^(|A|-r(A)) (1-x)^(n-|A|) chi_{M|A}.  On a
-    graph, M is its cycle matroid and chi_{M*} = F_G: matiyasevich-inverse."""
-    m = make_graphic(m) if isinstance(m, MultiGraph) else m
+    cycle matroid chi_{M*} = F_G: matiyasevich-inverse."""
     rhs = _signed(m.ground_size, _restriction_sum(m))
     return chi_subset(m.dual()), rhs
 
@@ -354,18 +343,12 @@ def _verify_finaltwo(m: Matroid):
     return _signed(m.ground_size, chi_subset(m.dual()).shift(m.full_rank())), rhs
 
 
-def _verify_twozeta(m: Matroid):
-    """(-1)^n x^(n-R) chi_M = sum_A (1-x)^(n-|A|) chi_{(M|A)*}."""
-    rhs = _dual_restriction_sum(m)
-    n = m.ground_size
-    return _signed(n, chi_subset(m).shift(n - m.full_rank())), rhs
-
-
 # On the cycle matroid M of g, F_{G|A} = chi_{(M|A)*}, so matiyasevich's
-# right side is twozeta's times x^|V|; its left side stays on the graph.
+# right side is twozeta's, finaltwo's on M*, times x^|V|; its left side
+# stays on the graph.
 def _verify_matiyasevich(g: MultiGraph):
     """(-1)^|E| x^|E| P_G = x^|V| sum_A (1-x)^(|E|-|A|) F_{G|A}."""
-    rhs = _dual_restriction_sum(make_graphic(g)).shift(g.n)
+    rhs = _finaltwo_sum(make_graphic(g).dual()).shift(g.n)
     ne = len(g.edges)
     return _signed(ne, chromatic_poly(g).shift(ne)), rhs
 
@@ -494,10 +477,10 @@ def _verify_hyperbola_r(m: Matroid):
 _KINDS = {
     IdentityKind.THM1_ONE: _verify_thm1_one,
     IdentityKind.THM1_TWO: _verify_finaltwo,
-    IdentityKind.TWOZETA: _verify_twozeta,
+    IdentityKind.TWOZETA: lambda m: _verify_finaltwo(m.dual()),
     IdentityKind.FINALTWO: _verify_finaltwo,
     IdentityKind.MATIYASEVICH: _verify_matiyasevich,
-    IdentityKind.MATIYASEVICH_INVERSE: _verify_thm1_one,
+    IdentityKind.MATIYASEVICH_INVERSE: lambda g: _verify_thm1_one(make_graphic(g)),
     IdentityKind.TH2_CONNECTED_PARTITIONS: _verify_th2,
     IdentityKind.CONVOLUTION: _verify_convolution,
     IdentityKind.KUNG: _verify_kung,

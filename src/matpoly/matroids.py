@@ -1,21 +1,21 @@
 """Matroids as rank oracles over bitmask subsets.
 
 Every matroid exposes ``rank(mask)`` for subsets of a ground set
-0..n-1 encoded as bitmasks.  Duals, restrictions, and contractions are
-lazy views that rewrite rank queries through the standard identities
+0..n-1 encoded as bitmasks.  A dual (``DualView``) and a minor
+(``MinorView``, restrictions and contractions alike) are lazy views that
+rewrite rank queries through the standard identities
 
-    r*(A)      = r(E - A) + |A| - r(E)
-    r_{M|S}(A) = r(A)                      (A within S, re-indexed)
-    r_{M.S}(A) = r((E - S) + A) - r(E - S) (contract everything off S)
+    r*(A)       = r(E - A) + |A| - r(E)
+    r_minor(A)  = r(C + A) - r(C)    (A within S, re-indexed)
 
-so view stacks of any depth stay exact.  ``contract(M, S)`` keeps S as
-the ground set and contracts the complement away.
+with S the minor's ground set and C the set contracted away, so view
+stacks of any depth stay exact.  ``restrict(M, S)`` has C empty;
+``contract(M, S)`` keeps S as the ground set and contracts C = E - S.
 
 ``rank`` memoizes every value it computes in the per-instance dict
 ``_rank_cache``, so point queries fill it.  ``_peek`` is its read-only
-twin: a cache hit, or the value computed and not stored.  Dual,
-restriction and contraction views ask their base through ``_peek``, so
-only the view's own cache grows.
+twin: a cache hit, or the value computed and not stored.  Both views
+ask their base through ``_peek``, so only the view's own cache grows.
 
 Every invariant is read off one object, the rank-size census
 {(|A|, r(A)): count}.  ``rank_size_counts(deadline)`` is its one entry
@@ -127,10 +127,10 @@ class Matroid:
         return DualView(self)
 
     def restrict(self, mask: int) -> "Matroid":
-        return RestrictView(self, mask)
+        return MinorView(self, mask)
 
     def contract(self, mask: int) -> "Matroid":
-        return ContractView(self, mask)
+        return MinorView(self, mask, self.full_mask & ~mask)
 
     def is_loop(self, e: int) -> bool:
         return self.rank(1 << e) == 0
@@ -276,45 +276,30 @@ def _dual_counts(counts: Counter, n: int, rank: int) -> Counter:
     return out
 
 
-class _MinorView(Matroid):
-    """A minor whose element i is element ``elements[i]`` of ``base``."""
+class MinorView(Matroid):
+    """The minor of ``base`` on the elements of ``mask``, with ``away``
+    contracted and every other element deleted: element i is element
+    ``elements[i]`` of base, and r(A) = r_base(away + A) - r_base(away).
+    A restriction has away = 0 and asks its base nothing up front; a
+    contraction takes away = E - mask."""
 
-    def _map(self, mask: int) -> int:
-        out = 0
+    def __init__(self, base: Matroid, mask: int, away: int = 0):
+        if not 0 <= mask <= base.full_mask or away & ~(base.full_mask ^ mask):
+            raise BadParams("minor mask outside ground set")
+        elements = tuple(_bits(mask))
+        kind = "contract" if away else "restrict"
+        super().__init__(len(elements), f"{kind}({base.label},{mask:#x})")
+        self.base = base
+        self.elements = elements
+        self.away = away
+        self._away_rank = base.rank(away) if away else 0
+
+    def _rank_impl(self, mask: int) -> int:
+        out = self.away
         for i, e in enumerate(self.elements):
             if mask >> i & 1:
                 out |= 1 << e
-        return out
-
-
-class RestrictView(_MinorView):
-    def __init__(self, base: Matroid, mask: int):
-        if not 0 <= mask <= base.full_mask:
-            raise BadParams("restriction mask outside ground set")
-        elements = tuple(_bits(mask))
-        super().__init__(len(elements), f"restrict({base.label},{mask:#x})")
-        self.base = base
-        self.elements = elements
-
-    def _rank_impl(self, mask: int) -> int:
-        return self.base._peek(self._map(mask))
-
-
-class ContractView(_MinorView):
-    """Ground set = mask's elements; everything outside is contracted."""
-
-    def __init__(self, base: Matroid, mask: int):
-        if not 0 <= mask <= base.full_mask:
-            raise BadParams("contraction mask outside ground set")
-        elements = tuple(_bits(mask))
-        super().__init__(len(elements), f"contract({base.label},{mask:#x})")
-        self.base = base
-        self.elements = elements
-        self._off = base.full_mask & ~mask
-        self._off_rank = base.rank(self._off)
-
-    def _rank_impl(self, mask: int) -> int:
-        return self.base._peek(self._off | self._map(mask)) - self._off_rank
+        return self.base._peek(out) - self._away_rank
 
 
 class UniformMatroid(Matroid):
@@ -616,19 +601,18 @@ def is_prime(p: int) -> bool:
 def make_pg(n: int, p: int) -> LinearMatroidFp:
     """Projective geometry PG(n-1, p) over a prime field: one point per
     1-dimensional subspace of F_p^n, normalized so the first nonzero
-    coordinate is 1, listed in lexicographic order."""
+    coordinate is 1, listed in lexicographic order: most leading zeros
+    first, then every tail after the 1.  Only the points are visited, and
+    ``product`` gets no ``range(p)`` to hold when the tail is empty."""
     if n < 1:
         raise BadParams("pg wants n >= 1")
     if not is_prime(p):
         raise BadParams(f"pg wants a prime field order, got {p}")
-    points = []
-    for vec in product(range(p), repeat=n):
-        nz = next((c for c in vec if c), None)
-        if nz == 1:
-            points.append(vec)
-    expect = (p**n - 1) // (p - 1)
-    if len(points) != expect:
-        raise AssertionError("point count disagrees with (p^n-1)/(p-1)")
+    points = [
+        (0,) * lead + (1,) + tail
+        for lead in range(n - 1, -1, -1)
+        for tail in product(*[range(p)] * (n - 1 - lead))
+    ]
     return LinearMatroidFp(points, p, f"pg:{n},{p}")
 
 

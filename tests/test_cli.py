@@ -219,7 +219,7 @@ def test_oracle_missing_arguments_exit_2(capsys):
 
 
 def test_oversized_pg_spec_is_refused_before_it_is_built(capsys):
-    # make_pg walks all p^n vectors, so pg:30,2 and pg:12,5 would take
+    # make_pg lists every point, so pg:30,2 and pg:12,5 would take
     # minutes and gigabytes; every command must refuse them within 1 s
     def too_slow(*_):
         raise TimeoutError("the spec was built before a guard refused it")
@@ -240,6 +240,23 @@ def test_oversized_pg_spec_is_refused_before_it_is_built(capsys):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+def test_one_point_pg_over_a_large_field_is_built_at_once(capsys):
+    # pg:1,p has one point; making it must not walk the p field elements
+    def too_slow(*_):
+        raise TimeoutError("make_pg visited more than the points")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        code, out, _ = run(capsys, ["chi", "--matroid", "pg:1,10000019"])
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 0
+    assert json.loads(out)["poly"]["coeffs"] == ["-1", "1"]
 
 
 def test_bench_consistent(capsys):

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from corpus import GRAPHS
+from corpus import GRAPHS, graphic_matroids, pg_matroids, uniform_matroids
 from matpoly import BadParams, TooLarge, duality
 from matpoly.algebra import BiPoly, IntPoly, exact_div_monomial, poly_pow
 from matpoly.duality import (
@@ -96,8 +96,9 @@ def test_rank_table():
 
 
 def test_minor_chi_tables_match_direct_computation():
-    # the packed sums that _restriction_sum, _finaltwo_sum and
-    # _dual_restriction_sum tally, cell by cell against the minors' chi
+    # the packed sums that _restriction_sum and _finaltwo_sum tally, cell
+    # by cell against the minors' chi; the third table, twozeta's sum over
+    # duals of restrictions, is finaltwo's contraction table of M*
     for m in (make_uniform(2, 4), make_graphic(K3), make_pg(2, 2)):
         n = m.ground_size
         full = m.full_mask
@@ -138,6 +139,27 @@ def test_chi_dual_via_finaltwo_matches_subset_expansion():
 def test_chi_dual_via_finaltwo_fano_golden():
     got = chi_dual_via_finaltwo(make_pg(3, 2))
     assert got == IntPoly((13, -28, 21, -7, 1))
+
+
+def test_twozeta_right_side_matches_a_per_minor_reference():
+    """twozeta runs finaltwo's checker on M*; both sides must still be its
+    own statement, (-1)^n x^(n-R) chi_M = sum_A (1-x)^(n-|A|) chi_{(M|A)*},
+    summed here minor by minor."""
+    targets = uniform_matroids() + pg_matroids() + graphic_matroids()
+    for m in (t for t in targets if t.ground_size <= 10):
+        n = m.ground_size
+        want = sum(
+            (
+                poly_pow(IntPoly((1, -1)), n - a.bit_count())
+                * chi_subset(m.restrict(a).dual())
+                for a in range(1 << n)
+            ),
+            IntPoly.zero(),
+        )
+        lhs, rhs = duality._KINDS[IdentityKind.TWOZETA](m)
+        assert rhs == want, m.label
+        sign = -1 if n % 2 else 1
+        assert lhs == chi_subset(m).shift(n - m.full_rank()).scale(sign), m.label
 
 
 def test_finaltwo_mutated_weights_break_the_identity(monkeypatch):
@@ -381,38 +403,42 @@ def bump_packed_cell(monkeypatch, mask, which: bool):
     monkeypatch.setattr(duality, "_packed_sums", bumped)
 
 
-# thm1-one on every right-side target, and each graph kind on K4, whose
-# right side is thm1-one's (matiyasevich-inverse) or twozeta's
-# (matiyasevich) on the cycle matroid; all three read a subset sum.
+def full_mask(target) -> int:
+    """The mask of every element of a matroid, or of every edge of a graph."""
+    return target.full_edge_mask if isinstance(target, MultiGraph) else target.full_mask
+
+
+# thm1-one on every right-side target, and matiyasevich-inverse on K4,
+# whose right side is thm1-one's on the cycle matroid; both read a subset
+# sum.
 RESTRICTION_CASES = [
     pytest.param("thm1-one", m, id=m.label) for m in RHS_TARGETS
-] + [
-    pytest.param(kind, K4, id=f"{kind}:K4")
-    for kind in ("matiyasevich-inverse", "matiyasevich")
-]
+] + [pytest.param("matiyasevich-inverse", K4, id="matiyasevich-inverse:K4")]
 
 
 @pytest.mark.parametrize("kind, target", RESTRICTION_CASES)
 def test_thm1_one_fails_when_one_restriction_entry_moves(kind, target, monkeypatch):
-    full = target.full_edge_mask if isinstance(target, MultiGraph) else target.full_mask
-    bump_packed_cell(monkeypatch, full // 3, which=False)  # a proper, nonempty subset
+    # a proper, nonempty subset
+    bump_packed_cell(monkeypatch, full_mask(target) // 3, which=False)
     rep = verify_identity(kind, target)
     assert not rep.passed
     assert rep.first_mismatch.startswith("lhs="), rep.first_mismatch
 
 
 # (kind, which packed sum moves, the mask): finaltwo reads the superset
-# sums of its contraction table at every mask; the convolution pairs the
-# subset sum at the empty set, T of the empty restriction, with T_M(x, 0),
-# which is nonzero on these loopless targets.
+# sums of its contraction table at every mask, and so do twozeta and
+# matiyasevich, which run it on M*; the convolution pairs the subset sum
+# at the empty set, T of the empty restriction, with T_M(x, 0), which is
+# nonzero on these loopless targets.
 PACKED_CASES = [
     pytest.param(kind, m, superset, mask, id=f"{kind}:{m.label}")
     for kind, superset, mask in (
         ("finaltwo", True, None),
+        ("twozeta", True, None),
         ("convolution", False, 0),
     )
     for m in RHS_TARGETS
-]
+] + [pytest.param("matiyasevich", K4, True, None, id="matiyasevich:K4")]
 
 
 @pytest.mark.parametrize("kind, target, superset, mask", PACKED_CASES)
@@ -420,7 +446,7 @@ def test_packed_right_sides_fail_when_one_cell_moves(
     kind, target, superset, mask, monkeypatch
 ):
     bump_packed_cell(
-        monkeypatch, target.full_mask // 3 if mask is None else mask, superset
+        monkeypatch, full_mask(target) // 3 if mask is None else mask, superset
     )
     rep = verify_identity(kind, target)
     assert not rep.passed

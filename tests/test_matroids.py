@@ -11,11 +11,10 @@ from matpoly.duality import rank_table
 from matpoly.graphs import MultiGraph, complete_graph, component_count
 from matpoly.invariants import _chi_from_counts, chi_subset
 from matpoly.matroids import (
-    ContractView,
     DualView,
     LinearMatroidFp,
     Matroid,
-    RestrictView,
+    MinorView,
     TableMatroid,
     circuits,
     flats_of_rank,
@@ -136,7 +135,7 @@ def test_restrict_and_contract_views():
     with pytest.raises(BadParams):
         m.restrict(1 << 6)
     with pytest.raises(BadParams):
-        ContractView(m, 1 << 6)
+        MinorView(m, 1 << 6, m.full_mask & ~(1 << 6))
 
 
 def test_minor_duality_laws():
@@ -165,8 +164,8 @@ def test_graphic_minors_match_generic_views():
         for _ in range(5):
             a = rng.randrange(m.full_mask + 1)
             k = a.bit_count()
-            fast_r, slow_r = m.restrict(a), RestrictView(m, a)
-            fast_c, slow_c = m.contract(a), ContractView(m, a)
+            fast_r, slow_r = m.restrict(a), MinorView(m, a)
+            fast_c, slow_c = m.contract(a), MinorView(m, a, m.full_mask & ~a)
             for mask in range(1 << k):
                 assert fast_r.rank(mask) == slow_r.rank(mask), name
                 assert fast_c.rank(mask) == slow_c.rank(mask), name
@@ -215,12 +214,13 @@ def test_census_matches_brute_force():
     edges = [(rng.randrange(5), rng.randrange(5)) for _ in range(6)]
     edges += [(0, 0), edges[0], (5, 6), (6, 6)]
     pg33 = make_pg(3, 3)
+    k5 = make_graphic(complete_graph(5))
     extra = [
         make_graphic(MultiGraph(8, edges)),
         TableMatroid(7, brute_table(make_pg(3, 2)), "pg:3,2 table"),
         pg33.contract(0b1111011110111).restrict(0b110111101),
         pg33.restrict(0b1101111011110).dual(),
-        ContractView(make_graphic(complete_graph(5)), 0b1110111111).dual(),
+        MinorView(k5, 0b1110111111, k5.full_mask & ~0b1110111111).dual(),
     ]
     for m in small_matroids(9) + extra:
         # the scans run on cold instances; the references fill the caches
@@ -264,13 +264,13 @@ def test_census_deadline_graphic_scan():
 def test_census_reads_but_does_not_fill_the_rank_cache_restrict_view():
     # a minor keeps the generic scan whatever its base, and fills neither
     # its own cache nor its base's
-    for view in (RestrictView, ContractView):
+    for view in (MinorView, lambda b, a: MinorView(b, a, b.full_mask & ~a)):
         u = make_uniform(3, 13)
         r = view(u, u.full_mask & ~1)
         chi_subset(r)
         assert len(r._rank_cache) <= 4, view
         assert len(u._rank_cache) <= 4, view
-    m = RestrictView(make_pg(3, 3), 0b1111111111110)
+    m = MinorView(make_pg(3, 3), 0b1111111111110)
     want = brute_census(m)
 
     def no_rank_impl(mask):
@@ -288,8 +288,8 @@ def test_rank_table_fills_no_rank_cache():
         m.rank_table()
         assert len(m._rank_cache) <= 4, m
     for view in (
-        lambda b: RestrictView(b, b.full_mask & ~1),
-        lambda b: ContractView(b, b.full_mask & ~1),
+        lambda b: MinorView(b, b.full_mask & ~1),
+        lambda b: MinorView(b, b.full_mask & ~1, 1),
         DualView,
     ):
         base = make_graphic(complete_graph(6))
@@ -302,7 +302,7 @@ def test_rank_table_fills_no_rank_cache():
 def test_census_deadline_restrict_view():
     u = make_uniform(3, 16)
     with pytest.raises(BudgetExceeded):
-        RestrictView(u, u.full_mask).rank_size_counts(deadline=monotonic() - 1.0)
+        MinorView(u, u.full_mask).rank_size_counts(deadline=monotonic() - 1.0)
 
 
 def random_multigraph(rng):
@@ -527,7 +527,7 @@ def census_routes():
         "graphic-vertex": k7.vertex_census,
         "graphic-edge": lambda deadline: Matroid._census(k7, deadline),
         "dual": pg.dual().rank_size_counts,
-        "generic": RestrictView(big, big.full_mask).rank_size_counts,
+        "generic": MinorView(big, big.full_mask).rank_size_counts,
     }
 
 

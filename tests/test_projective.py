@@ -1,5 +1,6 @@
 """Unit tests for the projective-geometry closed forms."""
 
+from itertools import product
 from math import comb, factorial, prod
 
 import pytest
@@ -71,6 +72,18 @@ def test_points_count():
     assert points_count(4, 3) == 40
     for n, q in PG_PARAMS:
         assert make_pg(n, q).ground_size == points_count(n, q)
+
+
+def test_pg_lists_the_normalized_vectors_in_lexicographic_order():
+    # the reference walks all p^n vectors and keeps those whose first
+    # nonzero coordinate is 1
+    pairs = ((1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (1, 5), (2, 3), (3, 3), (2, 5), (3, 7))
+    for n, q in pairs:
+        vectors = product(range(q), repeat=n)
+        want = [v for v in vectors if any(v) and next(filter(None, v)) == 1]
+        got = list(make_pg(n, q).vectors)
+        assert got == want, (n, q)
+        assert len(got) == points_count(n, q), (n, q)
 
 
 def test_flat_counts_are_gaussian_binomials():
