@@ -85,8 +85,9 @@ def parse_matroid_spec(spec: str):
             n, p = int(n_str), int(p_str)
         except ValueError as exc:
             raise BadParams(f"bad pg spec {spec!r}") from exc
-        # make_pg lists every point, so refuse before building
-        if points_count(n, p) > SUBSET_GUARD:
+        # make_pg lists every point, so refuse before building; PG(n-1, p)
+        # has at least n points, so a larger n is refused before p^n
+        if n > SUBSET_GUARD or points_count(n, p) > SUBSET_GUARD:
             raise TooLarge(f"{spec} has more than {SUBSET_GUARD} points")
         m = make_pg(n, p)
         g = None

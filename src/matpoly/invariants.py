@@ -19,7 +19,10 @@ Each matroid class takes the census by its cheapest exact route (see
 few vertices for its edges, and otherwise one scan that branches only
 on elements outside the span of the taken ones.  That scan still visits
 up to 2^n nodes on a matroid with few dependencies, so each entry point
-is guarded at n <= 24.
+is guarded at n <= 24, except ``chi_subset`` where the census would scan
+(F_p, minor and table matroids, graphs on the edge route): it walks only
+the scan's no-broken-circuit paths, guarded at 2^24 sets of <= r(E)
+elements.
 ``chi_delcon`` is the independent recursive route (delete/contract) used
 to cross-check ``chi_subset``; for graphic matroids it memoizes, for
 the length of one call, on a densely re-labeled copy of the graph, which
@@ -33,7 +36,7 @@ from math import comb
 from .algebra import BiPoly, IntPoly, poly_pow, substitute_one_minus_x
 from .errors import BadParams, TooLarge
 from .graphs import MultiGraph, quotient
-from .matroids import GraphicMatroid, Matroid, make_graphic
+from .matroids import GraphicMatroid, Matroid, _check_deadline, make_graphic
 
 SUBSET_GUARD = 24
 
@@ -54,9 +57,48 @@ def _chi_from_counts(counts, rank: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def _scans(m: Matroid) -> bool:
+    """True when m's census would run ``Matroid._scan`` on m itself."""
+    if isinstance(m, GraphicMatroid):
+        return m.census_route() == "edge"
+    return type(m)._census is Matroid._census
+
+
+def _chi_walk(m: Matroid, deadline: float | None) -> IntPoly:
+    """chi by ``Matroid._scan`` cut where a stop adds (-1)^|mask|
+    x^(R - r) (1 - 1)^k = 0, k its free elements: at every fold and every
+    spanning stop with i < n.  The leaves left are the no-broken-circuit
+    sets (Whitney's broken-circuit theorem), and |mask| = r at each."""
+    n, top = m.ground_size, m.full_rank()
+    if sum(comb(n, k) for k in range(top + 1)) > 1 << SUBSET_GUARD:
+        raise TooLarge(f"{m.label}: over 2^{SUBSET_GUARD} sets of <= {top} elements")
+    _check_deadline(deadline)
+    start, extend = m._span_test()
+    coeffs = [0] * (top + 1)
+    calls = [0]
+
+    def rec(i, rk, state):
+        if i == n:
+            coeffs[top - rk] += -1 if rk & 1 else 1
+        elif rk < top:
+            calls[0] += 1
+            if calls[0] & 0x3FFF == 0:
+                _check_deadline(deadline)
+            grown = extend(state, i)
+            if grown is not None:
+                rec(i + 1, rk, state)
+                rec(i + 1, rk + 1, grown)
+
+    rec(0, 0, start)
+    return IntPoly(coeffs)
+
+
 def chi_subset(m: Matroid, deadline: float | None = None) -> IntPoly:
-    """Characteristic polynomial by direct subset expansion; raises
-    BudgetExceeded once ``monotonic()`` passes ``deadline``."""
+    """Characteristic polynomial by direct subset expansion, or by
+    ``_chi_walk`` where the census would scan m; raises BudgetExceeded
+    once ``monotonic()`` passes ``deadline``."""
+    if _scans(m):
+        return _chi_walk(m, deadline)
     _guard(m)
     counts = m.rank_size_counts(deadline)
     # r(E) is the largest rank in the census

@@ -39,6 +39,9 @@ per-class hook, ``_span_test``: the generic test asks ``_peek`` whether
 r(taken + i) is still |taken|, ``LinearMatroidFp`` reduces vector i
 against an echelon basis of the taken set, one row per taken element,
 and ``GraphicMatroid`` compares the component labels of edge i's ends.
+Where the census would scan, ``invariants.chi_subset`` walks the scan
+with folds and early spanning stops cut, guarded at 2^24 sets of <= r(E)
+elements.
 
 The scan reads the rank cache through ``_peek`` and never writes to it,
 nor to the cache of a view's base, so a table or census runs in memory
@@ -76,7 +79,7 @@ VERTEX_STEP_COST = 0.035
 
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and monotonic() > deadline:
-        raise BudgetExceeded("rank-size census ran past its deadline")
+        raise BudgetExceeded("subset scan ran past its deadline")
 
 
 def _bits(mask: int):
@@ -588,14 +591,20 @@ def make_graphic(g: MultiGraph, label: str | None = None) -> GraphicMatroid:
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Miller-Rabin on the 13 primes up to 41, exact below the least
+    composite that passes them all, 3317044064679887385961981 (Sorenson and
+    Webster, Math. Comp. 86, 2017); larger p raise TooLarge."""
+    if p >= 3317044064679887385961981:
+        raise TooLarge(f"primality is decided only below 3.3e24, not at {p}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s, d odd
+    d = (p - 1) >> s
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << j, p) == p - 1 for j in range(s))
+        for a in bases
+    )
 
 
 def make_pg(n: int, p: int) -> LinearMatroidFp:

@@ -220,13 +220,14 @@ def test_oracle_missing_arguments_exit_2(capsys):
 
 def test_oversized_pg_spec_is_refused_before_it_is_built(capsys):
     # make_pg lists every point, so pg:30,2 and pg:12,5 would take
-    # minutes and gigabytes; every command must refuse them within 1 s
+    # minutes and gigabytes, and pg:100000000,3's point count alone a
+    # power of 3 with 10^8 digits; every command must refuse them within 1 s
     def too_slow(*_):
         raise TimeoutError("the spec was built before a guard refused it")
 
     old = signal.signal(signal.SIGALRM, too_slow)
     try:
-        for spec in ("pg:30,2", "pg:12,5:dual"):
+        for spec in ("pg:30,2", "pg:12,5:dual", "pg:100000000,3"):
             for argv in (
                 ["chi", "--matroid", spec],
                 ["verify", "--identity", "kung", "--matroid", spec],
@@ -243,20 +244,22 @@ def test_oversized_pg_spec_is_refused_before_it_is_built(capsys):
 
 
 def test_one_point_pg_over_a_large_field_is_built_at_once(capsys):
-    # pg:1,p has one point; making it must not walk the p field elements
+    # pg:1,p has one point; making it must not walk the p field elements,
+    # nor try every divisor of the prime 2^61 - 1
     def too_slow(*_):
         raise TimeoutError("make_pg visited more than the points")
 
     old = signal.signal(signal.SIGALRM, too_slow)
     try:
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        code, out, _ = run(capsys, ["chi", "--matroid", "pg:1,10000019"])
-        signal.setitimer(signal.ITIMER_REAL, 0)
+        for spec in ("pg:1,10000019", "pg:1,2305843009213693951"):
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            code, out, _ = run(capsys, ["chi", "--matroid", spec])
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            assert code == 0, spec
+            assert json.loads(out)["poly"]["coeffs"] == ["-1", "1"], spec
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-    assert code == 0
-    assert json.loads(out)["poly"]["coeffs"] == ["-1", "1"]
 
 
 def test_bench_consistent(capsys):

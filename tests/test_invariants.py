@@ -1,15 +1,19 @@
 """Unit tests for the matroid polynomial invariants."""
 
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 
-from matpoly import TooLarge
+from matpoly import BudgetExceeded, TooLarge
 from matpoly.algebra import BiPoly, IntPoly, poly_pow, substitute_one_minus_x
 import matpoly.invariants as invariants_module
+import matpoly.matroids as matroids_module
+from matpoly.duality import rank_table
 from matpoly.graphs import MultiGraph, complete_graph, component_count
 from matpoly.invariants import (
+    _chi_from_counts,
     chi_delcon,
     chi_subset,
     chromatic_poly,
@@ -18,7 +22,17 @@ from matpoly.invariants import (
     tutte_uniform_closed,
     whitney_R,
 )
-from matpoly.matroids import make_graphic, make_uniform
+from matpoly.matroids import (
+    GraphicMatroid,
+    LinearMatroidFp,
+    MinorView,
+    TableMatroid,
+    make_graphic,
+    make_pg,
+    make_uniform,
+)
+from matpoly.oracles import chi_via_broken_circuits
+from matpoly.projective import chi_pg
 
 from corpus import GRAPHS, UNIFORM_PARAMS, all_matroids, small_matroids
 
@@ -47,8 +61,6 @@ def test_chi_golden_values():
     # chi of the cycle matroid of K4: (x-1)(x-2)(x-3)
     assert chi_subset(make_graphic(K4)) == IntPoly((-6, 11, -6, 1))
     # Fano plane: (x-1)(x-2)(x-4)
-    from matpoly.matroids import make_pg
-
     assert chi_subset(make_pg(3, 2)) == IntPoly((-8, 14, -7, 1))
 
 
@@ -275,3 +287,130 @@ def test_chromatic_flow_consistency_with_tutte():
         f = t.substitute(IntPoly.zero(), IntPoly((1, -1)))
         f = f if (g.edge_count - r) % 2 == 0 else -f
         assert flow_poly(g) == f, name
+
+
+def walk_cases():
+    """Matroids whose census scans them, so ``chi_subset`` walks: seeded
+    F_p configurations (p in {2, 3, 5}) with zero and repeated vectors,
+    seeded multigraphs on the edge route with loops and parallel edges,
+    minor-view stacks and table matroids."""
+    rng = random.Random(230001)
+    cases = []
+    for _ in range(60):
+        p, dim = rng.choice((2, 3, 5)), rng.randrange(2, 5)
+        vecs = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(rng.randrange(1, 11))]
+        if rng.random() < 0.2:
+            vecs.append((0,) * dim)
+        vecs += vecs[: rng.randrange(3)]
+        rng.shuffle(vecs)
+        cases.append(LinearMatroidFp(vecs, p, f"F{p}"))
+    graphs = 0
+    while graphs < 40:
+        n = rng.randrange(8, 13)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(4, 12))]
+        if rng.random() < 0.25:
+            edges.append((rng.randrange(n),) * 2)
+        edges += edges[: rng.randrange(3)]
+        rng.shuffle(edges)
+        m = make_graphic(MultiGraph(n, edges))
+        if m.census_route() == "edge":
+            cases.append(m)
+            graphs += 1
+    pg, k5 = make_pg(3, 3), make_graphic(complete_graph(5))
+    for base in (pg, k5, pg.dual(), make_uniform(3, 9)):
+        for _ in range(4):
+            mask = rng.randrange(1 << base.ground_size)
+            away = rng.randrange(1 << base.ground_size) & ~mask
+            inner = MinorView(base, mask, away)
+            cases.append(MinorView(inner, rng.randrange(1 << inner.ground_size)))
+            cases.append(TableMatroid(inner.ground_size, rank_table(inner)))
+    return cases
+
+
+def test_chi_walk_matches_the_census_and_the_broken_circuit_oracle():
+    seen = Counter()
+    for m in walk_cases():
+        assert invariants_module._scans(m), m.label
+        got = chi_subset(m)
+        assert got == _chi_from_counts(m.rank_size_counts(), m.full_rank()), m.label
+        if m.ground_size <= 18:
+            assert got == chi_via_broken_circuits(m), m.label
+        seen[type(m).__name__] += 1
+        seen["zero" if got == IntPoly.zero() else "nonzero"] += 1
+        if isinstance(m, GraphicMatroid):
+            seen["loop"] += any(u == v for u, v in m.graph.edges)
+            seen["parallel"] += len(set(map(frozenset, m.graph.edges))) < len(m.graph.edges)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_chi_walk_gives_the_pg_product_beyond_24_elements():
+    # pg:4,3 has 40 elements and pg:5,2 31; at most 102,091 and 206,368
+    # sets of at most r(E) elements bound their walks
+    for n, q in ((4, 3), (5, 2)):
+        assert chi_subset(make_pg(n, q)) == chi_pg(n, q), (n, q)
+
+
+def test_chi_walk_refuses_before_it_visits_a_node(monkeypatch):
+    # pg:6,2 has about 7.6e7 sets of at most 6 of its 63 elements
+    def no_walk(self):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(LinearMatroidFp, "_span_test", no_walk)
+    with pytest.raises(TooLarge):
+        chi_subset(make_pg(6, 2))
+
+
+def test_chi_walk_fails_when_the_span_test_never_reports_a_span(monkeypatch):
+    path_with_cycle = MultiGraph(12, [(i, i + 1) for i in range(10)] + [(0, 3)])
+    table = make_pg(3, 2)
+    cases = [
+        make_pg(3, 2),
+        make_graphic(path_with_cycle),
+        TableMatroid(table.ground_size, rank_table(table)),
+    ]
+    for m in cases:
+        want = chi_subset(m)
+        span_test = type(m)._span_test
+
+        def never_spans(self):
+            start, extend = span_test(self)
+
+            def grow(state, i):
+                grown = extend(state, i)
+                return state if grown is None else grown
+
+            return start, grow
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(m), "_span_test", never_spans)
+            assert chi_subset(m) != want, m.label
+
+
+def test_chi_walk_checks_the_deadline(monkeypatch):
+    with pytest.raises(BudgetExceeded):
+        chi_subset(make_pg(4, 2), deadline=0)
+    # pg:4,3's walk passes 2^14 nodes, so it reaches its in-loop check;
+    # the clock passes the deadline right after the entry check
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) == 1 else 10.0
+
+    monkeypatch.setattr(matroids_module, "monotonic", clock)
+    with pytest.raises(BudgetExceeded):
+        chi_subset(make_pg(4, 3), deadline=5.0)
+    assert len(reads) == 2
+
+
+def test_chi_walk_on_rank_zero_and_empty_matroids():
+    for m in (
+        LinearMatroidFp([(0, 0)] * 3, 3, "zeros"),
+        TableMatroid(2, [0] * 4),
+        # (0,1,0) and (0,1,1) span (0,0,1)
+        MinorView(make_pg(3, 2), 0b1, 0b110),
+    ):
+        assert m.full_rank() == 0 and m.ground_size
+        assert chi_subset(m) == IntPoly.zero(), m.label
+    for m in (LinearMatroidFp([], 2, "empty"), TableMatroid(0, [0])):
+        assert chi_subset(m) == IntPoly.one(), m.label

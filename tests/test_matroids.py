@@ -188,6 +188,19 @@ def test_is_prime():
     assert not is_prime(1)
     assert not is_prime(0)
 
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    assert [is_prime(p) for p in range(20000)] == [trial_division(p) for p in range(20000)]
+    # Carmichael numbers and a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not any(is_prime(p) for p in (561, 41041, 3215031751))
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+    # a strong pseudoprime to every prime base up to 37, and the first
+    # one up to 41, from which the test would no longer be exact
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(TooLarge):
+        is_prime(3317044064679887385961981)
+
 
 def test_linear_fp_rejects_non_prime_field_order():
     for p in (4, 6, 1, 0):
@@ -475,7 +488,7 @@ def test_fp_scan_branches_only_outside_the_span(monkeypatch):
 
 
 def test_fp_census_gives_the_pg_closed_forms_at_paper_scale():
-    # 31 elements, past SUBSET_GUARD, so read chi off the census directly
+    # the census itself, past SUBSET_GUARD, not chi_subset's walk
     m = make_pg(5, 2)
     assert _chi_from_counts(m.rank_size_counts(), 5) == chi_pg(5, 2)
     assert _chi_from_counts(m.dual().rank_size_counts(), 26) == chi_pg_dual(5, 2)
