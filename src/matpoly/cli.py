@@ -32,7 +32,7 @@ from .duality import GRAPH_KINDS, IdentityKind, verify_identity
 from .errors import BadParams, BudgetExceeded, MatpolyError, TooLarge
 from .flowkn import flow_kn_egf, flow_kn_partitions, flow_kn_tutte
 from .graphs import MultiGraph, graph_from_json
-from .invariants import SUBSET_GUARD, chi_subset
+from .invariants import SUBSET_GUARD, chi_subset, walk_guard
 from .matroids import Matroid, make_graphic, make_pg, make_uniform
 from .oracles import chi_via_broken_circuits, count_colorings, count_nz_flows
 from .projective import chi_pg_dual, points_count, tutte_pg
@@ -85,10 +85,12 @@ def parse_matroid_spec(spec: str):
             n, p = int(n_str), int(p_str)
         except ValueError as exc:
             raise BadParams(f"bad pg spec {spec!r}") from exc
-        # make_pg lists every point, so refuse before building; PG(n-1, p)
-        # has at least n points, so a larger n is refused before p^n
-        if n > SUBSET_GUARD or points_count(n, p) > SUBSET_GUARD:
+        # make_pg lists every point, so refuse before building what chi's
+        # walk would refuse (rank n); PG(n-1, p) has at least n points, so
+        # a larger n is refused before p^n
+        if n > SUBSET_GUARD:
             raise TooLarge(f"{spec} has more than {SUBSET_GUARD} points")
+        walk_guard(points_count(n, p), n, spec)
         m = make_pg(n, p)
         g = None
     elif kind == "graphic":

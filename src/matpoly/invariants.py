@@ -21,8 +21,9 @@ on elements outside the span of the taken ones.  That scan still visits
 up to 2^n nodes on a matroid with few dependencies, so each entry point
 is guarded at n <= 24, except ``chi_subset`` where the census would scan
 (F_p, minor and table matroids, graphs on the edge route): it walks only
-the scan's no-broken-circuit paths, guarded at 2^24 sets of <= r(E)
-elements.
+the scan's no-broken-circuit paths, and ``walk_guard`` refuses more than
+2^24 sets of <= r(E) elements, the walk's node bound.  The CLI refuses a
+``pg:n,p`` spec by the same bound, at rank n, before listing its points.
 ``chi_delcon`` is the independent recursive route (delete/contract) used
 to cross-check ``chi_subset``; for graphic matroids it memoizes, for
 the length of one call, on a densely re-labeled copy of the graph, which
@@ -49,6 +50,14 @@ def _guard(m: Matroid):
         )
 
 
+def walk_guard(n: int, r: int, label: str) -> None:
+    """Refuse the broken-circuit walk of a rank-r matroid on n elements
+    when its node bound, the sum of C(n, k) over k <= r, passes
+    2^SUBSET_GUARD."""
+    if sum(comb(n, k) for k in range(r + 1)) > 1 << SUBSET_GUARD:
+        raise TooLarge(f"{label}: over 2^{SUBSET_GUARD} sets of <= {r} elements")
+
+
 def _chi_from_counts(counts, rank: int) -> IntPoly:
     """chi(x) = sum_A (-1)^|A| x^(rank - r(A)) read off a rank-size census."""
     coeffs = [0] * (rank + 1)
@@ -70,24 +79,26 @@ def _chi_walk(m: Matroid, deadline: float | None) -> IntPoly:
     spanning stop with i < n.  The leaves left are the no-broken-circuit
     sets (Whitney's broken-circuit theorem), and |mask| = r at each."""
     n, top = m.ground_size, m.full_rank()
-    if sum(comb(n, k) for k in range(top + 1)) > 1 << SUBSET_GUARD:
-        raise TooLarge(f"{m.label}: over 2^{SUBSET_GUARD} sets of <= {top} elements")
+    walk_guard(n, top, m.label)
     _check_deadline(deadline)
     start, extend = m._span_test()
     coeffs = [0] * (top + 1)
     calls = [0]
 
     def rec(i, rk, state):
-        if i == n:
-            coeffs[top - rk] += -1 if rk & 1 else 1
-        elif rk < top:
+        # skips loop and takes recurse, so the depth is the rank, not n
+        while i < n:
+            if rk == top:
+                return
             calls[0] += 1
             if calls[0] & 0x3FFF == 0:
                 _check_deadline(deadline)
             grown = extend(state, i)
-            if grown is not None:
-                rec(i + 1, rk, state)
-                rec(i + 1, rk + 1, grown)
+            if grown is None:
+                return
+            i += 1
+            rec(i, rk + 1, grown)
+        coeffs[top - rk] += -1 if rk & 1 else 1
 
     rec(0, 0, start)
     return IntPoly(coeffs)

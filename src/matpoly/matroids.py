@@ -36,9 +36,9 @@ the rest, so at a stop the census adds one binomial row and the rank
 table writes one slice per subset of the folded elements, and neither
 visits the sets below.  The span test is the one
 per-class hook, ``_span_test``: the generic test asks ``_peek`` whether
-r(taken + i) is still |taken|, ``LinearMatroidFp`` reduces vector i
-against an echelon basis of the taken set, one row per taken element,
-and ``GraphicMatroid`` compares the component labels of edge i's ends.
+r(taken + i) is still |taken|, ``LinearMatroidFp`` reduces vector i,
+one packed int, by the taken set's echelon rows (xor over F_2), and
+``GraphicMatroid`` compares the component labels of edge i's ends.
 Where the census would scan, ``invariants.chi_subset`` walks the scan
 with folds and early spanning stops cut, guarded at 2^24 sets of <= r(E)
 elements.
@@ -519,26 +519,35 @@ class LinearMatroidFp(Matroid):
         return rank
 
     def _span_test(self):
-        """Echelon span test: the state is the taken set's echelon basis,
-        ``basis[c]`` the row with its leading 1 in column c, or None.  The
-        remainder of vector i against it, if any, joins a copy scaled to
-        a leading 1."""
-        vecs, p = self.vectors, self.p
-        dim = len(vecs[0]) if vecs else 0
+        """Echelon span test on packed vectors, coordinate c the w-bit digit
+        c of one int: the state ``basis[c]`` is the taken set's row with its
+        leading 1 at digit c, or None.  Vector i adds p - a times the row at
+        each column whose digit reads a != 0 mod p, or joins a copy reduced
+        mod p and scaled to a leading 1.  A column reduces once and rows have
+        digits below p, so a digit stays <= p - 1 + dim (p - 1)^2 < 2^w and
+        never carries.  Over F_2 a reduction is an xor, so w = 1."""
+        p = self.p
+        dim = len(self.vectors[0]) if self.vectors else 0
+        w = 1 if p == 2 else (p - 1 + dim * (p - 1) ** 2).bit_length()
+        digit = (1 << w) - 1
+        shifts = range(0, dim * w, w)
+        vecs = [sum(x << s for x, s in zip(v, shifts)) for v in self.vectors]
 
         def extend(basis, i):
             vec = vecs[i]
-            for c in range(dim):
-                a = vec[c]
+            for c, s in enumerate(shifts):
+                a = (vec >> s & digit) % p
                 if not a:
                     continue
                 row = basis[c]
                 if row is None:
-                    inv = pow(a, -1, p)
+                    if p != 2:
+                        inv = pow(a, -1, p)
+                        vec = sum((vec >> t & digit) * inv % p << t for t in shifts)
                     grown = basis.copy()
-                    grown[c] = [x * inv % p for x in vec]
+                    grown[c] = vec
                     return grown
-                vec = [(x - a * y) % p for x, y in zip(vec, row)]
+                vec = vec ^ row if p == 2 else vec + (p - a) * row
             return None
 
         return [None] * dim, extend

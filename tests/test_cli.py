@@ -13,6 +13,7 @@ import pytest
 from matpoly import cli
 from matpoly.cli import main, parse_matroid_spec, poly_checksum
 from matpoly.algebra import BiPoly, IntPoly
+from matpoly.projective import chi_pg
 
 K4_JSON = '{"n": 4, "edges": [[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
 TRIANGLE_JSON = '{"n": 3, "edges": [[0,1],[1,2],[0,2]]}'
@@ -100,6 +101,23 @@ def test_chi_dual_suffix(capsys):
     code, out, _ = run(capsys, ["chi", "--matroid", "pg:3,2:dual"])
     assert code == 0
     assert json.loads(out)["poly"]["coeffs"] == ["13", "-28", "21", "-7", "1"]
+
+
+def test_chi_walks_pg_specs_past_24_points(capsys):
+    # the spec is refused only where chi's walk would be; the commands
+    # that need a table, a census or the broken circuits keep their guards
+    for n, q in ((5, 2), (4, 3)):
+        code, out, _ = run(capsys, ["chi", "--matroid", f"pg:{n},{q}"])
+        assert code == 0
+        assert json.loads(out)["poly"]["coeffs"] == [str(c) for c in chi_pg(n, q).coeffs]
+    for argv in (
+        ["chi", "--matroid", "pg:5,2:dual"],
+        ["verify", "--identity", "kung", "--matroid", "pg:5,2"],
+        ["oracle", "chi-bc", "--matroid", "pg:5,2"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"]["type"] == "TooLarge", argv
 
 
 def test_chi_bad_specs_exit_2(capsys):
@@ -221,13 +239,14 @@ def test_oracle_missing_arguments_exit_2(capsys):
 def test_oversized_pg_spec_is_refused_before_it_is_built(capsys):
     # make_pg lists every point, so pg:30,2 and pg:12,5 would take
     # minutes and gigabytes, and pg:100000000,3's point count alone a
-    # power of 3 with 10^8 digits; every command must refuse them within 1 s
+    # power of 3 with 10^8 digits; pg:6,2 has over 2^24 sets of at most 6
+    # of its 63 points; every command must refuse them within 1 s
     def too_slow(*_):
         raise TimeoutError("the spec was built before a guard refused it")
 
     old = signal.signal(signal.SIGALRM, too_slow)
     try:
-        for spec in ("pg:30,2", "pg:12,5:dual", "pg:100000000,3"):
+        for spec in ("pg:30,2", "pg:12,5:dual", "pg:100000000,3", "pg:6,2"):
             for argv in (
                 ["chi", "--matroid", spec],
                 ["verify", "--identity", "kung", "--matroid", spec],

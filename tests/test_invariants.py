@@ -291,17 +291,21 @@ def test_chromatic_flow_consistency_with_tutte():
 
 def walk_cases():
     """Matroids whose census scans them, so ``chi_subset`` walks: seeded
-    F_p configurations (p in {2, 3, 5}) with zero and repeated vectors,
-    seeded multigraphs on the edge route with loops and parallel edges,
+    F_p configurations (p in {2, 3, 5, 7, 2^31 - 1, 2^61 - 1}, dimension
+    2 to 6) with zero and repeated vectors and scalar multiples, seeded
+    multigraphs on the edge route with loops and parallel edges,
     minor-view stacks and table matroids."""
     rng = random.Random(230001)
     cases = []
-    for _ in range(60):
-        p, dim = rng.choice((2, 3, 5)), rng.randrange(2, 5)
+    for k in range(90):
+        p = rng.choice((2, 3, 5) if k < 60 else (2, 3, 5, 7, 2**31 - 1, 2**61 - 1))
+        dim = rng.randrange(2, 5 if k < 60 else 7)
         vecs = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(rng.randrange(1, 11))]
         if rng.random() < 0.2:
             vecs.append((0,) * dim)
         vecs += vecs[: rng.randrange(3)]
+        if k >= 60 and p > 2:  # c v for c outside {0, 1}
+            vecs += [tuple(rng.randrange(2, p) * x for x in v) for v in vecs[:2]]
         rng.shuffle(vecs)
         cases.append(LinearMatroidFp(vecs, p, f"F{p}"))
     graphs = 0
@@ -345,8 +349,9 @@ def test_chi_walk_matches_the_census_and_the_broken_circuit_oracle():
 
 def test_chi_walk_gives_the_pg_product_beyond_24_elements():
     # pg:4,3 has 40 elements and pg:5,2 31; at most 102,091 and 206,368
-    # sets of at most r(E) elements bound their walks
-    for n, q in ((4, 3), (5, 2)):
+    # sets of at most r(E) elements bound their walks.  pg:2,1009 has
+    # 1,010 elements, more than the interpreter's default recursion limit
+    for n, q in ((4, 3), (5, 2), (2, 1009)):
         assert chi_subset(make_pg(n, q)) == chi_pg(n, q), (n, q)
 
 

@@ -402,16 +402,30 @@ def test_vertex_census_matches_edge_census_on_seeded_multigraphs():
     assert seen["8 vertices"] >= 5, seen
 
 
+# primes near 2^31 and 2^61 make packed digits of 62-65 and 122-125 bits
+FP_PRIMES = (2, 3, 5, 7, 2**31 - 1, 2**61 - 1)
+
+
+def scaled(vecs, p, rng):
+    """c v for each of the first two vectors v, c a random scalar outside
+    {0, 1}: parallel elements that differ from v in every nonzero digit."""
+    return [tuple(rng.randrange(2, p) * x for x in v) for v in vecs[:2]] if p > 2 else []
+
+
 def fp_configs():
-    """Seeded F_p configurations, p in {2, 3, 5}: each has a zero vector
-    and repeated vectors; empty ground sets and dimension 0 included."""
+    """Seeded F_p configurations, p in FP_PRIMES, dimension up to 6: each
+    has a zero vector, repeated vectors and scalar multiples; empty
+    ground sets and dimension 0 included."""
     rng = random.Random(616011)
     configs = [LinearMatroidFp([], p, "empty") for p in (2, 3, 5)]
     configs.append(LinearMatroidFp([()] * 3, 3, "dim0"))
-    for _ in range(100):
-        p, dim = rng.choice((2, 3, 5)), rng.randrange(5)
+    for k in range(130):
+        p = rng.choice((2, 3, 5) if k < 100 else FP_PRIMES)
+        dim = rng.randrange(5 if k < 100 else 7)
         vecs = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(rng.randrange(10))]
         vecs += [(0,) * dim] + vecs[:2]  # a loop and repeated vectors
+        if k >= 100:
+            vecs += scaled(vecs, p, rng)
         rng.shuffle(vecs)
         configs.append(LinearMatroidFp(vecs, p, f"F{p}"))
     return configs + [make_pg(3, 2), make_pg(2, 5)]
@@ -434,11 +448,27 @@ def test_fp_rank_table_matches_rank_impl():
     assert rank_table(m) == [m._rank_impl(mask) for mask in range(1 << 13)]
 
 
+def test_fp_span_test_digits_never_carry():
+    # rows e_c + (p - 1)(e_{c+1} + ... + e_5) of F_p^6, each with its
+    # leading 1, then vectors whose column d reads 1 after d reductions
+    # (digit 1 - d), so each later vector is reduced by every row in turn,
+    # and by p - 1 times digits of p - 1: digit 5 reaches 5 (p - 1)^2 plus
+    # at most p - 1 before it is read.  The last vector reads 0 there and
+    # lies in the span of rows 0..4.
+    for p in (3, 2**61 - 1):
+        rows = [(0,) * c + (1,) + (p - 1,) * (5 - c) for c in range(6)]
+        meets = [tuple(1 - d for d in range(5)) + (last,) for last in (-4, -5)]
+        m = LinearMatroidFp(rows + meets, p, f"F{p} carry")
+        assert rank_table(m) == [m._rank_impl(mask) for mask in range(1 << 8)], p
+        assert m.rank(0b10011111) == 5 and m.rank(0b01011111) == 6, p
+
+
 def low_rank_fp_configs():
     """Seeded F_p configurations where most elements lie in the span of
-    earlier ones: 14-16 vectors in F_p^2 or F_p^3, p in {2, 3, 5}, with
-    zero vectors and repeats, so the echelon scan folds far more elements
-    than it branches on."""
+    earlier ones: 14-16 vectors in F_p^2 or F_p^3, p in {2, 3, 5}, and
+    10-14 vectors in F_p^6 spanned by 3-4 random ones, p in FP_PRIMES,
+    with zero vectors, repeats and scalar multiples, so the echelon scan
+    folds far more elements than it branches on."""
     rng = random.Random(616012)
     configs = []
     for p in (2, 3, 5):
@@ -448,6 +478,15 @@ def low_rank_fp_configs():
             vecs += [(0,) * dim, vecs[0], vecs[-1]]
             rng.shuffle(vecs)
             configs.append(LinearMatroidFp(vecs, p, f"F{p}^{dim}"))
+    for p in FP_PRIMES:
+        gens = [[rng.randrange(p) for _ in range(6)] for _ in range(rng.randrange(3, 5))]
+        vecs = [
+            tuple(sum(rng.randrange(p) * g[c] for g in gens) for c in range(6))
+            for _ in range(rng.randrange(8, 11))
+        ]
+        vecs += [(0,) * 6, vecs[0]] + scaled(vecs[1:], p, rng)
+        rng.shuffle(vecs)
+        configs.append(LinearMatroidFp(vecs, p, f"F{p}^6"))
     return configs
 
 
