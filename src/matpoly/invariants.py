@@ -20,10 +20,12 @@ few vertices for its edges, and otherwise one scan that branches only
 on elements outside the span of the taken ones.  That scan still visits
 up to 2^n nodes on a matroid with few dependencies, so each entry point
 is guarded at n <= 24, except ``chi_subset`` where the census would scan
-(F_p, minor and table matroids, graphs on the edge route): it walks only
-the scan's no-broken-circuit paths, and ``walk_guard`` refuses more than
-2^24 sets of <= r(E) elements, the walk's node bound.  The CLI refuses a
-``pg:n,p`` spec by the same bound, at rank n, before listing its points.
+(F_p, minor and table matroids, graphs on the edge route): it runs the
+same scan, ``Matroid._scan``, with every fold cut, so that its leaf
+counts only the no-broken-circuit sets, and ``walk_guard`` refuses more
+than 2^24 sets of <= r(E) elements, the walk's node bound.  The CLI
+refuses a ``pg:n,p`` spec by the same bound, at rank n, before listing
+its points.
 ``chi_delcon`` is the independent recursive route (delete/contract) used
 to cross-check ``chi_subset``; for graphic matroids it memoizes, for
 the length of one call, on a densely re-labeled copy of the graph, which
@@ -73,43 +75,27 @@ def _scans(m: Matroid) -> bool:
     return type(m)._census is Matroid._census
 
 
-def _chi_walk(m: Matroid, deadline: float | None) -> IntPoly:
-    """chi by ``Matroid._scan`` cut where a stop adds (-1)^|mask|
-    x^(R - r) (1 - 1)^k = 0, k its free elements: at every fold and every
-    spanning stop with i < n.  The leaves left are the no-broken-circuit
-    sets (Whitney's broken-circuit theorem), and |mask| = r at each."""
-    n, top = m.ground_size, m.full_rank()
-    walk_guard(n, top, m.label)
-    _check_deadline(deadline)
-    start, extend = m._span_test()
-    coeffs = [0] * (top + 1)
-    calls = [0]
-
-    def rec(i, rk, state):
-        # skips loop and takes recurse, so the depth is the rank, not n
-        while i < n:
-            if rk == top:
-                return
-            calls[0] += 1
-            if calls[0] & 0x3FFF == 0:
-                _check_deadline(deadline)
-            grown = extend(state, i)
-            if grown is None:
-                return
-            i += 1
-            rec(i, rk + 1, grown)
-        coeffs[top - rk] += -1 if rk & 1 else 1
-
-    rec(0, 0, start)
-    return IntPoly(coeffs)
-
-
 def chi_subset(m: Matroid, deadline: float | None = None) -> IntPoly:
-    """Characteristic polynomial by direct subset expansion, or by
-    ``_chi_walk`` where the census would scan m; raises BudgetExceeded
-    once ``monotonic()`` passes ``deadline``."""
+    """Characteristic polynomial by direct subset expansion, or, where
+    the census would scan m, by ``Matroid._scan`` with folds cut.  A stop
+    of the census scan with k free elements adds (-1)^|mask| x^(R - r)
+    (1 - 1)^k, which is 0 at every fold and at every spanning stop with
+    i < n, so the walk ends each branch at a fold and its leaf adds only
+    at i = n.  The sets left are the no-broken-circuit sets (Whitney's
+    broken-circuit theorem), with |mask| = r at each.  Raises
+    BudgetExceeded once ``monotonic()`` passes ``deadline``."""
     if _scans(m):
-        return _chi_walk(m, deadline)
+        n, top = m.ground_size, m.full_rank()
+        walk_guard(n, top, m.label)
+        _check_deadline(deadline)
+        coeffs = [0] * (top + 1)
+
+        def leaf(i, mask, free, rk):
+            if i == n:
+                coeffs[top - rk] += -1 if rk & 1 else 1
+
+        m._scan(leaf, deadline, cut_folds=True)
+        return IntPoly(coeffs)
     _guard(m)
     counts = m.rank_size_counts(deadline)
     # r(E) is the largest rank in the census

@@ -29,19 +29,18 @@ of ``duality.rank_table``.  Each class takes its cheapest exact census:
     DualView         its base's census, reindexed
     others           ``Matroid._scan``
 
-Every rank table, and every other census, comes from the one scan,
-``Matroid._scan`` (a dual reads its base's table backwards).  The scan
-branches only on elements outside the span of the taken ones and folds
-the rest, so at a stop the census adds one binomial row and the rank
-table writes one slice per subset of the folded elements, and neither
-visits the sets below.  The span test is the one
-per-class hook, ``_span_test``: the generic test asks ``_peek`` whether
-r(taken + i) is still |taken|, ``LinearMatroidFp`` reduces vector i,
-one packed int, by the taken set's echelon rows (xor over F_2), and
-``GraphicMatroid`` compares the component labels of edge i's ends.
-Where the census would scan, ``invariants.chi_subset`` walks the scan
-with folds and early spanning stops cut, guarded at 2^24 sets of <= r(E)
-elements.
+``Matroid._scan`` is the one walk over subsets, with three leaves: the
+rank table, every other census, and chi (``invariants.chi_subset``).
+It branches only on elements outside the span of the taken ones and
+folds the rest, so at a stop the census adds one binomial row and the
+rank table writes one slice per subset of the folded elements; chi cuts
+each fold instead.  Skips and folds loop and only takes recurse, so the
+depth is at most r(E).  A dual reads its base's table backwards.  The
+span test is the one per-class hook, ``_span_test``: the generic test
+asks ``_peek`` whether r(taken + i) is still |taken|, ``LinearMatroidFp``
+reduces vector i, one packed int, by the taken set's echelon rows (xor
+over F_2), and ``GraphicMatroid`` compares the component labels of edge
+i's ends.
 
 The scan reads the rank cache through ``_peek`` and never writes to it,
 nor to the cache of a view's base, so a table or census runs in memory
@@ -183,38 +182,43 @@ class Matroid:
         counts: Counter = Counter()
         for (k, sz, rk), c in stops.items():
             for j in range(k + 1):
-                counts[(sz + j, rk)] += c * comb(k, j)
+                counts[(sz + j, rk)] += c
+                c = c * (k - j) // (j + 1)
         return counts
 
-    def _scan(self, leaf, deadline: float | None = None) -> None:
+    def _scan(
+        self, leaf, deadline: float | None = None, *, cut_folds: bool = False
+    ) -> None:
         """Depth-first scan over elements that keeps the taken set
         ``mask`` independent.  Only elements outside its span branch: an
         element in the span leaves every rank as it is, taken or not, so
         both of its subtrees would repeat the same choices at the same
-        ranks; it is folded into the mask ``free`` instead.  The scan
-        stops at element i once the taken set spans or i = n, and calls
-        leaf(i, mask, free, rank): every extension of a spanning set
-        keeps the full rank, so the 2^(|free| + n - i) sets mask + F + B,
-        F within ``free`` and B within elements i..n-1, share that rank
-        unvisited."""
+        ranks; it is folded into the mask ``free`` instead, or ends the
+        branch under ``cut_folds``.  The scan stops at element i once the
+        taken set spans or i = n, and calls leaf(i, mask, free, rank):
+        every extension of a spanning set keeps the full rank, so the
+        2^(|free| + n - i) sets mask + F + B, F within ``free`` and B
+        within elements i..n-1, share that rank unvisited.  Only takes
+        recurse."""
         n = self.ground_size
         top = self.full_rank()
         start, extend = self._span_test()
         calls = [0]
 
         def rec(i, mask, free, rk, state):
-            if rk == top or i == n:
-                leaf(i, mask, free, rk)
-                return
-            calls[0] += 1
-            if calls[0] & 0x3FFF == 0:
-                _check_deadline(deadline)
-            grown = extend(state, i)
-            if grown is None:
-                rec(i + 1, mask, free | 1 << i, rk, state)
-                return
-            rec(i + 1, mask, free, rk, state)
-            rec(i + 1, mask | 1 << i, free, rk + 1, grown)
+            while rk < top and i < n:
+                calls[0] += 1
+                if calls[0] & 0x3FFF == 0:
+                    _check_deadline(deadline)
+                grown = extend(state, i)
+                if grown is not None:
+                    rec(i + 1, mask | 1 << i, free, rk + 1, grown)
+                elif cut_folds:
+                    return
+                else:
+                    free |= 1 << i
+                i += 1
+            leaf(i, mask, free, rk)
 
         rec(0, 0, 0, 0, start)
 

@@ -20,12 +20,18 @@ WORK_GUARD = 10**8
 BC_GUARD = 18
 
 
+def _work_guard(base: int, exp: int) -> None:
+    """Refuse base^exp > WORK_GUARD assignments without building a huge
+    power: base^exp >= 2^(exp (bits(base) - 1)), and 2^27 > WORK_GUARD."""
+    if exp * (base.bit_length() - 1) >= 27 or base**exp > WORK_GUARD:
+        raise TooLarge(f"{base}^{exp} assignments")
+
+
 def count_colorings(g: MultiGraph, q: int) -> int:
     """Proper q-colorings, counted by enumerating all q^|V| maps."""
     if q < 0:
         raise BadParams("color count must be >= 0")
-    if q**g.n > WORK_GUARD:
-        raise TooLarge(f"{q}^{g.n} assignments")
+    _work_guard(q, g.n)
     total = 0
     for coloring in product(range(q), repeat=g.n):
         if all(coloring[u] != coloring[v] for u, v in g.edges):
@@ -41,8 +47,7 @@ def count_nz_flows(g: MultiGraph, q: int, flipped=()) -> int:
     if q < 2:
         raise BadParams("flow modulus must be >= 2")
     ne = len(g.edges)
-    if (q - 1) ** ne > WORK_GUARD:
-        raise TooLarge(f"{q - 1}^{ne} assignments")
+    _work_guard(q - 1, ne)
     flipped = set(flipped)
     oriented = []
     for i, (u, v) in enumerate(g.edges):

@@ -347,6 +347,30 @@ def test_chi_walk_matches_the_census_and_the_broken_circuit_oracle():
     assert min(seen.values()) >= 5, seen
 
 
+def test_chi_walk_cuts_every_fold_of_the_census_scan(monkeypatch):
+    # both run ``Matroid._scan`` on pg:4,2; the walk ends each branch at
+    # a fold, so it makes 923 span tests against the census scan's 1,820
+    calls = [0]
+    span_test = LinearMatroidFp._span_test
+
+    def counted(self):
+        start, extend = span_test(self)
+
+        def counted_extend(state, i):
+            calls[0] += 1
+            return extend(state, i)
+
+        return start, counted_extend
+
+    monkeypatch.setattr(LinearMatroidFp, "_span_test", counted)
+    m = make_pg(4, 2)
+    assert chi_subset(m) == chi_pg(4, 2)
+    assert calls[0] == 923
+    calls[0] = 0
+    m.rank_size_counts()
+    assert calls[0] == 1820
+
+
 def test_chi_walk_gives_the_pg_product_beyond_24_elements():
     # pg:4,3 has 40 elements and pg:5,2 31; at most 102,091 and 206,368
     # sets of at most r(E) elements bound their walks.  pg:2,1009 has

@@ -533,6 +533,21 @@ def test_fp_census_gives_the_pg_closed_forms_at_paper_scale():
     assert _chi_from_counts(m.dual().rank_size_counts(), 26) == chi_pg_dual(5, 2)
 
 
+def test_scan_depth_is_the_rank_not_the_ground_size():
+    # 1,100 parallel elements of rank 1, more than the interpreter's
+    # default recursion limit: a scan that recursed once per element
+    # raised RecursionError on each of these
+    u = make_uniform(1, 1100)
+    ones = LinearMatroidFp([(1,)] * 1100, 2, "ones")
+    for m, want in (
+        (ones, u),
+        (ones.dual(), u.dual()),
+        # a minor takes the generic ``_peek`` span test
+        (MinorView(u, u.full_mask), u),
+    ):
+        assert m.rank_size_counts() == want.rank_size_counts(), m.label
+
+
 def test_uniform_census_matches_generic_scan():
     cases = [(0, 0)] + [(0, n) for n in (1, 5)] + [(n, n) for n in (1, 5)]
     cases += [(m, n) for n in range(2, 9) for m in range(1, n)]

@@ -6,6 +6,7 @@ matching bug in the library.
 """
 
 import random
+import signal
 
 import pytest
 
@@ -14,6 +15,7 @@ from matpoly.graphs import MultiGraph, complete_graph
 from matpoly.invariants import chi_subset, chromatic_poly, flow_poly
 from matpoly.matroids import make_graphic, make_pg, make_uniform
 from matpoly.oracles import (
+    _work_guard,
     chi_via_broken_circuits,
     count_colorings,
     count_nz_flows,
@@ -52,6 +54,32 @@ def test_count_nz_flows_hand_values():
         count_nz_flows(K3, 1)
     with pytest.raises(TooLarge):
         count_nz_flows(complete_graph(10), 9)
+
+
+def test_work_guard_refuses_before_it_builds_the_power():
+    # 3^(10^7) has 1.6e7 bits and takes seconds to build; both oracles
+    # must refuse such counts within 1 s, here 10^7 vertices in 3 colors
+    # and 10^4 edges with 3^1000 nonzero values each
+    def too_slow(*_):
+        raise TimeoutError("the guard built the power")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(TooLarge):
+            count_colorings(MultiGraph(10**7, ()), 3)
+        with pytest.raises(TooLarge):
+            count_nz_flows(MultiGraph(2, [(0, 1)] * 10**4), 3**1000 + 1)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    # the cut refuses nothing the power admits: 2^26 and 10^8 pass
+    for base, exp in ((2, 26), (10, 8), (0, 10**9), (1, 10**9), (10**8, 1)):
+        _work_guard(base, exp)
+    for base, exp in ((2, 27), (10, 9), (10**8 + 1, 1)):
+        with pytest.raises(TooLarge):
+            _work_guard(base, exp)
 
 
 def test_flow_count_is_orientation_independent():
