@@ -16,6 +16,10 @@ Representations:
   ``IntPoly``, so products, log and exp are integer recurrences with no
   division.  Ring operations discard every z-degree beyond the
   truncation order.
+
+Theorem 2, chi_{M*} = (-1)^|E| x^(-r(E)) sum_A (1-x)^|A| chi_{M/A},
+ends every route to chi of a dual in ``_one_minus_x_sum`` and
+``_signed_div``.
 """
 
 from __future__ import annotations
@@ -210,6 +214,23 @@ def exact_div_monomial(p: IntPoly, k: int) -> IntPoly:
     if len(p.coeffs) <= k or any(c != 0 for c in p.coeffs[:k]):
         raise NotDivisible(f"x^{k} does not divide {p}")
     return IntPoly(p.coeffs[k:])
+
+
+def _one_minus_x_sum(groups: dict) -> IntPoly:
+    """sum_k (1-x)^k * groups[k]."""
+    return sum(
+        (poly_pow(IntPoly((1, -1)), k) * p for k, p in groups.items()), IntPoly.zero()
+    )
+
+
+def _signed(k: int, p):
+    """(-1)^k p."""
+    return -p if k % 2 else p
+
+
+def _signed_div(p: IntPoly, s: int, k: int) -> IntPoly:
+    """(-1)^s p / x^k; NotDivisible unless x^k | p."""
+    return exact_div_monomial(_signed(s, p), k)
 
 
 def falling_factorial(m: int) -> IntPoly:

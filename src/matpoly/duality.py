@@ -45,10 +45,11 @@ weight depends on |A| or on (|A|, r(A)) tallies its packed table with
 ``_tally``: a Counter over the (key, packed int) pairs, each distinct
 pair unpacked once and scaled by its count.  The signs (-1)^|A|, the
 division by x^(R - r(A)) and the weights, powers of (1-x) and x, then
-act on those <= (n+1)^2 groups.  Kung's and the Tutte convolution's
-right sides are sums of (-1)^|A| P_A Q_A over a subset table P and a
-superset table Q (``_class_product_sum``): Q is reduced to class ids
-before P is built, so one table of wide ints is alive at a time, P is
+act on those <= (n+1)^2 groups; the (1-x)-sum and Theorem 2's signed
+finish are algebra's.  Kung's and the Tutte convolution's right sides
+are sums of (-1)^|A| P_A Q_A over a subset table P and a superset
+table Q (``_class_product_sum``): Q is reduced to class ids before P
+is built, so one table of wide ints is alive at a time, P is
 tallied per class, and each distinct Q is multiplied once.
 Each checker only states the two sides of its identity.  Kinds that
 state one identity share its checker in ``_KINDS``: thm1-two is
@@ -66,6 +67,7 @@ from itertools import repeat
 from operator import add, and_
 
 from .algebra import BiPoly, IntPoly, exact_div_monomial, poly_pow
+from .algebra import _one_minus_x_sum, _signed, _signed_div
 from .errors import BadParams, TooLarge
 from .graphs import MultiGraph, connected_partitions, quotient
 from .invariants import chi_subset, chromatic_poly, flow_poly, tutte, whitney_R
@@ -233,18 +235,6 @@ def _sum_by_key(pairs) -> dict:
     return out
 
 
-def _one_minus_x_sum(groups: dict) -> IntPoly:
-    """sum_k (1-x)^k * groups[k]."""
-    return sum(
-        (poly_pow(IntPoly((1, -1)), k) * p for k, p in groups.items()), IntPoly.zero()
-    )
-
-
-def _signed(k: int, p):
-    """(-1)^k p."""
-    return -p if k % 2 else p
-
-
 def _finaltwo_sum(m: Matroid) -> IntPoly:
     """sum_A (1-x)^|A| * chi of (M with A contracted away): finaltwo's
     right side, and on M* twozeta's (matiyasevich's up to x^|V|).  That
@@ -268,18 +258,21 @@ def chi_dual_via_finaltwo(m: Matroid) -> IntPoly:
     The sum is exactly divisible by x^r(E); a NotDivisible escape means
     the input was not a matroid.
     """
-    acc = _signed(m.ground_size, _finaltwo_sum(m))
-    return exact_div_monomial(acc, m.full_rank())
+    return _signed_div(_finaltwo_sum(m), m.ground_size, m.full_rank())
+
+
+def _partition_guard(g: MultiGraph) -> None:
+    if g.n > PARTITION_VERTEX_GUARD:
+        raise TooLarge(
+            f"connected-partition sum on {g.n} > {PARTITION_VERTEX_GUARD} vertices"
+        )
 
 
 def _partition_sum(g: MultiGraph) -> IntPoly:
     """sum of (1-x)^|A| P_{G/A} over the partitions of V into connected
     blocks, A the edges inside blocks; the P_{G/A} are summed per |A|
     first, so at most |E|+1 products.  Guarded on the vertex count."""
-    if g.n > PARTITION_VERTEX_GUARD:
-        raise TooLarge(
-            f"connected-partition sum on {g.n} > {PARTITION_VERTEX_GUARD} vertices"
-        )
+    _partition_guard(g)
     return _one_minus_x_sum(
         _sum_by_key(
             (amask.bit_count(), chromatic_poly(quotient(g, amask)))
@@ -295,11 +288,9 @@ def flow_via_connected_partitions(g: MultiGraph) -> IntPoly:
                  connected blocks of (1-x)^|A| P_{G/A}(x)
 
     where A is the set of edges inside blocks and G/A identifies each
-    block to a point.  Only connected partitions are enumerated, and the
-    terms are summed per |A| before the (1-x)^|A| products; the vertex
-    count is guarded at 12.
+    block to a point (``_partition_sum``).
     """
-    return exact_div_monomial(_signed(len(g.edges), _partition_sum(g)), g.n)
+    return _signed_div(_partition_sum(g), len(g.edges), g.n)
 
 
 # Each checker below returns (lhs, rhs) with every denominator of the
@@ -354,9 +345,11 @@ def _verify_matiyasevich(g: MultiGraph):
 
 
 def _verify_th2(g: MultiGraph):
-    """(-1)^|E| x^|V| F_G = sum (1-x)^|A| P_{G/A} over connected partitions."""
-    rhs = _partition_sum(g)
-    return _signed(len(g.edges), flow_poly(g).shift(g.n)), rhs
+    """(-1)^|E| x^|V| F_G = sum (1-x)^|A| P_{G/A} over connected partitions.
+    Both sides' guards fire before either side is summed."""
+    _partition_guard(g)
+    lhs = _signed(len(g.edges), flow_poly(g).shift(g.n))
+    return lhs, _partition_sum(g)
 
 
 def _class_product_sum(ranks: list[int], pvalue, qvalue) -> list:

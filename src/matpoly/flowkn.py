@@ -35,7 +35,8 @@ function: with g(z) = sum_{i<=n} z^i/i! (1-x)^C(i,2),
 where g^x = exp(x log g) is computed with truncated series that store
 i! [z^i] as integer polynomials.  In that scaling log and exp are
 binomial recurrences with no division, so n! [z^n] is integral by
-construction; its divisibility by x^n is checked, not assumed.
+construction.  Both routes end in algebra's Theorem-2 finish, which
+checks that x^n divides.
 
 The third route (for benchmarking the claim that it loses) goes through
 the subset census of the cycle matroid of K_n under a time budget, by
@@ -52,7 +53,7 @@ from time import monotonic
 from .algebra import (
     IntPoly,
     PolySeries,
-    exact_div_monomial,
+    _signed_div,
     series_exp,
     series_log,
     substitute_one_minus_x,
@@ -181,27 +182,17 @@ def flow_kn_partitions(n: int) -> IntPoly:
             q + (1 - l) * a - b
             for q, a, b in zip_longest(rows.pop(), acc + [0], [0] + acc, fillvalue=0)
         ]
-    poly = substitute_one_minus_x(IntPoly(acc))
-    if comb(n, 2) % 2:
-        poly = -poly
-    return exact_div_monomial(poly, n)
+    return _signed_div(substitute_one_minus_x(IntPoly(acc)), comb(n, 2), n)
 
 
 def flow_kn_egf(n: int) -> IntPoly:
-    """F_{K_n} from the exponential generating function:
-    (-1)^C(n,2) x^(-n) n! [z^n] exp(x * log g(z)) with
-    g(z) = sum_{i<=n} z^i/i! (1-x)^C(i,2).
-
-    The series hold i! [z^i], so n! [z^n] is read off directly and is an
-    integer polynomial by construction; divisibility by x^n is verified."""
+    """F_{K_n} from the exponential generating function (see module
+    docstring)."""
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
     g = PolySeries(n, [IntPoly((1, -1)) ** comb(i, 2) for i in range(n + 1)])
     x_lg = series_log(g).map_coeffs(lambda c: c.shift(1))  # multiply by x
-    poly = series_exp(x_lg).coeff(n)
-    if comb(n, 2) % 2:
-        poly = -poly
-    return exact_div_monomial(poly, n)
+    return _signed_div(series_exp(x_lg).coeff(n), comb(n, 2), n)
 
 
 def flow_kn_tutte(n: int, budget_s: float | None = None) -> IntPoly:

@@ -24,13 +24,15 @@ def _work_guard(base: int, exp: int) -> None:
     """Refuse base^exp > WORK_GUARD assignments without building a huge
     power: base^exp >= 2^(exp (bits(base) - 1)), and 2^27 > WORK_GUARD."""
     if exp * (base.bit_length() - 1) >= 27 or base**exp > WORK_GUARD:
-        raise TooLarge(f"{base}^{exp} assignments")
+        raise TooLarge(f"(a {base.bit_length()}-bit base)^{exp} assignments")
 
 
 def count_colorings(g: MultiGraph, q: int) -> int:
     """Proper q-colorings, counted by enumerating all q^|V| maps."""
     if q < 0:
         raise BadParams("color count must be >= 0")
+    if q <= 1:  # one map at most: the empty one, or the constant one
+        return int(not g.edges and (q or not g.n))
     _work_guard(q, g.n)
     total = 0
     for coloring in product(range(q), repeat=g.n):

@@ -16,10 +16,10 @@ of points of PG(k-1, q):
         T(x, y) = (y-1)^(-n) * sum_k (n choose k)_q y^[k]
                   * prod_{i=0}^{n-k-1} ((x-1)(y-1) - q^i)
 
-    The k-sum is collected in one dense y-column per x-degree, and each
-    column is exactly divisible by (y-1)^n; n passes of synthetic
-    division leave T with integer coefficients.  Divisibility is
-    checked, never assumed.
+All three take prod_{i<m} (u - q^i) from ``_q_product``; T reads it in
+u = (x-1)(y-1).  chi* ends in algebra's Theorem-2 sum and finish.  T's
+k-sum fills one dense y-column per x-degree, each divided by (y-1)^n in
+n passes of synthetic division; divisibility is checked, not assumed.
 
 Gaussian binomials come from the q-Pascal recurrence
 (n k)_q = (n-1 k-1)_q + q^k (n-1 k)_q, which stays in integers.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .algebra import BiPoly, IntPoly, exact_div_monomial, poly_pow
+from .algebra import BiPoly, IntPoly, _one_minus_x_sum, _signed_div
 from .errors import BadParams, NotDivisible
 from .matroids import is_prime
 
@@ -91,52 +91,39 @@ def chi_pg(n: int, q: int) -> IntPoly:
 def chi_pg_dual(n: int, q: int) -> IntPoly:
     """chi of the dual of PG(n-1, q), by the Gaussian-binomial sum."""
     _check_pg_params(n, q)
-    one_minus_x = IntPoly((1, -1))
-    acc = IntPoly.zero()
-    for k in range(n + 1):
-        term = poly_pow(one_minus_x, points_count(k, q)) * _q_product(n - k, q)
-        acc = acc + term.scale(gaussian_binomial(n, k, q))
-    if points_count(n, q) % 2:
-        acc = -acc
-    return exact_div_monomial(acc, n)
+    groups = {
+        points_count(k, q): _q_product(n - k, q).scale(gaussian_binomial(n, k, q))
+        for k in range(n + 1)
+    }
+    return _signed_div(_one_minus_x_sum(groups), points_count(n, q), n)
 
 
-def _w_products_xy(n: int, q: int) -> list[list[list[int]]]:
-    """prod_{i<m} ((x-1)(y-1) - q^i) for m = 0 .. n, each as a dense
-    table p[i][j] of the coefficients of x^i y^j and each one bilinear
-    factor on from the last."""
-    out = [[[1]]]
-    for d in range(n):
-        c = 1 - q**d  # (x-1)(y-1) - q^d = xy - x - y + c
-        nxt = [[0] * (d + 2) for _ in range(d + 2)]
-        for i, row in enumerate(out[-1]):
-            up, here = nxt[i + 1], nxt[i]
-            for j, v in enumerate(row):
-                if v:
-                    up[j + 1] += v
-                    up[j] -= v
-                    here[j + 1] -= v
-                    here[j] += c * v
-        out.append(nxt)
-    return out
+def _w_table(m: int, q: int) -> list[list[int]]:
+    """prod_{i<m} ((x-1)(y-1) - q^i) as a dense table w[a][b] of the
+    coefficients of x^a y^b: each term c u^j of ``_q_product(m, q)`` adds
+    c times the binomial row of (x-1)^j in x times the same row in y."""
+    w = [[0] * (m + 1) for _ in range(m + 1)]
+    row = [1]  # the binomial row of (x-1)^j
+    for c in _q_product(m, q).coeffs:
+        for a, ra in enumerate(row):
+            wa, cra = w[a], c * ra
+            for b, rb in enumerate(row):
+                wa[b] += cra * rb
+        row = [p - r for p, r in zip([0] + row, row + [0])]
+    return w
 
 
 def tutte_pg(n: int, q: int) -> BiPoly:
-    """Tutte polynomial of PG(n-1, q) from the Gaussian-binomial sum,
-    built directly in x and y.
-
-    The k-term is (n choose k)_q y^[k] times prod_{i<n-k} ((x-1)(y-1) - q^i),
-    whose at most (n+1)^2 monomials are added, shifted by y^[k], into
-    n+1 dense y-columns, one per x-degree.  Each column is then divided
-    by (y-1)^n with n passes of synthetic division; a nonzero remainder
-    raises NotDivisible.
-    """
+    """Tutte polynomial of PG(n-1, q) from the Gaussian-binomial sum:
+    the k-term, ``_w_table(n - k, q)`` times (n choose k)_q y^[k], is
+    added into n+1 dense y-columns, one per x-degree, and each column is
+    divided by (y-1)^n; a nonzero remainder raises NotDivisible."""
     _check_pg_params(n, q)
     cols = [[0] * (points_count(n, q) + 1) for _ in range(n + 1)]
-    for k, prod_xy in enumerate(reversed(_w_products_xy(n, q))):
+    for k in range(n + 1):
         gb = gaussian_binomial(n, k, q)
         top = points_count(k, q)
-        for i, row in enumerate(prod_xy):
+        for i, row in enumerate(_w_table(n - k, q)):
             col = cols[i]
             for j, v in enumerate(row, top):
                 col[j] += gb * v

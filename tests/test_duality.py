@@ -1,6 +1,7 @@
 """Unit tests for the duality formulas and the identity checker."""
 
 import random
+import signal
 from itertools import product
 
 import pytest
@@ -181,6 +182,27 @@ def test_flow_via_connected_partitions_known_values():
     assert flow_via_connected_partitions(disc) == flow_poly(disc)
     with pytest.raises(TooLarge):
         flow_via_connected_partitions(MultiGraph(13, ()))
+
+
+def test_th2_refuses_before_it_sums_a_partition():
+    # K12 passes the 12-vertex cap but has 66 edges, over flow_poly's 24;
+    # a 20-vertex graph with 24 edges passes flow_poly's guard but not
+    # the cap, and its flow polynomial alone takes seconds.  Both must be
+    # refused within 1 s, before either side is summed.
+    def too_slow(*_):
+        raise TimeoutError("a side was summed before the guards")
+
+    sparse = MultiGraph(20, [(v, v + 1) for v in range(19)] + [(0, v) for v in range(2, 7)])
+    old = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        for g in (complete_graph(12), sparse):
+            with pytest.raises(TooLarge):
+                verify_identity("th2-connected-partitions", g)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_flow_via_connected_partitions_matches_flow_poly_on_corpus():

@@ -7,6 +7,7 @@ matching bug in the library.
 
 import random
 import signal
+import tracemalloc
 
 import pytest
 
@@ -70,6 +71,9 @@ def test_work_guard_refuses_before_it_builds_the_power():
             count_colorings(MultiGraph(10**7, ()), 3)
         with pytest.raises(TooLarge):
             count_nz_flows(MultiGraph(2, [(0, 1)] * 10**4), 3**1000 + 1)
+        # a base of over 4,300 digits is named by its size, not printed
+        with pytest.raises(TooLarge, match="158497-bit base"):
+            count_nz_flows(MultiGraph(2, [(0, 1)] * 100), 3**100_000 + 1)
         signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -80,6 +84,26 @@ def test_work_guard_refuses_before_it_builds_the_power():
     for base, exp in ((2, 27), (10, 9), (10**8 + 1, 1)):
         with pytest.raises(TooLarge):
             _work_guard(base, exp)
+
+
+def test_colorings_in_at_most_one_color_are_decided_without_enumerating():
+    # q <= 1 leaves at most one map; the count is read off, not enumerated
+    assert count_colorings(MultiGraph(0, ()), 0) == 1
+    assert count_colorings(MultiGraph(1, ()), 0) == 0
+    assert count_colorings(MultiGraph(0, ()), 1) == 1
+    assert count_colorings(MultiGraph(3, ()), 1) == 1
+    assert count_colorings(MultiGraph(3, ((0, 1),)), 1) == 0
+    assert count_colorings(MultiGraph(1, ((0, 0),)), 1) == 0
+    g = MultiGraph(10**6, ())
+    tracemalloc.start()
+    try:
+        assert count_colorings(g, 1) == 1
+        assert count_colorings(g, 0) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one range pool per vertex would take tens of MB
+    assert peak < 10**5, peak
 
 
 def test_flow_count_is_orientation_independent():

@@ -6,7 +6,7 @@ from math import comb, factorial, prod
 import pytest
 
 from matpoly import BadParams, NotDivisible, projective
-from matpoly.algebra import IntPoly
+from matpoly.algebra import BiPoly, IntPoly
 from matpoly.duality import chi_dual_via_finaltwo
 from matpoly.invariants import chi_subset, tutte
 from matpoly.matroids import flats_of_rank, make_pg
@@ -213,6 +213,17 @@ def test_tutte_pg_rejects_a_wrong_gaussian_binomial(monkeypatch):
     )
     with pytest.raises(NotDivisible):
         tutte_pg(6, 3)
+
+
+def test_w_table_is_the_product_of_the_bilinear_factors():
+    for q in (2, 3, 5):
+        want = BiPoly.const(1)
+        for m in range(7):
+            got = projective._w_table(m, q)
+            assert len(got) == m + 1 and all(len(row) == m + 1 for row in got)
+            terms = {(a, b): c for a, row in enumerate(got) for b, c in enumerate(row)}
+            assert BiPoly(terms) == want, (m, q)
+            want = want * BiPoly({(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1 - q**m})
 
 
 def test_pg_parameter_validation():
