@@ -152,28 +152,30 @@ class IntPoly:
         return acc
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            elif d == 1:
-                body = "x" if mag == 1 else f"{mag}x"
-            else:
-                body = f"x^{d}" if mag == 1 else f"{mag}x^{d}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        cs = self.coeffs
+        return _join_terms(
+            (cs[d], _power("x", d)) for d in range(len(cs) - 1, -1, -1) if cs[d]
+        )
 
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"
+
+
+def _power(var: str, e: int) -> str:
+    return "" if not e else var if e == 1 else f"{var}^{e}"
+
+
+def _join_terms(terms) -> str:
+    """Nonzero (c, monomial) terms as "c1m1 + c2m2 - ...", |c| = 1 left
+    out before a monomial; "0" for none."""
+    parts = []
+    for c, mono in terms:
+        body = mono if mono and abs(c) == 1 else f"{abs(c)}{mono}"
+        if parts:
+            parts.append(("+ " if c > 0 else "- ") + body)
+        else:
+            parts.append(body if c > 0 else "-" + body)
+    return " ".join(parts) or "0"
 
 
 def poly_pow(a: IntPoly, k: int) -> IntPoly:
@@ -340,26 +342,10 @@ class BiPoly:
         return acc
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items(), reverse=True):
-            mono = []
-            if i:
-                mono.append("x" if i == 1 else f"x^{i}")
-            if j:
-                mono.append("y" if j == 1 else f"y^{j}")
-            body = "*".join(mono)
-            mag = abs(c)
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = f"{mag}{body}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return _join_terms(
+            (c, "*".join(filter(None, (_power("x", i), _power("y", j)))))
+            for (i, j), c in sorted(self.terms.items(), reverse=True)
+        )
 
     def __repr__(self) -> str:
         return f"BiPoly({self.terms!r})"

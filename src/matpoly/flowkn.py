@@ -38,9 +38,9 @@ binomial recurrences with no division, so n! [z^n] is integral by
 construction.  Both routes end in algebra's Theorem-2 finish, which
 checks that x^n divides.
 
-The third route (for benchmarking the claim that it loses) goes through
-the subset census of the cycle matroid of K_n under a time budget, by
-the shared span-folding scan over edge subsets (``Matroid._scan``).
+The third route (for benchmarking the claim that it loses) is the subset
+census of the cycle matroid of K_n by the shared span-folding scan over
+edge subsets (``Matroid._scan``), guarded or under a deadline.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .algebra import (
 )
 from .errors import BadParams
 from .graphs import complete_graph
-from .invariants import _chi_from_counts, flow_poly
+from .invariants import _chi_from_counts, _guard
 from .matroids import Matroid, _dual_counts, make_graphic
 
 
@@ -196,23 +196,19 @@ def flow_kn_egf(n: int) -> IntPoly:
 
 
 def flow_kn_tutte(n: int, budget_s: float | None = None) -> IntPoly:
-    """F_{K_n} through the 2^|E| subset census of the cycle matroid.
-
-    Without a budget this delegates to flow_poly and inherits its size
-    guard and census route.  With a budget the census is always the scan
-    over edge subsets, ``Matroid._census``, under a deadline instead of a
-    size guard, and raises BudgetExceeded when time runs out; the point of
-    this route is to demonstrate how quickly brute force loses to the
-    partition sum, so it must be allowed to try and fail."""
+    """F_{K_n} through the 2^|E| subset census of the cycle matroid, by
+    the scan over edge subsets, ``Matroid._census``.  The budget sets only
+    a deadline: without one the scan is refused past 24 edges like every
+    census; with one it may try any n and raises BudgetExceeded when time
+    runs out, to show how quickly brute force loses to the partition sum."""
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
-    g = complete_graph(n)
+    m = make_graphic(complete_graph(n))
     if budget_s is None:
-        return flow_poly(g)
-    deadline = monotonic() + budget_s
-    m = make_graphic(g)
-    counts = _dual_counts(Matroid._census(m, deadline), m.ground_size, m.full_rank())
-    return _chi_from_counts(counts, len(g.edges) - (n - 1))
+        _guard(m)
+    deadline = None if budget_s is None else monotonic() + budget_s
+    counts = _dual_counts(Matroid._census(m, deadline), m.ground_size, n - 1)
+    return _chi_from_counts(counts, m.ground_size - (n - 1))
 
 
 def leading_binomial_check(f: IntPoly, n_choices: int, count: int) -> bool:

@@ -48,11 +48,10 @@ bounded by its own output (a cache of all 2^22 masks of uniform:10,22
 held 342 MB), while a scan after point queries still reads their ranks
 from the cache.  Every route asks ``rank`` for r(E) at most.
 
-Graphic matroids compute rank(A) as |support of A| minus the number of
-components of A, through ``graphs.components`` and the one union-find in
-``graphs._union`` (path halving).  Their census takes one of two routes,
-chosen by ``census_route`` from a cost estimate: ``vertex_census``, the
-Fortuin-Kasteleyn expansion over subsets of the non-isolated vertices V'
+Graphic rank is the join count of the one union-find, ``graphs._union``,
+on the graph relabeled once onto its non-isolated vertices V', which both
+census routes read too; ``census_route`` picks one by a cost estimate:
+``vertex_census``, the Fortuin-Kasteleyn expansion over subsets of V'
 (3^|V'| steps), or the shared scan over edge subsets.
 """
 
@@ -64,7 +63,7 @@ from math import comb
 from time import monotonic
 
 from .errors import BadParams, BudgetExceeded, TooLarge
-from .graphs import MultiGraph, components, quotient, subgraph
+from .graphs import MultiGraph, _union, quotient, subgraph
 
 ENUM_GUARD = 20  # hard cap for circuit/flat enumeration
 # Time of one vertex-route step over one edge subset, fitted to
@@ -332,13 +331,17 @@ class GraphicMatroid(Matroid):
             label = f"graphic:{graph.n}v{len(graph.edges)}e"
         super().__init__(len(graph.edges), label)
         self.graph = graph
-        # the non-isolated vertices V', ascending: the vertex route's cost
-        # and its tables are over them
-        self._vertices = sorted({v for e in graph.edges for v in e})
+        # the graph on its non-isolated vertices V' as 0..|V'|-1, ascending
+        # (itself if none is isolated): rank and both census routes read it
+        ends = sorted(set().union(*graph.edges))
+        if len(ends) < graph.n:
+            index = {v: i for i, v in enumerate(ends)}
+            edges = tuple((index[u], index[v]) for u, v in graph.edges)
+            graph = MultiGraph._unchecked(len(ends), edges)
+        self._dense = graph
 
     def _rank_impl(self, mask: int) -> int:
-        count, support = components(self.graph, mask)
-        return support - count
+        return _union(self._dense, mask)[1]
 
     def restrict(self, mask: int) -> "GraphicMatroid":
         return GraphicMatroid(
@@ -363,7 +366,7 @@ class GraphicMatroid(Matroid):
         cost come to about eight steps per entry.  The scan folds every
         edge that closes a cycle, so it stays ahead only on sparse graphs,
         such as forests of 5 or more vertices."""
-        nv = len(self._vertices)
+        nv = self._dense.n
         steps = 3**nv + (1 << nv + 3)
         return "vertex" if VERTEX_STEP_COST * steps < 1 << self.ground_size else "edge"
 
@@ -378,15 +381,14 @@ class GraphicMatroid(Matroid):
         Edge i = (u, v) is in the span when both ends share a label;
         otherwise the grown state relabels v's component as u's, one
         C-level pass."""
-        index = {v: i for i, v in enumerate(self._vertices)}
-        edges = [(index[u], index[v]) for u, v in self.graph.edges]
+        edges = self._dense.edges
 
         def extend(label, i):
             u, v = edges[i]
             lu, lv = label[u], label[v]
             return None if lu == lv else label.replace(lv, lu)
 
-        return "".join(map(chr, range(len(index)))), extend
+        return "".join(map(chr, range(self._dense.n))), extend
 
     def vertex_census(self, deadline: float | None = None) -> Counter:
         """Census by the Fortuin-Kasteleyn vertex-subset expansion
@@ -401,34 +403,31 @@ class GraphicMatroid(Matroid):
 
         and Z[S] = sum_{min S in T} q conn[T] Z[S-T] counts all edge sets
         of G[S] by size and component count, so the coefficient of
-        q^k v^a in Z[V'] is the census count at (a, |V'| - k).  Every
-        polynomial is packed into one int at v = 2^B, q = 2^(B(|E|+1)),
-        B = |E| + 1: each term and each sum counts distinct edge sets, so
-        no coefficient reaches 2^B and the packed arithmetic is exact."""
+        q^k v^a in Z[V'] is the census count at (a, |V'| - k).  One pass
+        over S fills both.  Every polynomial is packed into one int at
+        v = 2^B, q = 2^(B(|E|+1)), B = |E| + 1: each term and each sum
+        counts distinct edge sets, so no coefficient reaches 2^B and the
+        packed arithmetic is exact."""
         _check_deadline(deadline)
-        g = self.graph
-        m = len(g.edges)
-        vertices = self._vertices
-        nv = len(vertices)
+        g = self._dense
+        m, nv = len(g.edges), g.n
         full = (1 << nv) - 1
         bits = m + 1
-        index = {v: i for i, v in enumerate(vertices)}
+        step = bits * (m + 1)
         # layers[j][k]: the vertices i <= j joined to vertex j by more than k
         # edges (a loop joins j to itself), so with j = max S,
         # e(S) = e(S - j) + sum_k |layers[j][k] within S|
         layers: list[list[int]] = [[] for _ in range(nv)]
-        for u, w in g.edges:
-            i, j = index[u], index[w]
+        for i, j in g.edges:
             if i > j:
                 i, j = j, i
             row, bit = layers[j], 1 << i
             k = 0
             while k < len(row) and row[k] & bit:  # the first layer without i
                 k += 1
-            if k < len(row):
-                row[k] |= bit
-            else:
-                row.append(bit)
+            if k == len(row):
+                row.append(0)
+            row[k] |= bit
         inner = [0]  # e(S); vertex j doubles it with the sets whose max is j
         for row in layers:
             ext = inner
@@ -441,37 +440,28 @@ class GraphicMatroid(Matroid):
         inside = [pw[e] for e in inner]  # (1+v)^e(S)
 
         conn = [0] * (full + 1)
+        z = [1] + [0] * full
         for s in range(1, full + 1):
             if not s & 0xF:
                 _check_deadline(deadline)
             low = s & -s
             rest = sub = s ^ low
-            total = inside[s]
+            # Z is needed only on V' and the sets that miss vertex 0, and
+            # every S - T it reads misses min S, so is one of those
+            total, zs, need_z = inside[s], 0, not s & 1 or s == full
             while sub:  # proper subsets of rest, down to the empty set
                 sub = (sub - 1) & rest
                 c = conn[sub | low]
                 if c:  # 0 when G[T] is disconnected
                     total -= c * inside[rest ^ sub]
+                    if need_z:
+                        zs += c * z[rest ^ sub]
             conn[s] = total
-
-        # Z is only needed on V' and on the sets that miss vertex 0
-        z = [0] * (full + 1)
-        z[0] = 1
-        for s in [*range(2, full + 1, 2), full] if nv else ():
-            if not s & 0xF:
-                _check_deadline(deadline)
-            low = s & -s
-            rest = sub = s ^ low
-            total = conn[s]  # T = S, with Z[empty set] = 1
-            while sub:
-                sub = (sub - 1) & rest
-                c = conn[sub | low]
-                if c:
-                    total += c * z[rest ^ sub]
-            z[s] = total << bits * (m + 1)
+            if need_z:  # T = S adds conn[S] Z[empty set]; << step is q
+                z[s] = (total + zs) << step
 
         counts: Counter = Counter()
-        rows, mask, step = z[full], (1 << bits) - 1, bits * (m + 1)
+        rows, mask = z[full], (1 << bits) - 1
         rank = nv  # q-digit k of Z[V'] is rank |V'| - k, read from k = 0 up
         while rows:
             # an edge set of rank r has at least r edges: start at a = r

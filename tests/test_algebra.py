@@ -133,6 +133,68 @@ def test_str_descending_powers():
     assert str(IntPoly((1, 2))) == "2x + 1"
 
 
+def test_str_matches_pinned_strings_of_seeded_polynomials():
+    # verify reports, NotDivisible messages and the README print these
+    # strings, so both classes must keep them byte for byte
+    fixed = [
+        (IntPoly(()), "0"),
+        (IntPoly((7,)), "7"),
+        (IntPoly((-1,)), "-1"),
+        (IntPoly((1,)), "1"),
+        (IntPoly((0, -1)), "-x"),
+        (IntPoly((-1, -1)), "-x - 1"),
+        (IntPoly((3, 0, -1)), "-x^2 + 3"),
+        (IntPoly((0, 0, 1, -12)), "-12x^3 + x^2"),
+        (BiPoly(), "0"),
+        (BiPoly({(0, 0): 1}), "1"),
+        (BiPoly({(0, 0): -4}), "-4"),
+        (BiPoly({(1, 0): -1}), "-x"),
+        (BiPoly({(0, 1): 1}), "y"),
+        (BiPoly({(1, 1): -1, (0, 0): 1}), "-x*y + 1"),
+        (BiPoly({(2, 3): 5, (0, 1): -1, (1, 0): 1}), "5x^2*y^3 + x - y"),
+    ]
+    for p, want in fixed:
+        assert str(p) == want, p
+    rng = random.Random(2727)
+    coeffs = (-3, -2, -1, -1, 0, 0, 1, 1, 2, 17)
+    ints = [
+        IntPoly(rng.choice(coeffs) for _ in range(rng.randint(0, 6))) for _ in range(12)
+    ]
+    bis = [
+        BiPoly(
+            {
+                (rng.randint(0, 3), rng.randint(0, 3)): rng.choice((-3, -1, 1, 2, 11))
+                for _ in range(rng.randint(0, 5))
+            }
+        )
+        for _ in range(8)
+    ]
+    assert [str(p) for p in ints] == [
+        'x + 1',
+        '0',
+        '0',
+        '0',
+        'x^2 - 3x - 3',
+        '-3x',
+        '2',
+        '-2x^2 - x + 17',
+        '-3x^2 - x + 2',
+        '-3x^4 - 2x^3 - x^2 + 17x + 2',
+        '17x^3 - 2x^2 - x - 3',
+        '-2x^2 - x + 17',
+    ]
+    assert [str(p) for p in bis] == [
+        '-x^3*y^2 - x^2*y^3 - x^2*y',
+        '0',
+        '-3x^2*y',
+        '2x*y^2 + 11x',
+        '2x - 1',
+        '11x^3*y + 11y',
+        '-x*y^2',
+        '11x^2*y^2 + 2x^2 - 3y^3',
+    ]
+
+
 def test_exact_div_monomial():
     p = IntPoly((0, 0, 4, -2))
     assert exact_div_monomial(p, 2) == IntPoly((4, -2))

@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from matpoly import BadParams, BudgetExceeded
+from matpoly import BadParams, BudgetExceeded, TooLarge
 from matpoly.algebra import IntPoly
 from matpoly.flowkn import (
     flow_kn_egf,
@@ -19,6 +19,7 @@ from matpoly.flowkn import (
 )
 from matpoly.graphs import complete_graph
 from matpoly.invariants import flow_poly
+from matpoly.matroids import GraphicMatroid
 
 F_K5 = IntPoly((51, -147, 175, -115, 45, -10, 1))
 
@@ -225,9 +226,17 @@ def test_flow_kn_first_coefficient_past_the_binomials():
         assert f.coeffs[f.degree - (g - 1)] == want, n
 
 
-def test_flow_kn_tutte_route():
-    for n in range(1, 7):
+def test_flow_kn_tutte_route(monkeypatch):
+    # the budget sets only a deadline: without one the route is still the
+    # scan over edge subsets, guarded at 24 edges, so K8 is refused
+    def no_vertex_route(self, deadline=None):
+        raise AssertionError("the subset route ran the vertex census")
+
+    monkeypatch.setattr(GraphicMatroid, "vertex_census", no_vertex_route)
+    for n in range(1, 8):
         assert flow_kn_tutte(n) == flow_kn_partitions(n), n
+    with pytest.raises(TooLarge):
+        flow_kn_tutte(8)
     # the budgeted path scans the 2^28 edge subsets of K8 folded
     assert flow_kn_tutte(8, budget_s=60.0) == flow_kn_partitions(8)
     with pytest.raises(BudgetExceeded):

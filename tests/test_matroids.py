@@ -1,13 +1,16 @@
 """Unit tests for matroid rank oracles, views, and enumeration."""
 
 import random
+import tracemalloc
 from collections import Counter
 from time import monotonic
 
 import pytest
 
 from matpoly import BadParams, BudgetExceeded, TooLarge, matroids
+from matpoly.algebra import falling_factorial
 from matpoly.duality import rank_table
+from matpoly.flowkn import flow_kn_partitions
 from matpoly.graphs import MultiGraph, complete_graph, component_count
 from matpoly.invariants import _chi_from_counts, chi_subset
 from matpoly.matroids import (
@@ -16,6 +19,7 @@ from matpoly.matroids import (
     Matroid,
     MinorView,
     TableMatroid,
+    _dual_counts,
     circuits,
     flats_of_rank,
     is_prime,
@@ -375,6 +379,15 @@ def test_graphic_scan_labels_only_non_isolated_vertices():
         assert padded.census_route() == "edge"
         assert chi_subset(padded) == chi_subset(m)
         assert rank_table(padded) == rank_table(m)
+        # a rank query runs the union-find on the 13 ends too, so it
+        # allocates nothing per isolated vertex
+        tracemalloc.start()
+        try:
+            assert padded.rank(0b1011) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5, peak
 
 
 def test_vertex_census_matches_edge_census_on_seeded_multigraphs():
@@ -400,6 +413,19 @@ def test_vertex_census_matches_edge_census_on_seeded_multigraphs():
         seen["8 vertices"] += len({v for e in g.edges for v in e}) == 8
     assert min(seen[k] for k in ("loop", "parallel", "isolated")) >= 10, seen
     assert seen["8 vertices"] >= 5, seen
+
+
+def test_vertex_census_of_dense_graphs_past_the_subset_guard():
+    # K9..K11 have 36..55 edges, more than any library entry lets reach a
+    # census, and pack wider ints than the other tests: F is chi of the
+    # dual, and the chromatic polynomial of K_n is x chi
+    for n in (9, 10, 11):
+        m = make_graphic(complete_graph(n))
+        counts = m.vertex_census()
+        e = m.ground_size
+        flow = _chi_from_counts(_dual_counts(counts, e, n - 1), e - (n - 1))
+        assert flow == flow_kn_partitions(n), n
+        assert _chi_from_counts(counts, n - 1).shift(1) == falling_factorial(n), n
 
 
 # primes near 2^31 and 2^61 make packed digits of 62-65 and 122-125 bits

@@ -207,9 +207,11 @@ def test_tutte_pg_paper_scale_specializes_to_both_chis(n, q):
 
 def test_tutte_pg_rejects_a_wrong_gaussian_binomial(monkeypatch):
     # one wrong (n choose k)_q leaves a sum that (y-1)^n does not divide
-    real = projective.gaussian_binomial
+    real = projective._gaussian_row
     monkeypatch.setattr(
-        projective, "gaussian_binomial", lambda n, k, q: real(n, k, q) + (k == 1)
+        projective,
+        "_gaussian_row",
+        lambda n, q: [c + (k == 1) for k, c in enumerate(real(n, q))],
     )
     with pytest.raises(NotDivisible):
         tutte_pg(6, 3)
@@ -218,12 +220,30 @@ def test_tutte_pg_rejects_a_wrong_gaussian_binomial(monkeypatch):
 def test_w_table_is_the_product_of_the_bilinear_factors():
     for q in (2, 3, 5):
         want = BiPoly.const(1)
-        for m in range(7):
-            got = projective._w_table(m, q)
+        for m, p in enumerate(projective._q_products(6, q)):
+            got = projective._w_table(p)
             assert len(got) == m + 1 and all(len(row) == m + 1 for row in got)
             terms = {(a, b): c for a, row in enumerate(got) for b, c in enumerate(row)}
             assert BiPoly(terms) == want, (m, q)
             want = want * BiPoly({(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1 - q**m})
+
+
+def test_pg_closed_forms_build_each_q_product_once(monkeypatch):
+    # prod_{i<m} (x - q^i) for every m from one running list: n products,
+    # plus one per k in chi*'s (1-x)-sum, where building each m from
+    # scratch took C(n+1, 2)
+    calls = [0]
+    real = IntPoly.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(IntPoly, "__mul__", counted)
+    for fn, n, q, most in ((chi_pg_dual, 8, 3, 17), (tutte_pg, 6, 3, 6)):
+        calls[0] = 0
+        fn(n, q)
+        assert calls[0] <= most, (fn.__name__, calls[0])
 
 
 def test_pg_parameter_validation():
