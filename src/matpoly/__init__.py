@@ -45,7 +45,6 @@ from .graphs import (
     MultiGraph,
     complete_graph,
     component_count,
-    components,
     connected_partitions,
     graph_from_json,
     graph_to_json,

@@ -110,21 +110,6 @@ def _union(g: MultiGraph, mask: int):
     return parent, joins
 
 
-def _support(g: MultiGraph, mask: int) -> set:
-    """The endpoints of the edges in mask."""
-    _check_edge_mask(g, mask)
-    return {w for i, e in enumerate(g.edges) if mask >> i & 1 for w in e}
-
-
-def components(g: MultiGraph, mask: int) -> tuple[int, int]:
-    """(number of components, number of vertices) of the edge-induced
-    subgraph on mask; isolated vertices outside the support do not count.
-    The empty mask gives (0, 0)."""
-    _, joins = _union(g, mask)
-    support = len(_support(g, mask))
-    return support - joins, support
-
-
 def component_count(g: MultiGraph) -> int:
     """Components of g over all vertices, counting isolated ones."""
     return g.n - _union(g, g.full_edge_mask)[1]
@@ -132,15 +117,18 @@ def component_count(g: MultiGraph) -> int:
 
 def subgraph(g: MultiGraph, mask: int) -> MultiGraph:
     """Edge-induced subgraph: support vertices re-labeled ascending,
-    edges of mask kept in ascending index order."""
-    support = sorted(_support(g, mask))
-    relab = {v: i for i, v in enumerate(support)}
-    es = tuple(
-        (relab[u], relab[v])
-        for i, (u, v) in enumerate(g.edges)
-        if mask >> i & 1
-    )
-    return MultiGraph._unchecked(len(support), es)
+    edges of mask kept in ascending index order: g itself if that equals g."""
+    _check_edge_mask(g, mask)
+    if mask == g.full_edge_mask:
+        es = g.edges
+    else:
+        es = tuple(e for i, e in enumerate(g.edges) if mask >> i & 1)
+    ends = set().union(*es)
+    if len(ends) == g.n:  # no vertex to drop, so the labels stand
+        return g if es is g.edges else MultiGraph._unchecked(g.n, es)
+    relab = {v: i for i, v in enumerate(sorted(ends))}
+    es = tuple((relab[u], relab[v]) for u, v in es)
+    return MultiGraph._unchecked(len(ends), es)
 
 
 def quotient(g: MultiGraph, mask: int) -> MultiGraph:

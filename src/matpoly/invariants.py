@@ -27,9 +27,9 @@ than 2^24 sets of <= r(E) elements, the walk's node bound.  The CLI
 refuses a ``pg:n,p`` spec by the same bound, at rank n, before listing
 its points.
 ``chi_delcon`` is the independent recursive route (delete/contract) used
-to cross-check ``chi_subset``; for graphic matroids it memoizes, for
-the length of one call, on a densely re-labeled copy of the graph, which
-is sound because equal labeled graphs have equal cycle matroids.
+to cross-check ``chi_subset``; on a graphic matroid it recurses on its
+own minors, memoized for one call on each minor's graph: equal labeled
+graphs have equal cycle matroids.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import comb
 
 from .algebra import BiPoly, IntPoly, poly_pow, substitute_one_minus_x
 from .errors import BadParams, TooLarge
-from .graphs import MultiGraph, quotient
+from .graphs import MultiGraph
 from .matroids import GraphicMatroid, Matroid, _check_deadline, make_graphic
 
 SUBSET_GUARD = 24
@@ -115,37 +115,23 @@ def _delcon(m: Matroid) -> IntPoly:
     return poly_pow(IntPoly((-1, 1)), n)
 
 
-def _graph_key(g: MultiGraph):
-    support = sorted({v for e in g.edges for v in e})
-    relab = {v: i for i, v in enumerate(support)}
-    edges = sorted(
-        (relab[u], relab[v]) if relab[u] <= relab[v] else (relab[v], relab[u])
-        for u, v in g.edges
-    )
-    return len(support), tuple(edges)
-
-
-def _delcon_graphic(g: MultiGraph, memo: dict) -> IntPoly:
-    key = _graph_key(g)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    edges = g.edges
-    res = None
-    for i, (u, v) in enumerate(edges):
-        if u == v:
-            res = IntPoly.zero()
-            break
+def _delcon_graphic(m: GraphicMatroid, memo: dict) -> IntPoly:
+    g = m.graph
+    key = g.n, tuple(sorted((u, v) if u <= v else (v, u) for u, v in g.edges))
+    res = memo.get(key)
     if res is None:
-        m = make_graphic(g)
-        pick = next((i for i in range(len(edges)) if not m.is_coloop(i)), None)
-        if pick is None:
-            res = poly_pow(IntPoly((-1, 1)), len(edges))
+        if any(u == v for u, v in g.edges):
+            res = IntPoly.zero()
         else:
-            deleted = MultiGraph(g.n, edges[:pick] + edges[pick + 1 :])
-            contracted = quotient(g, 1 << pick)
-            res = _delcon_graphic(deleted, memo) - _delcon_graphic(contracted, memo)
-    memo[key] = res
+            n = m.ground_size
+            pick = next((e for e in range(n) if not m.is_coloop(e)), None)
+            if pick is None:
+                res = poly_pow(IntPoly((-1, 1)), n)
+            else:
+                keep = m.full_mask & ~(1 << pick)
+                deleted, contracted = m.restrict(keep), m.contract(keep)
+                res = _delcon_graphic(deleted, memo) - _delcon_graphic(contracted, memo)
+        memo[key] = res
     return res
 
 
@@ -158,7 +144,7 @@ def chi_delcon(m: Matroid) -> IntPoly:
     chi(M) = chi(M delete e) - chi(M contract e).
     """
     if isinstance(m, GraphicMatroid):
-        return _delcon_graphic(m.graph, {})
+        return _delcon_graphic(m, {})
     return _delcon(m)
 
 

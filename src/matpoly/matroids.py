@@ -49,8 +49,9 @@ held 342 MB), while a scan after point queries still reads their ranks
 from the cache.  Every route asks ``rank`` for r(E) at most.
 
 Graphic rank is the join count of the one union-find, ``graphs._union``,
-on the graph relabeled once onto its non-isolated vertices V', which both
-census routes read too; ``census_route`` picks one by a cost estimate:
+on ``graph``, the input relabeled onto its non-isolated vertices V' by
+``graphs.subgraph``, which both census routes and minors read too;
+``census_route`` picks one by a cost estimate:
 ``vertex_census``, the Fortuin-Kasteleyn expansion over subsets of V'
 (3^|V'| steps), or the shared scan over edge subsets.
 """
@@ -324,24 +325,17 @@ class UniformMatroid(Matroid):
 
 
 class GraphicMatroid(Matroid):
-    """Cycle matroid of a multigraph; elements are the graph's edges."""
+    """Cycle matroid of a multigraph; elements are the edges of
+    ``graph``, the input on V'."""
 
     def __init__(self, graph: MultiGraph, label: str | None = None):
         if label is None:
             label = f"graphic:{graph.n}v{len(graph.edges)}e"
         super().__init__(len(graph.edges), label)
-        self.graph = graph
-        # the graph on its non-isolated vertices V' as 0..|V'|-1, ascending
-        # (itself if none is isolated): rank and both census routes read it
-        ends = sorted(set().union(*graph.edges))
-        if len(ends) < graph.n:
-            index = {v: i for i, v in enumerate(ends)}
-            edges = tuple((index[u], index[v]) for u, v in graph.edges)
-            graph = MultiGraph._unchecked(len(ends), edges)
-        self._dense = graph
+        self.graph = subgraph(graph, graph.full_edge_mask)
 
     def _rank_impl(self, mask: int) -> int:
-        return _union(self._dense, mask)[1]
+        return _union(self.graph, mask)[1]
 
     def restrict(self, mask: int) -> "GraphicMatroid":
         return GraphicMatroid(
@@ -366,7 +360,7 @@ class GraphicMatroid(Matroid):
         cost come to about eight steps per entry.  The scan folds every
         edge that closes a cycle, so it stays ahead only on sparse graphs,
         such as forests of 5 or more vertices."""
-        nv = self._dense.n
+        nv = self.graph.n
         steps = 3**nv + (1 << nv + 3)
         return "vertex" if VERTEX_STEP_COST * steps < 1 << self.ground_size else "edge"
 
@@ -381,14 +375,14 @@ class GraphicMatroid(Matroid):
         Edge i = (u, v) is in the span when both ends share a label;
         otherwise the grown state relabels v's component as u's, one
         C-level pass."""
-        edges = self._dense.edges
+        edges = self.graph.edges
 
         def extend(label, i):
             u, v = edges[i]
             lu, lv = label[u], label[v]
             return None if lu == lv else label.replace(lv, lu)
 
-        return "".join(map(chr, range(self._dense.n))), extend
+        return "".join(map(chr, range(self.graph.n))), extend
 
     def vertex_census(self, deadline: float | None = None) -> Counter:
         """Census by the Fortuin-Kasteleyn vertex-subset expansion
@@ -409,7 +403,7 @@ class GraphicMatroid(Matroid):
         counts distinct edge sets, so no coefficient reaches 2^B and the
         packed arithmetic is exact."""
         _check_deadline(deadline)
-        g = self._dense
+        g = self.graph
         m, nv = len(g.edges), g.n
         full = (1 << nv) - 1
         bits = m + 1

@@ -10,7 +10,6 @@ from matpoly.graphs import (
     MultiGraph,
     complete_graph,
     component_count,
-    components,
     connected_partitions,
     graph_from_json,
     graph_to_json,
@@ -54,17 +53,6 @@ def test_complete_graph_edges_lexicographic():
     k5 = complete_graph(5)
     assert k5.edge_count == 10
     assert sorted(k5.edges) == list(k5.edges)
-
-
-def test_components_counts_support_only():
-    k3 = complete_graph(3)
-    assert components(k3, 0b111) == (1, 3)
-    assert components(k3, 0b001) == (1, 2)
-    assert components(k3, 0) == (0, 0)
-    two = MultiGraph(4, ((0, 1), (2, 3)))
-    assert components(two, 0b11) == (2, 4)
-    loop = MultiGraph(1, ((0, 0),))
-    assert components(loop, 0b1) == (1, 1)
 
 
 def test_component_count_includes_isolated_vertices():
@@ -193,7 +181,7 @@ def brute_connected_partitions(g):
             sub = subgraph(
                 g, sum(1 << i for i, (u, v) in enumerate(g.edges) if u in blk and v in blk)
             )
-            if len(blk) > 1 and (sub.n != len(blk) or components(sub, sub.full_edge_mask)[0] != 1):
+            if len(blk) > 1 and (sub.n != len(blk) or component_count(sub) != 1):
                 ok = False
                 break
         if ok:

@@ -7,7 +7,13 @@ from math import comb
 import pytest
 
 from matpoly import BudgetExceeded, TooLarge
-from matpoly.algebra import BiPoly, IntPoly, poly_pow, substitute_one_minus_x
+from matpoly.algebra import (
+    BiPoly,
+    IntPoly,
+    falling_factorial,
+    poly_pow,
+    substitute_one_minus_x,
+)
 import matpoly.invariants as invariants_module
 import matpoly.matroids as matroids_module
 from matpoly.duality import rank_table
@@ -81,9 +87,38 @@ def test_chi_of_coloop_direct_sums():
         assert chi_delcon(make_uniform(n, n)) == want
 
 
+def seeded_multigraphs(seed, count, max_edges):
+    """Random multigraphs on 0-9 vertices with loops, parallel edges,
+    isolated vertices and disconnected parts; the empty graph first."""
+    rng = random.Random(seed)
+    out = [MultiGraph(0, ())]
+    while len(out) < count:
+        n = rng.randint(1, 9)
+        used = rng.sample(range(n), rng.randint(1, n))
+        # edges fall within one of up to two parts of the used vertices
+        cut = rng.randint(1, len(used))
+        parts = [used[:cut], used[cut:] or used[:cut]]
+        edges = []
+        for _ in range(rng.randint(0, max_edges)):
+            part = rng.choice(parts)
+            u, v = rng.choice(part), rng.choice(part)
+            edges += [(u, v)] * min(rng.choice((1, 1, 1, 2, 3)), max_edges - len(edges))
+        out.append(MultiGraph(n, edges))
+    return out
+
+
 def test_chi_subset_equals_chi_delcon_everywhere():
     for m in small_matroids(12):
         assert chi_subset(m) == chi_delcon(m), m.label
+    seen = Counter()
+    for g in seeded_multigraphs(280001, 48, 14):
+        assert chi_subset(make_graphic(g)) == chi_delcon(make_graphic(g)), g
+        isolated = g.n - len({w for e in g.edges for w in e})
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
+        seen["isolated"] += isolated > 0
+        seen["split"] += component_count(g) > isolated + 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_chi_delcon_leaves_no_module_state():
@@ -242,6 +277,21 @@ def test_chromatic_known_values():
     # isolated vertices multiply by x
     tri_iso = MultiGraph(4, ((0, 1), (1, 2), (0, 2)))
     assert chromatic_poly(tri_iso) == IntPoly((0, 0, 2, -3, 1))
+
+
+def test_chromatic_poly_past_the_subset_guard():
+    # more than 24 edges after parallels are dropped: delete/contract
+    k8, k9 = complete_graph(8), complete_graph(9)
+    assert chromatic_poly(k8) == falling_factorial(8)
+    assert chromatic_poly(k9) == falling_factorial(9)
+    x, x1 = IntPoly((0, 1)), IntPoly((-1, 1))
+    c30 = MultiGraph(30, [(v, (v + 1) % 30) for v in range(30)])
+    assert chromatic_poly(c30) == poly_pow(x1, 30) + x1
+    path = MultiGraph(31, [(v, v + 1) for v in range(30)])
+    assert chromatic_poly(path) == x * poly_pow(x1, 30)
+    doubled = MultiGraph(12, k8.edges + k8.edges)
+    assert chromatic_poly(doubled) == poly_pow(x, 4) * falling_factorial(8)
+    assert chromatic_poly(MultiGraph(8, k8.edges + ((3, 3),))) == IntPoly.zero()
 
 
 def test_flow_known_values():

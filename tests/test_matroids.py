@@ -372,10 +372,14 @@ def test_graphic_scan_labels_only_non_isolated_vertices():
     # 1.2M isolated vertices, before or after the 12-edge path, are more
     # than chr() can label; the scan's span test labels only the 13 ends
     path = [(v, v + 1) for v in range(12)]
-    m = make_graphic(MultiGraph(13, path))
+    g = MultiGraph(13, path)
+    m = make_graphic(g)
+    # with no vertex isolated, the matroid keeps the input graph, uncopied
+    assert m.graph is g
     pad = 1_200_000
     for edges in (path, [(u + pad, v + pad) for u, v in path]):
         padded = make_graphic(MultiGraph(13 + pad, edges))
+        assert padded.graph.n == 13 and padded.graph.edges == g.edges
         assert padded.census_route() == "edge"
         assert chi_subset(padded) == chi_subset(m)
         assert rank_table(padded) == rank_table(m)
