@@ -9,7 +9,6 @@ geometries, and brute-force oracles to check it all against.
 from .algebra import (
     BiPoly,
     IntPoly,
-    PolySeries,
     exact_div_monomial,
     falling_factorial,
     poly_pow,

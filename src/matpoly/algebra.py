@@ -11,11 +11,9 @@ Representations:
   polynomial is the empty tuple and reports degree -1.
 * ``BiPoly``: sparse bivariate polynomial over the integers; a dict
   mapping ``(deg_x, deg_y)`` to nonzero coefficients.
-* ``PolySeries``: exponential power series in ``z`` truncated at a fixed
-  order; entry i holds i! times the coefficient of ``z^i`` as an
-  ``IntPoly``, so products, log and exp are integer recurrences with no
-  division.  Ring operations discard every z-degree beyond the
-  truncation order.
+* exponential power series in ``z``: a list whose entry i is i! times
+  the coefficient of ``z^i``, as an ``IntPoly``, so log and exp are
+  integer recurrences with no division.
 
 Theorem 2, chi_{M*} = (-1)^|E| x^(-r(E)) sum_A (1-x)^|A| chi_{M/A},
 ends every route to chi of a dual in ``_one_minus_x_sum`` and
@@ -134,6 +132,8 @@ class IntPoly:
     @classmethod
     def unpack(cls, v: int, w: int) -> "IntPoly":
         """Inverse of ``pack``: read v's w-bit digits in [-2^(w-1), 2^(w-1))."""
+        if w < 2:  # a 1-bit balanced digit of 1 reads -1, and v never shrinks
+            raise BadParams("unpack wants a width of at least 2 bits")
         mask, half = (1 << w) - 1, 1 << (w - 1)
         cs = []
         while v:
@@ -351,97 +351,38 @@ class BiPoly:
         return f"BiPoly({self.terms!r})"
 
 
-class PolySeries:
-    """Exponential power series in z, truncated at a fixed order.
-
-    ``coeffs[i]`` is i! times the coefficient of ``z^i``, as an IntPoly;
-    the tuple has length ``order + 1``.  In this scaling the product is
-    the binomial convolution (ab)_m = sum_k C(m,k) a_k b_(m-k), so every
-    operation stays in the integers.  Binary operations align at the
-    smaller of the two orders.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=()):
-        if order < 0:
-            raise BadParams("series order must be >= 0")
-        cs = list(coeffs)
-        if len(cs) > order + 1:
-            raise BadParams("more coefficients than the truncation order allows")
-        cs.extend([IntPoly()] * (order + 1 - len(cs)))
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    def coeff(self, i: int) -> IntPoly:
-        return self.coeffs[i]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolySeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other: "PolySeries") -> "PolySeries":
-        order = min(self.order, other.order)
-        return PolySeries(
-            order, [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)]
-        )
-
-    def __mul__(self, other: "PolySeries") -> "PolySeries":
-        order = min(self.order, other.order)
-        out = []
-        for m in range(order + 1):
-            acc = IntPoly()
-            for k in range(m + 1):
-                a, b = self.coeffs[k], other.coeffs[m - k]
-                if a and b:
-                    acc = acc + (a * b).scale(comb(m, k))
-            out.append(acc)
-        return PolySeries(order, out)
-
-    def map_coeffs(self, f) -> "PolySeries":
-        return PolySeries(self.order, [f(c) for c in self.coeffs])
-
-    def __repr__(self) -> str:
-        return f"PolySeries(order={self.order}, coeffs={self.coeffs!r})"
-
-
-def series_log(s: PolySeries) -> PolySeries:
-    """log of a series with constant term exactly 1.
+def series_log(g: list) -> list:
+    """log of a series with constant term exactly 1, to len(g) terms.
 
     From g' = g * (log g)' in the i!-scaled coefficients,
         g_m = sum_{k=1..m} C(m-1, k-1) l_k g_(m-k),
     and the k = m term is l_m itself (g_0 = 1), so l_m needs no division.
     """
-    if s.coeffs[0] != IntPoly.one():
+    if not g or g[0] != IntPoly.one():
         raise BadConstantTerm("series_log needs constant term 1")
-    g = s.coeffs
     l = [IntPoly()]
-    for m in range(1, s.order + 1):
+    for m in range(1, len(g)):
         acc = g[m]
         for k in range(1, m):
             if l[k] and g[m - k]:
                 acc = acc - (l[k] * g[m - k]).scale(comb(m - 1, k - 1))
         l.append(acc)
-    return PolySeries(s.order, l)
+    return l
 
 
-def series_exp(s: PolySeries) -> PolySeries:
-    """exp of a series with constant term exactly 0.
+def series_exp(h: list) -> list:
+    """exp of a series with constant term exactly 0, to len(h) terms.
 
     From e' = h' * e for e = exp(h), in the i!-scaled coefficients:
         e_m = sum_{k=1..m} C(m-1, k-1) h_k e_(m-k).
     """
-    if s.coeffs[0]:
+    if not h or h[0]:
         raise BadConstantTerm("series_exp needs constant term 0")
-    h = s.coeffs
     e = [IntPoly.one()]
-    for m in range(1, s.order + 1):
+    for m in range(1, len(h)):
         acc = IntPoly()
         for k in range(1, m + 1):
             if h[k] and e[m - k]:
                 acc = acc + (h[k] * e[m - k]).scale(comb(m - 1, k - 1))
         e.append(acc)
-    return PolySeries(s.order, e)
+    return e

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from time import monotonic
 
 from .algebra import BiPoly, IntPoly
@@ -38,18 +39,35 @@ from .oracles import chi_via_broken_circuits, count_colorings, count_nz_flows
 from .projective import chi_pg_dual, points_count, tutte_pg
 
 
+@contextmanager
+def _all_digits():
+    """Lift Python's int-to-str digit limit, a guard for parsing input,
+    while a result is formatted, so that every digit prints."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def poly_json(p: IntPoly) -> dict:
-    return {"var": "x", "coeffs": [str(c) for c in p.coeffs]}
+    with _all_digits():
+        return {"var": "x", "coeffs": [str(c) for c in p.coeffs]}
 
 
 def bipoly_json(p: BiPoly) -> dict:
-    return {
-        "vars": ["x", "y"],
-        "coeffs": [
-            {"dx": i, "dy": j, "c": str(c)}
-            for (i, j), c in sorted(p.terms.items())
-        ],
-    }
+    with _all_digits():
+        return {
+            "vars": ["x", "y"],
+            "coeffs": [
+                {"dx": i, "dy": j, "c": str(c)}
+                for (i, j), c in sorted(p.terms.items())
+            ],
+        }
 
 
 def poly_checksum(p) -> str:
@@ -110,6 +128,8 @@ def _emit(obj) -> None:
 
 
 def cmd_flow_kn(args) -> int:
+    if args.budget_s is not None and args.method != "tutte":
+        raise BadParams(f"--budget-s bounds only the tutte method, not {args.method}")
     if args.method == "partitions":
         poly = flow_kn_partitions(args.n)
     elif args.method == "egf":
@@ -276,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=("flow-kn",))
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--methods", default="partitions,egf")
-    p.add_argument("--budget-s", type=float, default=60.0)
+    p.add_argument(
+        "--budget-s", type=float, default=60.0, help="deadline of each tutte row"
+    )
     p.set_defaults(fn=cmd_bench)
 
     return ap

@@ -32,11 +32,11 @@ function: with g(z) = sum_{i<=n} z^i/i! (1-x)^C(i,2),
 
     F_{K_n}(x) = (-1)^C(n,2) x^(-n) * n! [z^n] g(z)^x,
 
-where g^x = exp(x log g) is computed with truncated series that store
-i! [z^i] as integer polynomials.  In that scaling log and exp are
-binomial recurrences with no division, so n! [z^n] is integral by
-construction.  Both routes end in algebra's Theorem-2 finish, which
-checks that x^n divides.
+where g^x = exp(x log g) is computed on lists of the n + 1 integer
+polynomials i! [z^i].  In that scaling log and exp are binomial
+recurrences with no division, so n! [z^n] is integral by construction.
+Both routes end in algebra's Theorem-2 finish, which checks that x^n
+divides.
 
 The third route (for benchmarking the claim that it loses) is the subset
 census of the cycle matroid of K_n by the shared span-folding scan over
@@ -50,14 +50,7 @@ from itertools import zip_longest
 from math import comb, factorial, prod
 from time import monotonic
 
-from .algebra import (
-    IntPoly,
-    PolySeries,
-    _signed_div,
-    series_exp,
-    series_log,
-    substitute_one_minus_x,
-)
+from .algebra import IntPoly, _signed_div, series_exp, series_log, substitute_one_minus_x
 from .errors import BadParams
 from .graphs import complete_graph
 from .invariants import _chi_from_counts, _guard
@@ -190,9 +183,9 @@ def flow_kn_egf(n: int) -> IntPoly:
     docstring)."""
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
-    g = PolySeries(n, [IntPoly((1, -1)) ** comb(i, 2) for i in range(n + 1)])
-    x_lg = series_log(g).map_coeffs(lambda c: c.shift(1))  # multiply by x
-    return _signed_div(series_exp(x_lg).coeff(n), comb(n, 2), n)
+    g = [IntPoly((1, -1)) ** comb(i, 2) for i in range(n + 1)]
+    x_lg = [c.shift(1) for c in series_log(g)]  # multiply by x
+    return _signed_div(series_exp(x_lg)[n], comb(n, 2), n)
 
 
 def flow_kn_tutte(n: int, budget_s: float | None = None) -> IntPoly:

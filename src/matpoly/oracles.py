@@ -41,22 +41,14 @@ def count_colorings(g: MultiGraph, q: int) -> int:
     return total
 
 
-def count_nz_flows(g: MultiGraph, q: int, flipped=()) -> int:
+def count_nz_flows(g: MultiGraph, q: int) -> int:
     """Nowhere-zero Z_q flows, counted by enumerating all (q-1)^|E| value
-    assignments against a fixed orientation (tail = lower endpoint, in
-    edge index order).  ``flipped`` reverses the listed edge indices; the
-    count is orientation-independent, which tests exploit."""
+    assignments against a fixed orientation (tail = lower endpoint)."""
     if q < 2:
         raise BadParams("flow modulus must be >= 2")
     ne = len(g.edges)
     _work_guard(q - 1, ne)
-    flipped = set(flipped)
-    oriented = []
-    for i, (u, v) in enumerate(g.edges):
-        t, h = (u, v) if u <= v else (v, u)
-        if i in flipped:
-            t, h = h, t
-        oriented.append((t, h))
+    oriented = [(u, v) if u <= v else (v, u) for u, v in g.edges]
     total = 0
     for values in product(range(1, q), repeat=ne):
         net = [0] * g.n

@@ -7,13 +7,14 @@ user sees.
 
 import json
 import signal
+import sys
 
 import pytest
 
 from matpoly import cli
 from matpoly.cli import main, parse_matroid_spec, poly_checksum
 from matpoly.algebra import BiPoly, IntPoly
-from matpoly.projective import chi_pg
+from matpoly.projective import chi_pg, points_count
 
 K4_JSON = '{"n": 4, "edges": [[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
 TRIANGLE_JSON = '{"n": 3, "edges": [[0,1],[1,2],[0,2]]}'
@@ -64,6 +65,21 @@ def test_flow_kn_tutte_budget_blown_exits_1(capsys):
     )
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+
+
+def test_flow_kn_fast_routes_refuse_a_budget(capsys):
+    # only the tutte scan honours --budget-s; the fast routes used to drop it
+    for method in ("partitions", "egf"):
+        code, out, err = run(
+            capsys, ["flow-kn", "--n", "5", "--method", method, "--budget-s", "0"]
+        )
+        assert code == 2 and out == "", method
+        assert json.loads(err)["error"]["type"] == "BadParams", method
+    code, out, _ = run(
+        capsys, ["flow-kn", "--n", "5", "--method", "tutte", "--budget-s", "60"]
+    )
+    assert code == 0
+    assert json.loads(out)["poly"]["coeffs"] == F_K5_COEFFS
 
 
 def test_chi_budget_blown_exits_1(capsys):
@@ -142,6 +158,25 @@ def test_chi_pg_dual_command(capsys):
     code, _, err = run(capsys, ["chi-pg-dual", "--n", "3", "--q", "4"])
     assert code == 2
     assert json.loads(err)["error"]["type"] == "BadParams"
+
+
+def test_chi_pg_dual_prints_coefficients_past_the_int_str_limit(capsys):
+    # PG(4,11)'s chi has 4,847-digit coefficients, past Python's default
+    # 4,300-digit int-to-str limit, which used to end the command in a
+    # ValueError traceback
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, ["chi-pg-dual", "--n", "5", "--q", "11"])
+    assert code == 0 and err == ""
+    coeffs = json.loads(out)["poly"]["coeffs"]
+    assert len(coeffs) == points_count(5, 11) - 5 + 1
+    assert coeffs[-1] == "1"
+    assert max(map(len, coeffs)) > 4300
+    # the limit is lifted only while the result is formatted
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if limit:
+        with pytest.raises(SystemExit) as exc:
+            main(["chi-pg-dual", "--n", "1" * (limit + 1), "--q", "3"])
+        assert exc.value.code == 2
 
 
 def test_tutte_pg_command(capsys):
