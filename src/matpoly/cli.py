@@ -13,11 +13,12 @@ Subcommands:
 Matroid specs: "uniform:m,n", "graphic:<path-to-json>", "pg:n,p", each
 optionally suffixed ":dual".  Graph files hold {"n": ..., "edges": ...}.
 
-All results are printed as JSON on stdout with sorted keys and decimal
-string coefficients, so output is byte-stable.  Exit codes: 0 success,
-1 an internal invariant failed (exact division, blown budget), 2 rejected
-input (bad parameters or size guards), 3 an identity or cross-method
-check failed.
+Each command returns its result and exit code, and ``main`` prints the
+result once as JSON on stdout (an error on stderr) with sorted keys and
+decimal string coefficients, so output is byte-stable.  Exit codes: 0
+success, 1 an internal invariant failed (exact division, blown budget),
+2 rejected input (bad parameters or size guards), 3 an identity or
+cross-method check failed.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from contextlib import contextmanager
 from time import monotonic
 
 from .algebra import BiPoly, IntPoly
-from .duality import GRAPH_KINDS, IdentityKind, verify_identity
+from .duality import IdentityKind, verify_identity
 from .errors import BadParams, BudgetExceeded, MatpolyError, TooLarge
 from .flowkn import flow_kn_egf, flow_kn_partitions, flow_kn_tutte
-from .graphs import MultiGraph, graph_from_json
-from .invariants import SUBSET_GUARD, chi_subset, walk_guard
-from .matroids import Matroid, make_graphic, make_pg, make_uniform
+from .graphs import graph_from_json
+from .invariants import chi_subset, walk_guard
+from .matroids import make_graphic, make_pg, make_uniform
 from .oracles import chi_via_broken_circuits, count_colorings, count_nz_flows
-from .projective import chi_pg_dual, points_count, tutte_pg
+from .projective import _pg_guard, chi_pg_dual, points_count, tutte_pg
 
 
 @contextmanager
@@ -54,13 +55,10 @@ def _all_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def poly_json(p: IntPoly) -> dict:
-    with _all_digits():
-        return {"var": "x", "coeffs": [str(c) for c in p.coeffs]}
-
-
-def bipoly_json(p: BiPoly) -> dict:
-    with _all_digits():
+def _encode(p: IntPoly | BiPoly) -> dict:
+    """The JSON form of a polynomial in a result, coefficients as decimal
+    strings."""
+    if isinstance(p, BiPoly):
         return {
             "vars": ["x", "y"],
             "coeffs": [
@@ -68,6 +66,7 @@ def bipoly_json(p: BiPoly) -> dict:
                 for (i, j), c in sorted(p.terms.items())
             ],
         }
+    return {"var": "x", "coeffs": [str(c) for c in p.coeffs]}
 
 
 def poly_checksum(p) -> str:
@@ -103,11 +102,9 @@ def parse_matroid_spec(spec: str):
             n, p = int(n_str), int(p_str)
         except ValueError as exc:
             raise BadParams(f"bad pg spec {spec!r}") from exc
-        # make_pg lists every point, so refuse before building what chi's
-        # walk would refuse (rank n); PG(n-1, p) has at least n points, so
-        # a larger n is refused before p^n
-        if n > SUBSET_GUARD:
-            raise TooLarge(f"{spec} has more than {SUBSET_GUARD} points")
+        # make_pg lists every point, so refuse first by the PG size rule,
+        # which never builds p^n, then what chi's walk would refuse (rank n)
+        _pg_guard(n, p)
         walk_guard(points_count(n, p), n, spec)
         m = make_pg(n, p)
         g = None
@@ -123,91 +120,66 @@ def parse_matroid_spec(spec: str):
     return m, g
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+def _flow_kn(method: str, n: int, budget_s: float | None):
+    """F_{K_n} by the named route; only tutte takes the budget.  Each route
+    is looked up by its module name when called, so a patched one runs."""
+    if method == "partitions":
+        return flow_kn_partitions(n)
+    if method == "egf":
+        return flow_kn_egf(n)
+    if method == "tutte":
+        return flow_kn_tutte(n, budget_s=budget_s)
+    raise BadParams(f"unknown method {method!r}")
 
 
-def cmd_flow_kn(args) -> int:
+def cmd_flow_kn(args) -> tuple[dict, int]:
     if args.budget_s is not None and args.method != "tutte":
         raise BadParams(f"--budget-s bounds only the tutte method, not {args.method}")
-    if args.method == "partitions":
-        poly = flow_kn_partitions(args.n)
-    elif args.method == "egf":
-        poly = flow_kn_egf(args.n)
-    else:
-        poly = flow_kn_tutte(args.n, budget_s=args.budget_s)
-    _emit({"method": args.method, "n": args.n, "poly": poly_json(poly)})
-    return 0
+    poly = _flow_kn(args.method, args.n, args.budget_s)
+    return {"method": args.method, "n": args.n, "poly": poly}, 0
 
 
-def cmd_chi(args) -> int:
+def cmd_chi(args) -> tuple[dict, int]:
     m, _g = parse_matroid_spec(args.matroid)
     deadline = None if args.budget_s is None else monotonic() + args.budget_s
     poly = chi_subset(m, deadline)
-    _emit({"matroid": args.matroid, "method": "subset", "poly": poly_json(poly)})
-    return 0
+    return {"matroid": args.matroid, "method": "subset", "poly": poly}, 0
 
 
-def cmd_chi_pg_dual(args) -> int:
-    poly = chi_pg_dual(args.n, args.q)
-    _emit({"n": args.n, "poly": poly_json(poly), "q": args.q})
-    return 0
+def cmd_chi_pg_dual(args) -> tuple[dict, int]:
+    return {"n": args.n, "poly": chi_pg_dual(args.n, args.q), "q": args.q}, 0
 
 
-def cmd_tutte_pg(args) -> int:
-    poly = tutte_pg(args.n, args.q)
-    _emit({"n": args.n, "poly": bipoly_json(poly), "q": args.q})
-    return 0
+def cmd_tutte_pg(args) -> tuple[dict, int]:
+    return {"n": args.n, "poly": tutte_pg(args.n, args.q), "q": args.q}, 0
 
 
-def cmd_verify(args) -> int:
-    kind = IdentityKind(args.identity)
+def cmd_verify(args) -> tuple[dict, int]:
     m, g = parse_matroid_spec(args.matroid)
-    if kind in GRAPH_KINDS:
-        if g is None:
-            raise BadParams(f"{kind.value} needs a plain graphic:<file> target")
-        target = g
-    else:
-        target = m
-    report = verify_identity(kind, target, label=args.matroid)
-    _emit(report.to_json())
-    return 0 if report.passed else 3
+    # the library refuses a graph kind on a matroid target
+    report = verify_identity(args.identity, m if g is None else g, label=args.matroid)
+    return report.to_json(), 0 if report.passed else 3
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[dict, int]:
     if args.what in ("colorings", "flows"):
         if args.graph is None:
             raise BadParams("--graph is required for counting oracles")
         g = graph_from_json(args.graph)
         if args.q is None:
             raise BadParams("--q is required for counting oracles")
-        if args.what == "colorings":
-            count = count_colorings(g, args.q)
-        else:
-            count = count_nz_flows(g, args.q)
-        _emit(
-            {"count": str(count), "graph": args.graph, "oracle": args.what,
-             "q": args.q}
-        )
-        return 0
+        count = (count_colorings if args.what == "colorings" else count_nz_flows)(g, args.q)
+        return {"count": str(count), "graph": args.graph, "oracle": args.what,
+                "q": args.q}, 0
     if args.matroid is None:
         raise BadParams("--matroid is required for chi-bc")
     m, _g = parse_matroid_spec(args.matroid)
     poly = chi_via_broken_circuits(m)
-    _emit({"matroid": args.matroid, "oracle": "chi-bc", "poly": poly_json(poly)})
-    return 0
+    return {"matroid": args.matroid, "oracle": "chi-bc", "poly": poly}, 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[dict, int]:
     methods = [tok for tok in args.methods.split(",") if tok]
-    runners = {
-        "partitions": lambda n: flow_kn_partitions(n),
-        "egf": lambda n: flow_kn_egf(n),
-        "tutte": lambda n: flow_kn_tutte(n, budget_s=args.budget_s),
-    }
-    for meth in methods:
-        if meth not in runners:
-            raise BadParams(f"unknown method {meth!r}")
     rows = []
     polys: dict = {}
     dead = set()
@@ -215,35 +187,20 @@ def cmd_bench(args) -> int:
         for meth in methods:
             if meth in dead:
                 continue
+            row = {"checksum": None, "method": meth, "n": n, "status": "budget-exceeded"}
             t0 = monotonic()
             try:
-                poly = runners[meth](n)
+                poly = _flow_kn(meth, n, args.budget_s)
             except BudgetExceeded:
-                rows.append(
-                    {
-                        "checksum": None,
-                        "method": meth,
-                        "n": n,
-                        "status": "budget-exceeded",
-                        "wall_ms": round((monotonic() - t0) * 1000, 3),
-                    }
-                )
                 dead.add(meth)
-                continue
-            rows.append(
-                {
-                    "checksum": poly_checksum(poly),
-                    "method": meth,
-                    "n": n,
-                    "status": "ok",
-                    "wall_ms": round((monotonic() - t0) * 1000, 3),
-                }
-            )
-            # the checksum cannot tell p from -p, so compare coefficients
-            polys.setdefault(n, set()).add(poly.coeffs)
+            else:
+                row.update(checksum=poly_checksum(poly), status="ok")
+                # the checksum cannot tell p from -p, so compare coefficients
+                polys.setdefault(n, set()).add(poly.coeffs)
+            row["wall_ms"] = round((monotonic() - t0) * 1000, 3)
+            rows.append(row)
     consistent = all(len(s) == 1 for s in polys.values())
-    _emit({"consistent": consistent, "rows": rows})
-    return 0 if consistent else 3
+    return {"consistent": consistent, "rows": rows}, 0 if consistent else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,19 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = sys.stdout
     try:
-        return args.fn(args)
+        payload, code = args.fn(args)
     except MatpolyError as exc:
-        print(
-            json.dumps(
-                {"error": {"message": str(exc), "type": type(exc).__name__}},
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
+        payload = {"error": {"message": str(exc), "type": type(exc).__name__}}
         # rejected input exits 2; integrality escapes and blown budgets are
         # bug signals, not usage errors, and fail loudly
-        return 2 if isinstance(exc, (BadParams, TooLarge)) else 1
+        code = 2 if isinstance(exc, (BadParams, TooLarge)) else 1
+        out = sys.stderr
+    with _all_digits():
+        print(json.dumps(payload, sort_keys=True, default=_encode), file=out)
+    return code
 
 
 if __name__ == "__main__":

@@ -276,7 +276,7 @@ def _partition_sum(g: MultiGraph) -> IntPoly:
     return _one_minus_x_sum(
         _sum_by_key(
             (amask.bit_count(), chromatic_poly(quotient(g, amask)))
-            for _blocks, amask in connected_partitions(g)
+            for amask in connected_partitions(g)
         )
     )
 

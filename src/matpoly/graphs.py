@@ -154,16 +154,16 @@ def quotient(g: MultiGraph, mask: int) -> MultiGraph:
 
 
 def connected_partitions(g: MultiGraph):
-    """Yield (blocks, mask) for every partition of the vertex set whose
-    blocks all induce connected subgraphs.
+    """Yield the inside-edge mask, every edge with both endpoints in one
+    block, of each partition of the vertex set whose blocks all induce
+    connected subgraphs.  The blocks are the components of the mask, so
+    no two partitions share a mask.
 
-    ``blocks`` is a tuple of vertex tuples, ordered by least vertex with
-    vertices ascending, and ``mask`` collects every edge with both
-    endpoints in the same block.  Blocks grow along edges: the block of
-    the lowest unplaced vertex is every connected set of unplaced vertices
-    containing it, each grown once from a candidate frontier with a banned
-    set of vertices already refused; the rest is partitioned the same
-    way.  Only connected partitions are ever built.
+    Blocks grow along edges: the block of the lowest unplaced vertex is
+    every connected set of unplaced vertices containing it, each grown
+    once from a candidate frontier with a banned set of vertices already
+    refused; the rest is partitioned the same way.  Only connected
+    partitions are ever built.
     """
     adj = [0] * g.n  # neighbour vertices, loops excluded
     inc = [0] * g.n  # incident edges, loops included
@@ -201,14 +201,13 @@ def connected_partitions(g: MultiGraph):
 
     def rec(free):
         if not free:
-            yield (), 0
+            yield 0
             return
         low = free & -free
         v = low.bit_length() - 1
         for block, inside in grow(free, low, inc[v], loops[v], adj[v] & free, low):
-            verts = tuple(u for u in range(v, g.n) if block >> u & 1)
-            for blocks, mask in rec(free & ~block):
-                yield (verts,) + blocks, inside | mask
+            for mask in rec(free & ~block):
+                yield inside | mask
 
     yield from rec((1 << g.n) - 1)
 

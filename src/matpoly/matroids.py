@@ -609,11 +609,11 @@ def make_pg(n: int, p: int) -> LinearMatroidFp:
     1-dimensional subspace of F_p^n, normalized so the first nonzero
     coordinate is 1, listed in lexicographic order: most leading zeros
     first, then every tail after the 1.  Only the points are visited, and
-    ``product`` gets no ``range(p)`` to hold when the tail is empty."""
-    if n < 1:
-        raise BadParams("pg wants n >= 1")
-    if not is_prime(p):
-        raise BadParams(f"pg wants a prime field order, got {p}")
+    ``product`` gets no ``range(p)`` to hold when the tail is empty.  Over
+    2^16 points raise TooLarge."""
+    from .projective import _pg_guard  # projective imports is_prime
+
+    _pg_guard(n, p)
     points = [
         (0,) * lead + (1,) + tail
         for lead in range(n - 1, -1, -1)

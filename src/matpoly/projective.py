@@ -20,7 +20,7 @@ All three take prod_{i<m} (u - q^i) from one list, ``_q_products``; T
 reads it in u = (x-1)(y-1).  chi* ends in algebra's Theorem-2 sum and
 finish.  T's k-sum fills one dense y-column per x-degree, each divided by
 (y-1)^n in n passes of synthetic division; divisibility is checked, not
-assumed.  Both sums refuse [n] > 2^16 before they build q^n.
+assumed.  Both sums, and make_pg, refuse [n] > 2^16 before q^n is built.
 
 Gaussian binomials come, one row per closed form, from the q-Pascal
 recurrence (n k)_q = (n-1 k-1)_q + q^k (n-1 k)_q, which stays in integers.
@@ -65,8 +65,9 @@ def _check_pg_params(n: int, q: int):
         raise BadParams(f"prime field order required, got {q}")
 
 
-def _check_closed_form(n: int, q: int):
-    """Refuse [n]_q > 2^16, first by [n]_q > 2^((n-1)(bits(q)-1))."""
+def _pg_guard(n: int, q: int):
+    """Refuse [n]_q > 2^16, first by [n]_q > 2^((n-1)(bits(q)-1)): the
+    size rule of every PG, tested before q^n is built."""
     _check_pg_params(n, q)
     if (n - 1) * (q.bit_length() - 1) >= 16 or points_count(n, q) > 1 << 16:
         raise TooLarge(f"PG({n - 1},{q}) has over 2^16 points")
@@ -102,7 +103,7 @@ def chi_pg(n: int, q: int) -> IntPoly:
 
 def chi_pg_dual(n: int, q: int) -> IntPoly:
     """chi of the dual of PG(n-1, q), by the Gaussian-binomial sum."""
-    _check_closed_form(n, q)
+    _pg_guard(n, q)
     prods = _q_products(n, q)
     groups = {
         points_count(k, q): prods[n - k].scale(gb)
@@ -131,7 +132,7 @@ def tutte_pg(n: int, q: int) -> BiPoly:
     the k-term, ``_w_table(prods[n - k])`` times (n choose k)_q y^[k], is
     added into n+1 dense y-columns, one per x-degree, and each column is
     divided by (y-1)^n; a nonzero remainder raises NotDivisible."""
-    _check_closed_form(n, q)
+    _pg_guard(n, q)
     cols = [[0] * (points_count(n, q) + 1) for _ in range(n + 1)]
     prods = _q_products(n, q)
     for k, gb in enumerate(_gaussian_row(n, q)):

@@ -155,9 +155,10 @@ def test_quotient_composition_matches_single_quotient():
 
 def brute_connected_partitions(g):
     """Independent re-enumeration: all set partitions, filtered by block
-    connectivity, via restricted growth strings."""
+    connectivity, via restricted growth strings; the inside-edge mask of
+    each."""
     if g.n == 0:
-        return [((), 0)]
+        return [0]
     found = []
     for code in range(g.n**g.n):
         rgs = []
@@ -185,7 +186,7 @@ def brute_connected_partitions(g):
                 ok = False
                 break
         if ok:
-            found.append((blocks, mask))
+            found.append(mask)
     return found
 
 
@@ -241,7 +242,7 @@ def test_connected_partitions_counts():
     # on a path only interval-like blocks survive
     path3 = MultiGraph(3, ((0, 1), (1, 2)))
     assert len(list(connected_partitions(path3))) == 4
-    assert list(connected_partitions(MultiGraph(0, ()))) == [((), 0)]
+    assert list(connected_partitions(MultiGraph(0, ()))) == [0]
 
 
 def test_connected_partitions_counts_at_the_vertex_cap():
@@ -255,23 +256,17 @@ def test_connected_partitions_counts_at_the_vertex_cap():
     # allow only singletons
     path12 = MultiGraph(12, [(i, i + 1) for i in range(11)])
     assert len(list(connected_partitions(path12))) == 2048
-    assert list(connected_partitions(MultiGraph(12, ()))) == [
-        (tuple((v,) for v in range(12)), 0)
-    ]
+    assert list(connected_partitions(MultiGraph(12, ()))) == [0]
 
 
 def test_connected_partitions_masks_are_intra_block_edges():
-    g = MultiGraph(3, ((0, 1), (1, 2), (0, 2)))
-    for blocks, mask in connected_partitions(g):
-        of = {}
-        for b, blk in enumerate(blocks):
-            for v in blk:
-                of[v] = b
-        want = 0
-        for i, (u, v) in enumerate(g.edges):
-            if of[u] == of[v]:
-                want |= 1 << i
-        assert mask == want
+    # a mask that holds every edge inside its components contracts to a
+    # loopless quotient, and each partition has its own mask
+    for g in [MultiGraph(3, ((0, 1), (1, 2), (0, 2)))] + random_multigraphs(6062, 20, 6):
+        masks = list(connected_partitions(g))
+        for mask in masks:
+            assert not any(u == v for u, v in quotient(g, mask).edges), (g, mask)
+        assert len(set(masks)) == len(masks), g
 
 
 def test_graph_json_roundtrip(tmp_path):

@@ -263,15 +263,15 @@ def test_pg_parameter_validation():
 
 def test_closed_forms_refuse_over_2_to_the_16_points_at_once():
     # PG(10,3) has 88,573 points, PG(16,2) 131,071 and PG(39,2) about
-    # 1.1e12; each closed form must refuse them within 1 s, before it
-    # builds q^n or a polynomial
+    # 1.1e12; each closed form, and make_pg, must refuse them within 1 s,
+    # before it builds q^n, a polynomial or a point
     def too_slow(*_):
         raise TimeoutError("the closed form ran before the guard refused it")
 
     old = signal.signal(signal.SIGALRM, too_slow)
     try:
         for n, q in ((11, 3), (17, 2), (40, 2), (2, 2**61 - 1)):
-            for fn in (chi_pg_dual, tutte_pg):
+            for fn in (chi_pg_dual, tutte_pg, make_pg):
                 signal.setitimer(signal.ITIMER_REAL, 1.0)
                 with pytest.raises(TooLarge):
                     fn(n, q)
@@ -282,4 +282,5 @@ def test_closed_forms_refuse_over_2_to_the_16_points_at_once():
     # the bound admits 2^16 - 1 points, and every geometry below it
     for n, q in ((16, 2), (10, 3), (7, 5), (1, 2**61 - 1)):
         assert points_count(n, q) <= 1 << 16
-        projective._check_closed_form(n, q)
+        projective._pg_guard(n, q)
+        assert make_pg(n, q).ground_size == points_count(n, q)
