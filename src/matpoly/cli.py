@@ -34,10 +34,10 @@ from .duality import IdentityKind, verify_identity
 from .errors import BadParams, BudgetExceeded, MatpolyError, TooLarge
 from .flowkn import flow_kn_egf, flow_kn_partitions, flow_kn_tutte
 from .graphs import graph_from_json
-from .invariants import chi_subset, walk_guard
-from .matroids import make_graphic, make_pg, make_uniform
+from .invariants import chi_subset
+from .matroids import _deadline, make_graphic, make_pg, make_uniform
 from .oracles import chi_via_broken_circuits, count_colorings, count_nz_flows
-from .projective import _pg_guard, chi_pg_dual, points_count, tutte_pg
+from .projective import chi_pg_dual, tutte_pg
 
 
 @contextmanager
@@ -102,10 +102,6 @@ def parse_matroid_spec(spec: str):
             n, p = int(n_str), int(p_str)
         except ValueError as exc:
             raise BadParams(f"bad pg spec {spec!r}") from exc
-        # make_pg lists every point, so refuse first by the PG size rule,
-        # which never builds p^n, then what chi's walk would refuse (rank n)
-        _pg_guard(n, p)
-        walk_guard(points_count(n, p), n, spec)
         m = make_pg(n, p)
         g = None
     elif kind == "graphic":
@@ -141,8 +137,7 @@ def cmd_flow_kn(args) -> tuple[dict, int]:
 
 def cmd_chi(args) -> tuple[dict, int]:
     m, _g = parse_matroid_spec(args.matroid)
-    deadline = None if args.budget_s is None else monotonic() + args.budget_s
-    poly = chi_subset(m, deadline)
+    poly = chi_subset(m, _deadline(args.budget_s))
     return {"matroid": args.matroid, "method": "subset", "poly": poly}, 0
 
 
@@ -179,6 +174,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
 
 
 def cmd_bench(args) -> tuple[dict, int]:
+    _deadline(args.budget_s)  # refuse a bad budget before any row runs
     methods = [tok for tok in args.methods.split(",") if tok]
     rows = []
     polys: dict = {}

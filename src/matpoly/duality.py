@@ -97,7 +97,10 @@ GRAPH_KINDS = frozenset(
     }
 )
 
+# One chromatic polynomial per connected partition: Bell(|V|) on K_|V|
+# (115,975 on K10), so a graph of more than 24 edges is capped at 10.
 PARTITION_VERTEX_GUARD = 12
+PARTITION_DENSE_GUARD = 10
 # Every minor table holds 2^n entries and grows about 2x per element.  At
 # n = 20 (uniform:3,20, or K6 plus 5 parallel edges and K7 minus one edge
 # for the Matiyasevich kinds; Python 3.11) the table kinds peak between
@@ -262,9 +265,10 @@ def chi_dual_via_finaltwo(m: Matroid) -> IntPoly:
 
 
 def _partition_guard(g: MultiGraph) -> None:
-    if g.n > PARTITION_VERTEX_GUARD:
+    cap = PARTITION_VERTEX_GUARD if len(g.edges) <= 24 else PARTITION_DENSE_GUARD
+    if g.n > cap:
         raise TooLarge(
-            f"connected-partition sum on {g.n} > {PARTITION_VERTEX_GUARD} vertices"
+            f"connected-partition sum on {g.n} > {cap} vertices, {len(g.edges)} edges"
         )
 
 

@@ -48,13 +48,12 @@ from __future__ import annotations
 from collections import Counter
 from itertools import zip_longest
 from math import comb, factorial, prod
-from time import monotonic
 
 from .algebra import IntPoly, _signed_div, series_exp, series_log, substitute_one_minus_x
 from .errors import BadParams
 from .graphs import complete_graph
-from .invariants import _chi_from_counts, _guard
-from .matroids import Matroid, _dual_counts, make_graphic
+from .invariants import _chi_from_counts
+from .matroids import Matroid, _deadline, _dual_counts, make_graphic
 
 
 def partitions(n: int):
@@ -189,18 +188,14 @@ def flow_kn_egf(n: int) -> IntPoly:
 
 
 def flow_kn_tutte(n: int, budget_s: float | None = None) -> IntPoly:
-    """F_{K_n} through the 2^|E| subset census of the cycle matroid, by
-    the scan over edge subsets, ``Matroid._census``.  The budget sets only
-    a deadline: without one the scan is refused past 24 edges like every
-    census; with one it may try any n and raises BudgetExceeded when time
-    runs out, to show how quickly brute force loses to the partition sum."""
+    """F_{K_n} by the scan over edge subsets, ``Matroid._census``.  The
+    budget (finite, >= 0) only sets a deadline: without one the scan's node
+    bound admits K8 and refuses K9; with one any n runs until
+    BudgetExceeded, to show how fast brute force loses to the partitions."""
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
     m = make_graphic(complete_graph(n))
-    if budget_s is None:
-        _guard(m)
-    deadline = None if budget_s is None else monotonic() + budget_s
-    counts = _dual_counts(Matroid._census(m, deadline), m.ground_size, n - 1)
+    counts = _dual_counts(Matroid._census(m, _deadline(budget_s)), m.ground_size, n - 1)
     return _chi_from_counts(counts, m.ground_size - (n - 1))
 
 

@@ -15,17 +15,13 @@ P = x^c(G) * chi and flow F = chi of the dual.
 Everything is exact integer arithmetic.
 
 Each matroid class takes the census by its cheapest exact route (see
-``matroids``): O(n) for uniform matroids, 3^|V'| steps for a graph with
-few vertices for its edges, and otherwise one scan that branches only
-on elements outside the span of the taken ones.  That scan still visits
-up to 2^n nodes on a matroid with few dependencies, so each entry point
-is guarded at n <= 24, except ``chi_subset`` where the census would scan
-(F_p, minor and table matroids, graphs on the edge route): it runs the
-same scan, ``Matroid._scan``, with every fold cut, so that its leaf
-counts only the no-broken-circuit sets, and ``walk_guard`` refuses more
-than 2^24 sets of <= r(E) elements, the walk's node bound.  The CLI
-refuses a ``pg:n,p`` spec by the same bound, at rank n, before listing
-its points.
+``matroids``, which holds every size rule): O(n) for uniform matroids,
+3^|V'| steps for a graph with few vertices for its edges, and otherwise
+one scan, ``Matroid._scan``, that branches only on elements outside the
+span of the taken ones.  Where the census would scan, ``chi_subset``
+runs that scan with every fold cut, so that its leaf counts only the
+no-broken-circuit sets.  ``chromatic_poly`` turns to ``chi_delcon`` only
+when ``chi_subset`` is refused.
 ``chi_delcon`` is the independent recursive route (delete/contract) used
 to cross-check ``chi_subset``; on a graphic matroid it recurses on its
 own minors, memoized for one call on each minor's graph: equal labeled
@@ -40,24 +36,6 @@ from .algebra import BiPoly, IntPoly, poly_pow, substitute_one_minus_x
 from .errors import BadParams, TooLarge
 from .graphs import MultiGraph
 from .matroids import GraphicMatroid, Matroid, _check_deadline, make_graphic
-
-SUBSET_GUARD = 24
-
-
-def _guard(m: Matroid):
-    if m.ground_size > SUBSET_GUARD:
-        raise TooLarge(
-            f"{m.label} has {m.ground_size} elements; subset expansion is "
-            f"guarded at {SUBSET_GUARD}"
-        )
-
-
-def walk_guard(n: int, r: int, label: str) -> None:
-    """Refuse the broken-circuit walk of a rank-r matroid on n elements
-    when its node bound, the sum of C(n, k) over k <= r, passes
-    2^SUBSET_GUARD."""
-    if sum(comb(n, k) for k in range(r + 1)) > 1 << SUBSET_GUARD:
-        raise TooLarge(f"{label}: over 2^{SUBSET_GUARD} sets of <= {r} elements")
 
 
 def _chi_from_counts(counts, rank: int) -> IntPoly:
@@ -86,7 +64,6 @@ def chi_subset(m: Matroid, deadline: float | None = None) -> IntPoly:
     BudgetExceeded once ``monotonic()`` passes ``deadline``."""
     if _scans(m):
         n, top = m.ground_size, m.full_rank()
-        walk_guard(n, top, m.label)
         _check_deadline(deadline)
         coeffs = [0] * (top + 1)
 
@@ -96,7 +73,6 @@ def chi_subset(m: Matroid, deadline: float | None = None) -> IntPoly:
 
         m._scan(leaf, deadline, cut_folds=True)
         return IntPoly(coeffs)
-    _guard(m)
     counts = m.rank_size_counts(deadline)
     # r(E) is the largest rank in the census
     return _chi_from_counts(counts, max(rho for _a, rho in counts))
@@ -196,7 +172,6 @@ def tutte_uniform_closed(m: int, n: int) -> BiPoly:
 
 def whitney_R(m: Matroid) -> BiPoly:
     """Whitney rank polynomial R(u, v) = sum_A u^(R-r(A)) v^(|A|-r(A))."""
-    _guard(m)
     counts = m.rank_size_counts()
     rfull = m.full_rank()
     terms: dict = {}
@@ -227,7 +202,10 @@ def _dedup_parallel(g: MultiGraph) -> MultiGraph:
 def chromatic_poly(g: MultiGraph) -> IntPoly:
     """Chromatic polynomial P(x) = x^c(G) * chi of the cycle matroid."""
     m = make_graphic(_dedup_parallel(g))
-    chi = chi_subset(m) if m.ground_size <= SUBSET_GUARD else chi_delcon(m)
+    try:
+        chi = chi_subset(m)
+    except TooLarge:
+        chi = chi_delcon(m)
     # c(G) = |V| - r(E), and chi has degree r(E) unless a loop makes it 0
     return chi.shift(g.n - chi.degree)
 

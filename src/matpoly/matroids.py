@@ -42,6 +42,12 @@ reduces vector i, one packed int, by the taken set's echelon rows (xor
 over F_2), and ``GraphicMatroid`` compares the component labels of edge
 i's ends.
 
+Each route refuses only its own work, before it starts: ``_scan`` past
+2^SUBSET_GUARD sets of <= r(E) elements unless a finite deadline bounds
+it, and, as memory bounds that no deadline lifts, ``rank_size_counts``
+past n^2 > 2^SUBSET_GUARD (counts reach n bits) and the vertex route
+past SUBSET_GUARD edges where its tables would not fit (``census_route``).
+
 The scan reads the rank cache through ``_peek`` and never writes to it,
 nor to the cache of a view's base, so a table or census runs in memory
 bounded by its own output (a cache of all 2^22 masks of uniform:10,22
@@ -60,13 +66,18 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, product
-from math import comb
+from math import comb, inf, isfinite
 from time import monotonic
 
 from .errors import BadParams, BudgetExceeded, TooLarge
 from .graphs import MultiGraph, _union, quotient, subgraph
 
 ENUM_GUARD = 20  # hard cap for circuit/flat enumeration
+SUBSET_GUARD = 24  # log2 of the scan's node bound and of a census's n^2
+# The vertex route's caps past SUBSET_GUARD edges (``census_route``): on a
+# connected 16-vertex, 25-edge graph it took 2.57 s, delete/contract 0.79 s.
+VERTEX_GUARD = 13
+VERTEX_TABLE_BITS = 30
 # Time of one vertex-route step over one edge subset, fitted to
 # break-even timings of the vertex route and the scan on graphs of 2 to 11
 # non-isolated vertices (CHANGES.md): the value keeps every graph of at
@@ -79,6 +90,13 @@ VERTEX_STEP_COST = 0.035
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and monotonic() > deadline:
         raise BudgetExceeded("subset scan ran past its deadline")
+
+
+def _deadline(budget_s: float | None) -> float | None:
+    """monotonic() + budget_s, or None; BadParams unless 0 <= budget_s < inf."""
+    if budget_s is not None and not 0 <= budget_s < inf:
+        raise BadParams(f"a budget must be finite and >= 0 seconds, got {budget_s}")
+    return None if budget_s is None else monotonic() + budget_s
 
 
 def _bits(mask: int):
@@ -162,7 +180,10 @@ class Matroid:
 
     def rank_size_counts(self, deadline: float | None = None) -> Counter:
         """Census {(|A|, r(A)): count} over all 2^n subsets, by this
-        class's ``_census``; raises BudgetExceeded past ``deadline``."""
+        class's ``_census``; raises BudgetExceeded past ``deadline``, and
+        TooLarge when n^2 > 2^SUBSET_GUARD, since counts reach n bits."""
+        if self.ground_size**2 > 1 << SUBSET_GUARD:
+            raise TooLarge(f"{self.label}: a census of over 2^{SUBSET_GUARD // 2} elements")
         _check_deadline(deadline)
         return self._census(deadline)
 
@@ -181,6 +202,7 @@ class Matroid:
         self._scan(leaf, deadline)
         counts: Counter = Counter()
         for (k, sz, rk), c in stops.items():
+            _check_deadline(deadline)
             for j in range(k + 1):
                 counts[(sz + j, rk)] += c
                 c = c * (k - j) // (j + 1)
@@ -199,9 +221,16 @@ class Matroid:
         every extension of a spanning set keeps the full rank, so the
         2^(|free| + n - i) sets mask + F + B, F within ``free`` and B
         within elements i..n-1, share that rank unvisited.  Only takes
-        recurse."""
+        recurse.  Past 2^SUBSET_GUARD sets of <= r(E) elements, which bound
+        its nodes, it refuses to start unless a finite deadline bounds it."""
         n = self.ground_size
         top = self.full_rank()
+        if n > SUBSET_GUARD and (deadline is None or not isfinite(deadline)):
+            k = min(top, SUBSET_GUARD + 1)  # <= 25 of n > 24 already pass it
+            if sum(comb(n, j) for j in range(k + 1)) > 1 << SUBSET_GUARD:
+                raise TooLarge(
+                    f"{self.label}: over 2^{SUBSET_GUARD} sets of <= {top} elements"
+                )
         start, extend = self._span_test()
         calls = [0]
 
@@ -359,10 +388,18 @@ class GraphicMatroid(Matroid):
         vertex sets; building its tables of 2^|V'| entries and its fixed
         cost come to about eight steps per entry.  The scan folds every
         edge that closes a cycle, so it stays ahead only on sparse graphs,
-        such as forests of 5 or more vertices."""
-        nv = self.graph.n
-        steps = 3**nv + (1 << nv + 3)
-        return "vertex" if VERTEX_STEP_COST * steps < 1 << self.ground_size else "edge"
+        such as forests of 5 or more vertices.  Past SUBSET_GUARD edges it
+        also needs |V'| <= VERTEX_GUARD and 2^|V'| |V'| (|E|+1)^2 bits of
+        tables plus (|E|+1)^3 / 2 of powers <= 2^VERTEX_TABLE_BITS (K13
+        uses 0.62 of that); else the scan's node bound prices the graph."""
+        nv, m = self.graph.n, self.ground_size
+        if m <= SUBSET_GUARD:
+            fits = VERTEX_STEP_COST * (3**nv + (1 << nv + 3)) < 1 << m
+        else:  # the cost rule would pass every |V'| <= VERTEX_GUARD here
+            fits = nv <= VERTEX_GUARD and (
+                (nv << nv) * (m + 1) ** 2 + (m + 1) ** 3 // 2 <= 1 << VERTEX_TABLE_BITS
+            )
+        return "vertex" if fits else "edge"
 
     def _census(self, deadline: float | None) -> Counter:
         if self.census_route() == "vertex":
@@ -483,43 +520,19 @@ class LinearMatroidFp(Matroid):
         super().__init__(len(vectors), label)
         self.vectors = vectors
         self.p = p
-
-    def _rank_impl(self, mask: int) -> int:
-        rows = [list(self.vectors[i]) for i in _bits(mask)]
-        p = self.p
-        rank = 0
-        col = 0
-        dim = len(rows[0]) if rows else 0
-        while rank < len(rows) and col < dim:
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-            if piv is None:
-                col += 1
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = pow(rows[rank][col], -1, p)
-            rows[rank] = [(c * inv) % p for c in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-            col += 1
-        return rank
-
-    def _span_test(self):
-        """Echelon span test on packed vectors, coordinate c the w-bit digit
-        c of one int: the state ``basis[c]`` is the taken set's row with its
-        leading 1 at digit c, or None.  Vector i adds p - a times the row at
-        each column whose digit reads a != 0 mod p, or joins a copy reduced
-        mod p and scaled to a leading 1.  A column reduces once and rows have
-        digits below p, so a digit stays <= p - 1 + dim (p - 1)^2 < 2^w and
-        never carries.  Over F_2 a reduction is an xor, so w = 1."""
-        p = self.p
-        dim = len(self.vectors[0]) if self.vectors else 0
+        # The span test's step on packed vectors, coordinate c the w-bit
+        # digit c of one int: ``basis[c]`` is the taken set's row with its
+        # leading 1 at digit c, or None.  Vector i adds p - a times the row
+        # at each column whose digit reads a != 0 mod p, or joins a copy
+        # reduced mod p and scaled to a leading 1.  A column reduces once
+        # and rows have digits below p, so a digit stays <= p - 1 +
+        # dim (p - 1)^2 < 2^w and never carries.  Over F_2 a reduction is
+        # an xor, so w = 1.
+        self._dim = dim = len(vectors[0]) if vectors else 0
         w = 1 if p == 2 else (p - 1 + dim * (p - 1) ** 2).bit_length()
         digit = (1 << w) - 1
         shifts = range(0, dim * w, w)
-        vecs = [sum(x << s for x, s in zip(v, shifts)) for v in self.vectors]
+        vecs = [sum(x << s for x, s in zip(v, shifts)) for v in vectors]
 
         def extend(basis, i):
             vec = vecs[i]
@@ -538,7 +551,20 @@ class LinearMatroidFp(Matroid):
                 vec = vec ^ row if p == 2 else vec + (p - a) * row
             return None
 
-        return [None] * dim, extend
+        self._extend = extend
+
+    def _rank_impl(self, mask: int) -> int:
+        """The number of elements of mask that grow the echelon basis."""
+        basis, extend, rank = [None] * self._dim, self._extend, 0
+        for i in _bits(mask):
+            grown = extend(basis, i)
+            if grown is not None:
+                basis, rank = grown, rank + 1
+        return rank
+
+    def _span_test(self):
+        """The empty set's echelon basis and the step ``__init__`` built."""
+        return [None] * self._dim, self._extend
 
 
 class TableMatroid(Matroid):

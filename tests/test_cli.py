@@ -14,7 +14,7 @@ import pytest
 from matpoly import cli
 from matpoly.cli import main, parse_matroid_spec, poly_checksum
 from matpoly.algebra import BiPoly, IntPoly
-from matpoly.projective import chi_pg, points_count
+from matpoly.projective import chi_pg, chi_pg_dual, points_count
 
 K4_JSON = '{"n": 4, "edges": [[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
 TRIANGLE_JSON = '{"n": 3, "edges": [[0,1],[1,2],[0,2]]}'
@@ -92,6 +92,38 @@ def test_chi_budget_blown_exits_1(capsys):
     assert out == run(capsys, ["chi", "--matroid", "pg:4,2"])[1]
 
 
+def test_budgets_must_be_finite(capsys):
+    # a nan or infinite deadline never passes, so it would lift the scan's
+    # node bound and bound nothing: each command refuses such a budget, and
+    # a negative one, before any work, where flow-kn and bench on K12 and
+    # chi on pg:6,2 once ran for ever
+    def too_slow(*_):
+        raise TimeoutError("a bad budget was not refused at once")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        for budget in ("nan", "inf", "1e400", "-1"):
+            for argv in (
+                ["flow-kn", "--n", "12", "--method", "tutte"],
+                ["bench", "flow-kn", "--n-max", "12", "--methods", "tutte"],
+                ["bench", "flow-kn", "--n-max", "3"],
+                ["chi", "--matroid", "pg:6,2"],
+            ):
+                signal.setitimer(signal.ITIMER_REAL, 1.0)
+                code, out, err = run(capsys, argv + ["--budget-s", budget])
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                assert code == 2 and out == "", argv + [budget]
+                assert json.loads(err)["error"]["type"] == "BadParams", argv + [budget]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    # a finite deadline lifts the walk's node bound: pg:6,2 walks until it
+    # passes, where without a budget it is refused
+    code, out, err = run(capsys, ["chi", "--matroid", "pg:6,2", "--budget-s", "0.2"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+
+
 def test_chi_uniform(capsys):
     code, out, _ = run(capsys, ["chi", "--matroid", "uniform:2,4"])
     assert code == 0
@@ -120,14 +152,19 @@ def test_chi_dual_suffix(capsys):
 
 
 def test_chi_walks_pg_specs_past_24_points(capsys):
-    # the spec is refused only where chi's walk would be; the commands
-    # that need a table, a census or the broken circuits keep their guards
+    # each route refuses only its own work: chi's walk and the dual's
+    # census scan take pg:5,2 and pg:4,3, while the commands that need a
+    # table or the broken circuits keep their guards, and pg:6,2's dual
+    # census is refused by the scan's node bound
     for n, q in ((5, 2), (4, 3)):
         code, out, _ = run(capsys, ["chi", "--matroid", f"pg:{n},{q}"])
         assert code == 0
         assert json.loads(out)["poly"]["coeffs"] == [str(c) for c in chi_pg(n, q).coeffs]
+    code, out, _ = run(capsys, ["chi", "--matroid", "pg:5,2:dual"])
+    assert code == 0
+    assert json.loads(out)["poly"]["coeffs"] == [str(c) for c in chi_pg_dual(5, 2).coeffs]
     for argv in (
-        ["chi", "--matroid", "pg:5,2:dual"],
+        ["chi", "--matroid", "pg:6,2:dual"],
         ["verify", "--identity", "kung", "--matroid", "pg:5,2"],
         ["oracle", "chi-bc", "--matroid", "pg:5,2"],
     ):
@@ -281,7 +318,7 @@ def test_oversized_pg_spec_is_refused_before_it_is_built(capsys):
 
     old = signal.signal(signal.SIGALRM, too_slow)
     try:
-        for spec in ("pg:30,2", "pg:12,5:dual", "pg:100000000,3", "pg:6,2"):
+        for spec in ("pg:30,2", "pg:12,5:dual", "pg:100000000,3", "pg:6,2", "pg:6,2:dual"):
             for argv in (
                 ["chi", "--matroid", spec],
                 ["verify", "--identity", "kung", "--matroid", spec],

@@ -21,6 +21,7 @@ from matpoly.duality import (
     superset_zeta,
     verify_identity,
 )
+from matpoly.flowkn import flow_kn_partitions
 from matpoly.graphs import MultiGraph, complete_graph, component_count, subgraph
 from matpoly.invariants import chi_subset, chromatic_poly, flow_poly, whitney_R
 from matpoly.matroids import Matroid, make_graphic, make_pg, make_uniform
@@ -184,10 +185,19 @@ def test_flow_via_connected_partitions_known_values():
         flow_via_connected_partitions(MultiGraph(13, ()))
 
 
+def test_th2_passes_on_k8():
+    # K8's 28 edges take the vertex census on the flow side, and its
+    # Bell(8) = 4,140 partitions are all connected
+    k8 = complete_graph(8)
+    assert verify_identity("th2-connected-partitions", k8).passed
+    assert flow_via_connected_partitions(k8) == flow_kn_partitions(8)
+
+
 def test_th2_refuses_before_it_sums_a_partition():
-    # K12 passes the 12-vertex cap but has 66 edges, over flow_poly's 24;
-    # a 20-vertex graph with 24 edges passes flow_poly's guard but not
-    # the cap, and its flow polynomial alone takes seconds.  Both must be
+    # K11 and K12 pass the 12-vertex cap, but with more than 24 edges a
+    # graph is capped at 10 vertices (Bell(11) = 678,570 partitions); a
+    # 20-vertex graph with 24 edges passes flow_poly's node bound but not
+    # the cap, and its flow polynomial alone takes seconds.  Each must be
     # refused within 1 s, before either side is summed.
     def too_slow(*_):
         raise TimeoutError("a side was summed before the guards")
@@ -196,7 +206,7 @@ def test_th2_refuses_before_it_sums_a_partition():
     old = signal.signal(signal.SIGALRM, too_slow)
     try:
         signal.setitimer(signal.ITIMER_REAL, 1.0)
-        for g in (complete_graph(12), sparse):
+        for g in (complete_graph(11), complete_graph(12), sparse):
             with pytest.raises(TooLarge):
                 verify_identity("th2-connected-partitions", g)
         signal.setitimer(signal.ITIMER_REAL, 0)

@@ -228,19 +228,29 @@ def test_flow_kn_first_coefficient_past_the_binomials():
 
 def test_flow_kn_tutte_route(monkeypatch):
     # the budget sets only a deadline: without one the route is still the
-    # scan over edge subsets, guarded at 24 edges, so K8 is refused
+    # scan over edge subsets, within its node bound of 2^24 sets of
+    # <= n - 1 edges, so K8 is scanned and K9 (4.1e7 sets) is refused
     def no_vertex_route(self, deadline=None):
         raise AssertionError("the subset route ran the vertex census")
 
     monkeypatch.setattr(GraphicMatroid, "vertex_census", no_vertex_route)
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert flow_kn_tutte(n) == flow_kn_partitions(n), n
     with pytest.raises(TooLarge):
-        flow_kn_tutte(8)
+        flow_kn_tutte(9)
     # the budgeted path scans the 2^28 edge subsets of K8 folded
     assert flow_kn_tutte(8, budget_s=60.0) == flow_kn_partitions(8)
     with pytest.raises(BudgetExceeded):
         flow_kn_tutte(9, budget_s=0.2)
+
+
+def test_flow_kn_tutte_refuses_a_budget_that_never_ends():
+    # a nan or infinite deadline never passes, and a negative budget is no
+    # budget; each is refused before the scan, even where the scan is short
+    for budget in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(BadParams):
+            flow_kn_tutte(5, budget_s=budget)
+    assert flow_kn_tutte(5, budget_s=60.0) == flow_kn_partitions(5)
 
 
 def test_flow_kn_rejects_bad_n():

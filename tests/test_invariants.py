@@ -1,6 +1,7 @@
 """Unit tests for the matroid polynomial invariants."""
 
 import random
+import signal
 from collections import Counter
 from math import comb
 
@@ -17,6 +18,7 @@ from matpoly.algebra import (
 import matpoly.invariants as invariants_module
 import matpoly.matroids as matroids_module
 from matpoly.duality import rank_table
+from matpoly.flowkn import flow_kn_partitions
 from matpoly.graphs import MultiGraph, complete_graph, component_count
 from matpoly.invariants import (
     _chi_from_counts,
@@ -38,7 +40,7 @@ from matpoly.matroids import (
     make_uniform,
 )
 from matpoly.oracles import chi_via_broken_circuits
-from matpoly.projective import chi_pg
+from matpoly.projective import chi_pg, chi_pg_dual, tutte_pg
 
 from corpus import GRAPHS, UNIFORM_PARAMS, all_matroids, small_matroids
 
@@ -144,8 +146,13 @@ def test_chi_multiplies_over_direct_sums():
 
 
 def test_subset_guard():
+    # a census holds counts of up to n bits, so it is refused past
+    # n^2 = 2^24; uniform:1,25 is a closed form well inside that
+    t = tutte_uniform_closed(1, 25)
+    want = t.substitute(IntPoly((1, -1)), IntPoly.zero())  # chi = (-1)^r T(1-x, 0)
+    assert chi_subset(make_uniform(1, 25)) == -want
     with pytest.raises(TooLarge):
-        chi_subset(make_uniform(1, 25))
+        chi_subset(make_uniform(1, 4097))
 
 
 def test_tutte_golden_values():
@@ -279,19 +286,89 @@ def test_chromatic_known_values():
     assert chromatic_poly(tri_iso) == IntPoly((0, 0, 2, -3, 1))
 
 
-def test_chromatic_poly_past_the_subset_guard():
-    # more than 24 edges after parallels are dropped: delete/contract
+def test_chromatic_poly_past_the_subset_guard(monkeypatch):
+    # more than 24 edges after parallels are dropped: K8, K9 and the
+    # doubled K8 take the vertex census, while C30 and the 31-vertex path,
+    # whose walks pass the node bound, take delete/contract
+    def no_delcon(m):
+        raise AssertionError("delete/contract ran where the census fits")
+
     k8, k9 = complete_graph(8), complete_graph(9)
-    assert chromatic_poly(k8) == falling_factorial(8)
-    assert chromatic_poly(k9) == falling_factorial(9)
     x, x1 = IntPoly((0, 1)), IntPoly((-1, 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(invariants_module, "chi_delcon", no_delcon)
+        assert chromatic_poly(k8) == falling_factorial(8)
+        assert chromatic_poly(k9) == falling_factorial(9)
+        doubled = MultiGraph(12, k8.edges + k8.edges)
+        assert chromatic_poly(doubled) == poly_pow(x, 4) * falling_factorial(8)
+        assert chromatic_poly(MultiGraph(8, k8.edges + ((3, 3),))) == IntPoly.zero()
+    delcon_sizes = []
+
+    def recorded(m):
+        delcon_sizes.append(m.ground_size)
+        return chi_delcon(m)
+
+    monkeypatch.setattr(invariants_module, "chi_delcon", recorded)
     c30 = MultiGraph(30, [(v, (v + 1) % 30) for v in range(30)])
     assert chromatic_poly(c30) == poly_pow(x1, 30) + x1
     path = MultiGraph(31, [(v, v + 1) for v in range(30)])
     assert chromatic_poly(path) == x * poly_pow(x1, 30)
-    doubled = MultiGraph(12, k8.edges + k8.edges)
-    assert chromatic_poly(doubled) == poly_pow(x, 4) * falling_factorial(8)
-    assert chromatic_poly(MultiGraph(8, k8.edges + ((3, 3),))) == IntPoly.zero()
+    # 16 vertices are past the vertex route's 13, and the walk of this
+    # connected 25-edge graph passes the node bound: delete/contract took
+    # 0.79 s here, the vertex census 2.57 s
+    rows = [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+    cols = [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)]
+    chromatic_poly(MultiGraph(16, rows + cols + [(0, 5)]))
+    assert delcon_sizes == [30, 30, 25]
+
+
+def test_dense_graphs_past_24_edges_take_the_vertex_census():
+    # each against a route that shares no step with the census
+    for n in range(8, 13):
+        assert flow_poly(complete_graph(n)) == flow_kn_partitions(n), n
+    assert chromatic_poly(complete_graph(12)) == falling_factorial(12)
+    rng = random.Random(310031)
+    pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    g = MultiGraph(10, rng.sample(pairs, 30))
+    want = chi_delcon(make_graphic(g))
+    assert chromatic_poly(g) == want.shift(g.n - want.degree)
+
+
+def test_pg_invariants_past_24_points_equal_the_closed_forms():
+    # pg:5,2 (31 points) and pg:4,3 (40) scan 114,205 and fewer stops
+    for n, q in ((5, 2), (4, 3)):
+        assert tutte(make_pg(n, q)) == tutte_pg(n, q), (n, q)
+    assert chi_subset(make_pg(5, 2).dual()) == chi_pg_dual(5, 2)
+
+
+def test_census_rules_refuse_within_a_second():
+    # each input is refused by the rule of the route it would take, before
+    # that route does any work
+    def too_slow(*_):
+        raise TimeoutError("a route started before its rule refused it")
+
+    k13 = complete_graph(13).edges
+    cases = {
+        # 14 vertices: the scan, over 2^24 sets of <= 13 of 91 edges
+        "K14": lambda: flow_poly(complete_graph(14)),
+        # tables past 2^30 bits send it to the scan: 2^24 < sets of <= 12
+        "13 vertices, 1,001 edges": lambda: flow_poly(
+            MultiGraph(13, [k13[i % len(k13)] for i in range(1001)])
+        ),
+        # the scan admits rank 1, but counts of 10,000 bits do not fit
+        "10,000 parallel edges": lambda: flow_poly(MultiGraph(2, [(0, 1)] * 10_000)),
+        "uniform:1,4097": lambda: chi_subset(make_uniform(1, 4097)),
+    }
+    old = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        for name, case in cases.items():
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(TooLarge):
+                case()
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_flow_known_values():

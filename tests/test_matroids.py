@@ -1,8 +1,10 @@
 """Unit tests for matroid rank oracles, views, and enumeration."""
 
 import random
+import signal
 import tracemalloc
 from collections import Counter
+from math import inf
 from time import monotonic
 
 import pytest
@@ -420,9 +422,9 @@ def test_vertex_census_matches_edge_census_on_seeded_multigraphs():
 
 
 def test_vertex_census_of_dense_graphs_past_the_subset_guard():
-    # K9..K11 have 36..55 edges, more than any library entry lets reach a
-    # census, and pack wider ints than the other tests: F is chi of the
-    # dual, and the chromatic polynomial of K_n is x chi
+    # K9..K11 have 36..55 edges, more than the other tests' graphs, and
+    # pack wider ints: F is chi of the dual, and the chromatic polynomial
+    # of K_n is x chi
     for n in (9, 10, 11):
         m = make_graphic(complete_graph(n))
         counts = m.vertex_census()
@@ -466,6 +468,40 @@ def test_fp_census_matches_generic_scan():
         d = m.dual()
         got = (m.rank_size_counts(), d.rank_size_counts(), d.rank_table())
         assert got == (brute_census(m), brute_census(d), brute_table(d)), (m.p, m.vectors)
+
+
+def gauss_jordan_rank(vectors, p):
+    """Rank over F_p by Gauss-Jordan elimination on lists, the reference
+    for the packed echelon basis of ``LinearMatroidFp``."""
+    rows = [[c % p for c in v] for v in vectors]
+    dim = len(rows[0]) if rows else 0
+    rank = col = 0
+    while rank < len(rows) and col < dim:
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [c * inv % p for c in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def test_fp_rank_matches_gauss_jordan():
+    # every mask of up to 8 elements, and 200 seeded masks of larger ones
+    rng = random.Random(616014)
+    for m in fp_configs() + low_rank_fp_configs():
+        n = m.ground_size
+        masks = range(1 << n) if n <= 8 else [rng.getrandbits(n) for _ in range(200)]
+        for mask in masks:
+            want = gauss_jordan_rank([m.vectors[i] for i in range(n) if mask >> i & 1], m.p)
+            assert m._rank_impl(mask) == want, (m.p, m.vectors, mask)
 
 
 def test_fp_rank_table_matches_rank_impl():
@@ -608,6 +644,66 @@ def test_graphic_census_route_follows_the_cost_estimate():
     # isolated vertices do not count against the vertex route
     k4_spread = MultiGraph(12, [(u * 3, v * 3) for u, v in complete_graph(4).edges])
     assert make_graphic(k4_spread).census_route() == "vertex"
+
+
+def test_graphic_census_route_past_24_edges_bounds_the_vertex_tables():
+    # past 24 edges the vertex route needs at most 13 non-isolated vertices
+    # and tables of 2^|V'| |V'| (|E|+1)^2 + (|E|+1)^3 / 2 <= 2^30 bits:
+    # K13 uses 0.62 of them
+    assert make_graphic(complete_graph(13)).census_route() == "vertex"
+    assert make_graphic(complete_graph(14)).census_route() == "edge"
+    k13 = complete_graph(13).edges
+    many = MultiGraph(13, [k13[i % len(k13)] for i in range(1001)])
+    assert make_graphic(many).census_route() == "edge"
+    # two vertices: the tables pass 2^30 bits at 1,284 edges
+    for m, route in ((1283, "vertex"), (1284, "edge"), (10_000, "edge")):
+        assert make_graphic(MultiGraph(2, [(0, 1)] * m)).census_route() == route, m
+    # a connected 16-vertex, 25-edge graph: delete/contract took 0.79 s
+    # and the vertex census 2.57 s
+    assert make_graphic(grid_4x4_and_a_diagonal()).census_route() == "edge"
+
+
+def grid_4x4_and_a_diagonal():
+    rows = [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+    cols = [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)]
+    return MultiGraph(16, rows + cols + [(0, 5)])
+
+
+def test_each_census_rule_refuses_only_its_own_work():
+    # the refusals run under a 1 s alarm, since each one would otherwise
+    # start a scan of over 2^24 nodes
+    def too_slow(*_):
+        raise TimeoutError("a census started before its rule refused it")
+
+    k9 = make_graphic(complete_graph(9))
+    u = make_uniform(1, 4097)
+    refused = [
+        # the scan: K9's edge scan passes 2^24 sets of <= 8 of its 36 edges,
+        # and an infinite deadline does not lift that bound
+        lambda: Matroid._census(k9, None),
+        lambda: Matroid._census(k9, inf),
+        make_pg(6, 2).rank_size_counts,
+    ] + [
+        # every census: counts reach n bits, so n^2 > 2^24 is refused, on
+        # any route and under any deadline
+        lambda m=m, deadline=deadline: m.rank_size_counts(deadline)
+        for m in (u, u.dual(), LinearMatroidFp([(1,)] * 4097, 2, "ones"))
+        for deadline in (None, monotonic() + 60)
+    ]
+    old = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        for census in refused:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(TooLarge):
+                census()
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    # a finite deadline lifts the scan's bound, and the deadline then fires
+    with pytest.raises(BudgetExceeded):
+        Matroid._census(k9, monotonic() + 0.05)
+    assert make_uniform(1, 4096).rank_size_counts()[(4096, 1)] == 1
 
 
 def census_routes():
