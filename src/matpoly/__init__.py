@@ -62,16 +62,16 @@ from .invariants import (
 from .matroids import (
     Matroid,
     TableMatroid,
-    circuits,
-    flats_of_rank,
     make_graphic,
     make_pg,
     make_uniform,
 )
 from .oracles import (
     chi_via_broken_circuits,
+    circuits,
     count_colorings,
     count_nz_flows,
+    flats_of_rank,
     min_cocircuit_size,
 )
 from .projective import chi_pg, chi_pg_dual, gaussian_binomial, points_count, tutte_pg

@@ -71,7 +71,7 @@ from .algebra import _one_minus_x_sum, _signed, _signed_div
 from .errors import BadParams, TooLarge
 from .graphs import MultiGraph, connected_partitions, quotient
 from .invariants import chi_subset, chromatic_poly, flow_poly, tutte, whitney_R
-from .matroids import Matroid, make_graphic
+from .matroids import SUBSET_GUARD, Matroid, make_graphic
 
 
 class IdentityKind(Enum):
@@ -98,7 +98,7 @@ GRAPH_KINDS = frozenset(
 )
 
 # One chromatic polynomial per connected partition: Bell(|V|) on K_|V|
-# (115,975 on K10), so a graph of more than 24 edges is capped at 10.
+# (115,975 on K10), so a graph of more than SUBSET_GUARD edges is capped at 10.
 PARTITION_VERTEX_GUARD = 12
 PARTITION_DENSE_GUARD = 10
 # Every minor table holds 2^n entries and grows about 2x per element.  At
@@ -265,7 +265,7 @@ def chi_dual_via_finaltwo(m: Matroid) -> IntPoly:
 
 
 def _partition_guard(g: MultiGraph) -> None:
-    cap = PARTITION_VERTEX_GUARD if len(g.edges) <= 24 else PARTITION_DENSE_GUARD
+    cap = PARTITION_VERTEX_GUARD if len(g.edges) <= SUBSET_GUARD else PARTITION_DENSE_GUARD
     if g.n > cap:
         raise TooLarge(
             f"connected-partition sum on {g.n} > {cap} vertices, {len(g.edges)} edges"

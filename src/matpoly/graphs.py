@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 from .errors import BadParams
 
@@ -210,6 +211,94 @@ def connected_partitions(g: MultiGraph):
                 yield inside | mask
 
     yield from rec((1 << g.n) - 1)
+
+
+def _vertex_census(g: MultiGraph, deadline: float | None, check) -> Counter:
+    """The cycle matroid's census {(|A|, r(A)): count} by the
+    Fortuin-Kasteleyn vertex-subset expansion (Bjorklund, Husfeldt, Kaski,
+    Koivisto, FOCS 2008), in 3^|V'| steps over the vertices V' of g, none
+    isolated in a ``GraphicMatroid``.  ``check(deadline)`` runs first and
+    once per 16 vertex sets, and raises to stop the pass.
+
+    With e(S) the number of edges inside S (loops and parallel edges
+    included), conn[S] counts the connected spanning edge sets of
+    G[S] by size:
+
+        conn[S] = (1+v)^e(S) - sum_{min S in T, T < S} conn[T] (1+v)^e(S-T)
+
+    and Z[S] = sum_{min S in T} q conn[T] Z[S-T] counts all edge sets
+    of G[S] by size and component count, so the coefficient of
+    q^k v^a in Z[V'] is the census count at (a, |V'| - k).  One pass
+    over S fills both.  Every polynomial is packed into one int at
+    v = 2^B, q = 2^(B(|E|+1)), B = |E| + 1: each term and each sum
+    counts distinct edge sets, so no coefficient reaches 2^B and the
+    packed arithmetic is exact."""
+    check(deadline)
+    m, nv = len(g.edges), g.n
+    full = (1 << nv) - 1
+    bits = m + 1
+    step = bits * (m + 1)
+    # layers[j][k]: the vertices i <= j joined to vertex j by more than k
+    # edges (a loop joins j to itself), so with j = max S,
+    # e(S) = e(S - j) + sum_k |layers[j][k] within S|
+    layers: list[list[int]] = [[] for _ in range(nv)]
+    for i, j in g.edges:
+        if i > j:
+            i, j = j, i
+        row, bit = layers[j], 1 << i
+        k = 0
+        while k < len(row) and row[k] & bit:  # the first layer without i
+            k += 1
+        if k == len(row):
+            row.append(0)
+        row[k] |= bit
+    inner = [0]  # e(S); vertex j doubles it with the sets whose max is j
+    for row in layers:
+        ext = inner
+        for layer in row:
+            ext = [e + (layer & s).bit_count() for s, e in enumerate(ext, len(inner))]
+        inner += ext
+    pw = [1]  # (1+v)^k, one shift-and-add per k
+    for _ in range(m):
+        pw.append(pw[-1] + (pw[-1] << bits))
+    inside = [pw[e] for e in inner]  # (1+v)^e(S)
+
+    conn = [0] * (full + 1)
+    z = [1] + [0] * full
+    for s in range(1, full + 1):
+        if not s & 0xF:
+            check(deadline)
+        low = s & -s
+        rest = sub = s ^ low
+        # Z is needed only on V' and the sets that miss vertex 0, and
+        # every S - T it reads misses min S, so is one of those
+        total, zs, need_z = inside[s], 0, not s & 1 or s == full
+        while sub:  # proper subsets of rest, down to the empty set
+            sub = (sub - 1) & rest
+            c = conn[sub | low]
+            if c:  # 0 when G[T] is disconnected
+                total -= c * inside[rest ^ sub]
+                if need_z:
+                    zs += c * z[rest ^ sub]
+        conn[s] = total
+        if need_z:  # T = S adds conn[S] Z[empty set]; << step is q
+            z[s] = (total + zs) << step
+
+    counts: Counter = Counter()
+    rows, mask = z[full], (1 << bits) - 1
+    rank = nv  # q-digit k of Z[V'] is rank |V'| - k, read from k = 0 up
+    while rows:
+        # an edge set of rank r has at least r edges: start at a = r
+        row, a = (rows & (1 << step) - 1) >> bits * rank, rank
+        while row:
+            c = row & mask
+            if c:
+                counts[(a, rank)] = c
+            row >>= bits
+            a += 1
+        rows >>= step
+        rank -= 1
+    return counts
 
 
 def graph_to_json(g: MultiGraph) -> dict:

@@ -25,57 +25,42 @@ of ``duality.rank_table``.  Each class takes its cheapest exact census:
 
     class            census route
     UniformMatroid   closed form, C(n, a) at min(m, a)
-    GraphicMatroid   vertex expansion (3^|V'|) or ``Matroid._scan``
+    GraphicMatroid   ``graphs._vertex_census`` (3^|V'|) or ``Matroid._scan``
     DualView         its base's census, reindexed
     others           ``Matroid._scan``
 
 ``Matroid._scan`` is the one walk over subsets, with three leaves: the
 rank table, every other census, and chi (``invariants.chi_subset``).
-It branches only on elements outside the span of the taken ones and
-folds the rest, so at a stop the census adds one binomial row and the
-rank table writes one slice per subset of the folded elements; chi cuts
-each fold instead.  Skips and folds loop and only takes recurse, so the
-depth is at most r(E).  A dual reads its base's table backwards.  The
-span test is the one per-class hook, ``_span_test``: the generic test
-asks ``_peek`` whether r(taken + i) is still |taken|, ``LinearMatroidFp``
-reduces vector i, one packed int, by the taken set's echelon rows (xor
-over F_2), and ``GraphicMatroid`` compares the component labels of edge
-i's ends.
+It branches only on elements outside the span of the taken ones, by the
+one per-class hook ``_span_test``, so its depth is at most r(E).  It
+reads the rank cache through ``_peek`` and never writes to it, nor to
+a view's base's, so a table or census runs in memory bounded by its own
+output (a cache of all 2^22 masks of uniform:10,22 held 342 MB).  Every
+route asks ``rank`` for r(E) at most.
 
-Each route refuses only its own work, before it starts: ``_scan`` past
-2^SUBSET_GUARD sets of <= r(E) elements unless a finite deadline bounds
-it, and, as memory bounds that no deadline lifts, ``rank_size_counts``
-past n^2 > 2^SUBSET_GUARD (counts reach n bits) and the vertex route
-past SUBSET_GUARD edges where its tables would not fit (``census_route``).
-
-The scan reads the rank cache through ``_peek`` and never writes to it,
-nor to the cache of a view's base, so a table or census runs in memory
-bounded by its own output (a cache of all 2^22 masks of uniform:10,22
-held 342 MB), while a scan after point queries still reads their ranks
-from the cache.  Every route asks ``rank`` for r(E) at most.
+Each route refuses its own work up front: ``_scan`` past its node bound
+unless a finite deadline bounds it, and, as memory bounds, a census past
+4,096 elements and the vertex route where its tables outgrow 2^30 bits.
 
 Graphic rank is the join count of the one union-find, ``graphs._union``,
 on ``graph``, the input relabeled onto its non-isolated vertices V' by
-``graphs.subgraph``, which both census routes and minors read too;
-``census_route`` picks one by a cost estimate:
-``vertex_census``, the Fortuin-Kasteleyn expansion over subsets of V'
-(3^|V'| steps), or the shared scan over edge subsets.
+``graphs.subgraph``, which both census routes and minors read too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import product
 from math import comb, inf, isfinite
 from time import monotonic
 
 from .errors import BadParams, BudgetExceeded, TooLarge
-from .graphs import MultiGraph, _union, quotient, subgraph
+from .graphs import MultiGraph, _union, _vertex_census, quotient, subgraph
 
-ENUM_GUARD = 20  # hard cap for circuit/flat enumeration
 SUBSET_GUARD = 24  # log2 of the scan's node bound and of a census's n^2
-# The vertex route's caps past SUBSET_GUARD edges (``census_route``): on a
-# connected 16-vertex, 25-edge graph it took 2.57 s, delete/contract 0.79 s.
+# The vertex route's caps past SUBSET_GUARD edges (``census_route``).  On
+# seeded sparse graphs of 25-40 edges it beat delete/contract by 3.7x-74x
+# up to 13 vertices, broke even near 15 and lost at 16 (CHANGES.md).
 VERTEX_GUARD = 13
 VERTEX_TABLE_BITS = 30
 # Time of one vertex-route step over one edge subset, fitted to
@@ -181,7 +166,7 @@ class Matroid:
     def rank_size_counts(self, deadline: float | None = None) -> Counter:
         """Census {(|A|, r(A)): count} over all 2^n subsets, by this
         class's ``_census``; raises BudgetExceeded past ``deadline``, and
-        TooLarge when n^2 > 2^SUBSET_GUARD, since counts reach n bits."""
+        TooLarge when n^2 > 2^SUBSET_GUARD (counts reach n bits)."""
         if self.ground_size**2 > 1 << SUBSET_GUARD:
             raise TooLarge(f"{self.label}: a census of over 2^{SUBSET_GUARD // 2} elements")
         _check_deadline(deadline)
@@ -221,8 +206,8 @@ class Matroid:
         every extension of a spanning set keeps the full rank, so the
         2^(|free| + n - i) sets mask + F + B, F within ``free`` and B
         within elements i..n-1, share that rank unvisited.  Only takes
-        recurse.  Past 2^SUBSET_GUARD sets of <= r(E) elements, which bound
-        its nodes, it refuses to start unless a finite deadline bounds it."""
+        recurse.  Past 2^SUBSET_GUARD sets of <= r(E) elements, its node
+        bound, it needs a finite deadline."""
         n = self.ground_size
         top = self.full_rank()
         if n > SUBSET_GUARD and (deadline is None or not isfinite(deadline)):
@@ -389,16 +374,14 @@ class GraphicMatroid(Matroid):
         cost come to about eight steps per entry.  The scan folds every
         edge that closes a cycle, so it stays ahead only on sparse graphs,
         such as forests of 5 or more vertices.  Past SUBSET_GUARD edges it
-        also needs |V'| <= VERTEX_GUARD and 2^|V'| |V'| (|E|+1)^2 bits of
-        tables plus (|E|+1)^3 / 2 of powers <= 2^VERTEX_TABLE_BITS (K13
-        uses 0.62 of that); else the scan's node bound prices the graph."""
+        also needs |V'| <= VERTEX_GUARD and tables of 2^|V'| |V'| (|E|+1)^2
+        plus (|E|+1)^3 / 2 bits <= 2^VERTEX_TABLE_BITS."""
         nv, m = self.graph.n, self.ground_size
-        if m <= SUBSET_GUARD:
-            fits = VERTEX_STEP_COST * (3**nv + (1 << nv + 3)) < 1 << m
-        else:  # the cost rule would pass every |V'| <= VERTEX_GUARD here
-            fits = nv <= VERTEX_GUARD and (
-                (nv << nv) * (m + 1) ** 2 + (m + 1) ** 3 // 2 <= 1 << VERTEX_TABLE_BITS
-            )
+        fits = (
+            m <= SUBSET_GUARD
+            or nv <= VERTEX_GUARD
+            and (nv << nv) * (m + 1) ** 2 + (m + 1) ** 3 // 2 <= 1 << VERTEX_TABLE_BITS
+        ) and VERTEX_STEP_COST * (3**nv + (1 << nv + 3)) < 1 << m
         return "vertex" if fits else "edge"
 
     def _census(self, deadline: float | None) -> Counter:
@@ -422,90 +405,10 @@ class GraphicMatroid(Matroid):
         return "".join(map(chr, range(self.graph.n))), extend
 
     def vertex_census(self, deadline: float | None = None) -> Counter:
-        """Census by the Fortuin-Kasteleyn vertex-subset expansion
-        (Bjorklund, Husfeldt, Kaski, Koivisto, FOCS 2008), in 3^|V'| steps
-        over the non-isolated vertices V'.
-
-        With e(S) the number of edges inside S (loops and parallel edges
-        included), conn[S] counts the connected spanning edge sets of
-        G[S] by size:
-
-            conn[S] = (1+v)^e(S) - sum_{min S in T, T < S} conn[T] (1+v)^e(S-T)
-
-        and Z[S] = sum_{min S in T} q conn[T] Z[S-T] counts all edge sets
-        of G[S] by size and component count, so the coefficient of
-        q^k v^a in Z[V'] is the census count at (a, |V'| - k).  One pass
-        over S fills both.  Every polynomial is packed into one int at
-        v = 2^B, q = 2^(B(|E|+1)), B = |E| + 1: each term and each sum
-        counts distinct edge sets, so no coefficient reaches 2^B and the
-        packed arithmetic is exact."""
-        _check_deadline(deadline)
-        g = self.graph
-        m, nv = len(g.edges), g.n
-        full = (1 << nv) - 1
-        bits = m + 1
-        step = bits * (m + 1)
-        # layers[j][k]: the vertices i <= j joined to vertex j by more than k
-        # edges (a loop joins j to itself), so with j = max S,
-        # e(S) = e(S - j) + sum_k |layers[j][k] within S|
-        layers: list[list[int]] = [[] for _ in range(nv)]
-        for i, j in g.edges:
-            if i > j:
-                i, j = j, i
-            row, bit = layers[j], 1 << i
-            k = 0
-            while k < len(row) and row[k] & bit:  # the first layer without i
-                k += 1
-            if k == len(row):
-                row.append(0)
-            row[k] |= bit
-        inner = [0]  # e(S); vertex j doubles it with the sets whose max is j
-        for row in layers:
-            ext = inner
-            for layer in row:
-                ext = [e + (layer & s).bit_count() for s, e in enumerate(ext, len(inner))]
-            inner += ext
-        pw = [1]  # (1+v)^k, one shift-and-add per k
-        for _ in range(m):
-            pw.append(pw[-1] + (pw[-1] << bits))
-        inside = [pw[e] for e in inner]  # (1+v)^e(S)
-
-        conn = [0] * (full + 1)
-        z = [1] + [0] * full
-        for s in range(1, full + 1):
-            if not s & 0xF:
-                _check_deadline(deadline)
-            low = s & -s
-            rest = sub = s ^ low
-            # Z is needed only on V' and the sets that miss vertex 0, and
-            # every S - T it reads misses min S, so is one of those
-            total, zs, need_z = inside[s], 0, not s & 1 or s == full
-            while sub:  # proper subsets of rest, down to the empty set
-                sub = (sub - 1) & rest
-                c = conn[sub | low]
-                if c:  # 0 when G[T] is disconnected
-                    total -= c * inside[rest ^ sub]
-                    if need_z:
-                        zs += c * z[rest ^ sub]
-            conn[s] = total
-            if need_z:  # T = S adds conn[S] Z[empty set]; << step is q
-                z[s] = (total + zs) << step
-
-        counts: Counter = Counter()
-        rows, mask = z[full], (1 << bits) - 1
-        rank = nv  # q-digit k of Z[V'] is rank |V'| - k, read from k = 0 up
-        while rows:
-            # an edge set of rank r has at least r edges: start at a = r
-            row, a = (rows & (1 << step) - 1) >> bits * rank, rank
-            while row:
-                c = row & mask
-                if c:
-                    counts[(a, rank)] = c
-                row >>= bits
-                a += 1
-            rows >>= step
-            rank -= 1
-        return counts
+        """Census by the Fortuin-Kasteleyn vertex-subset expansion in 3^|V'|
+        steps, ``graphs._vertex_census`` on ``graph``; raises BudgetExceeded
+        past ``deadline``."""
+        return _vertex_census(self.graph, deadline, _check_deadline)
 
 
 class LinearMatroidFp(Matroid):
@@ -523,11 +426,10 @@ class LinearMatroidFp(Matroid):
         # The span test's step on packed vectors, coordinate c the w-bit
         # digit c of one int: ``basis[c]`` is the taken set's row with its
         # leading 1 at digit c, or None.  Vector i adds p - a times the row
-        # at each column whose digit reads a != 0 mod p, or joins a copy
-        # reduced mod p and scaled to a leading 1.  A column reduces once
-        # and rows have digits below p, so a digit stays <= p - 1 +
-        # dim (p - 1)^2 < 2^w and never carries.  Over F_2 a reduction is
-        # an xor, so w = 1.
+        # at each column whose digit reads a != 0, or joins, reduced mod p
+        # and scaled to a leading 1.  A column reduces once and rows have
+        # digits below p, so a digit stays <= p - 1 + dim (p - 1)^2 < 2^w
+        # and never carries.  Over F_2 a reduction is an xor, w = 1.
         self._dim = dim = len(vectors[0]) if vectors else 0
         w = 1 if p == 2 else (p - 1 + dim * (p - 1) ** 2).bit_length()
         digit = (1 << w) - 1
@@ -560,6 +462,8 @@ class LinearMatroidFp(Matroid):
             grown = extend(basis, i)
             if grown is not None:
                 basis, rank = grown, rank + 1
+                if rank == self._dim:
+                    break
         return rank
 
     def _span_test(self):
@@ -646,45 +550,3 @@ def make_pg(n: int, p: int) -> LinearMatroidFp:
         for tail in product(*[range(p)] * (n - 1 - lead))
     ]
     return LinearMatroidFp(points, p, f"pg:{n},{p}")
-
-
-def circuits(m: Matroid) -> list[int]:
-    """All circuits (minimal dependent sets) as bitmasks, by increasing
-    size then mask value.  Guarded to ground sets of at most 20."""
-    n = m.ground_size
-    if n > ENUM_GUARD:
-        raise TooLarge(f"circuit enumeration on {n} > {ENUM_GUARD} elements")
-    found: list[int] = []
-    elems = range(n)
-    for k in range(1, n + 1):
-        for combo in combinations(elems, k):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            if any(c & mask == c for c in found):
-                continue
-            if m.rank(mask) < k:
-                found.append(mask)
-    return sorted(found, key=lambda c: (c.bit_count(), c))
-
-
-def flats_of_rank(m: Matroid, k: int) -> list[int]:
-    """All flats (closed sets) of rank k, as bitmasks.  A set A is closed
-    when adding any outside element raises the rank."""
-    n = m.ground_size
-    if n > ENUM_GUARD:
-        raise TooLarge(f"flat enumeration on {n} > {ENUM_GUARD} elements")
-    if not 0 <= k <= m.full_rank():
-        return []
-    out = []
-    for mask in range(1 << n):
-        if m.rank(mask) != k:
-            continue
-        closed = True
-        for e in range(n):
-            if not mask >> e & 1 and m.rank(mask | 1 << e) == k:
-                closed = False
-                break
-        if closed:
-            out.append(mask)
-    return out

@@ -9,15 +9,16 @@ is the point.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .algebra import IntPoly
 from .errors import BadParams, TooLarge
 from .graphs import MultiGraph
-from .matroids import Matroid, circuits
+from .matroids import Matroid
 
 WORK_GUARD = 10**8
 BC_GUARD = 18
+ENUM_GUARD = 20  # hard cap for circuit/flat enumeration
 
 
 def _work_guard(base: int, exp: int) -> None:
@@ -98,3 +99,45 @@ def min_cocircuit_size(m: Matroid):
     if not duals:
         return None
     return min(c.bit_count() for c in duals)
+
+
+def circuits(m: Matroid) -> list[int]:
+    """All circuits (minimal dependent sets) as bitmasks, by increasing
+    size then mask value.  Guarded to ground sets of at most 20."""
+    n = m.ground_size
+    if n > ENUM_GUARD:
+        raise TooLarge(f"circuit enumeration on {n} > {ENUM_GUARD} elements")
+    found: list[int] = []
+    elems = range(n)
+    for k in range(1, n + 1):
+        for combo in combinations(elems, k):
+            mask = 0
+            for e in combo:
+                mask |= 1 << e
+            if any(c & mask == c for c in found):
+                continue
+            if m.rank(mask) < k:
+                found.append(mask)
+    return sorted(found, key=lambda c: (c.bit_count(), c))
+
+
+def flats_of_rank(m: Matroid, k: int) -> list[int]:
+    """All flats (closed sets) of rank k, as bitmasks.  A set A is closed
+    when adding any outside element raises the rank."""
+    n = m.ground_size
+    if n > ENUM_GUARD:
+        raise TooLarge(f"flat enumeration on {n} > {ENUM_GUARD} elements")
+    if not 0 <= k <= m.full_rank():
+        return []
+    out = []
+    for mask in range(1 << n):
+        if m.rank(mask) != k:
+            continue
+        closed = True
+        for e in range(n):
+            if not mask >> e & 1 and m.rank(mask | 1 << e) == k:
+                closed = False
+                break
+        if closed:
+            out.append(mask)
+    return out

@@ -314,7 +314,7 @@ def test_oversized_pg_spec_is_refused_before_it_is_built(capsys):
     # power of 3 with 10^8 digits; pg:6,2 has over 2^24 sets of at most 6
     # of its 63 points; every command must refuse them within 1 s
     def too_slow(*_):
-        raise TimeoutError("the spec was built before a guard refused it")
+        raise TimeoutError("the command ran for 1 s before it refused the spec")
 
     old = signal.signal(signal.SIGALRM, too_slow)
     try:
@@ -329,6 +329,13 @@ def test_oversized_pg_spec_is_refused_before_it_is_built(capsys):
                 signal.setitimer(signal.ITIMER_REAL, 0)
                 assert code == 2 and out == "", argv
                 assert json.loads(err)["error"]["type"] == "TooLarge", argv
+        # pg:16,2, the largest geometry make_pg lists (65,535 points), is
+        # built, and the walk's node bound refuses it within 1 s as well
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        code, out, err = run(capsys, ["chi", "--matroid", "pg:16,2"])
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "TooLarge"
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)

@@ -22,13 +22,12 @@ from matpoly.matroids import (
     MinorView,
     TableMatroid,
     _dual_counts,
-    circuits,
-    flats_of_rank,
     is_prime,
     make_graphic,
     make_pg,
     make_uniform,
 )
+from matpoly.oracles import circuits, flats_of_rank
 from matpoly.projective import chi_pg, chi_pg_dual
 
 from corpus import GRAPHS, all_matroids, small_matroids

@@ -10,7 +10,8 @@ from matpoly import BadParams, NotDivisible, TooLarge, projective
 from matpoly.algebra import BiPoly, IntPoly
 from matpoly.duality import chi_dual_via_finaltwo
 from matpoly.invariants import chi_subset, tutte
-from matpoly.matroids import flats_of_rank, make_pg
+from matpoly.matroids import make_pg
+from matpoly.oracles import flats_of_rank
 from matpoly.projective import (
     chi_pg,
     chi_pg_dual,
