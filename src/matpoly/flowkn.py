@@ -53,7 +53,7 @@ from .algebra import IntPoly, _signed_div, series_exp, series_log, substitute_on
 from .errors import BadParams
 from .graphs import complete_graph
 from .invariants import _chi_from_counts
-from .matroids import Matroid, _deadline, _dual_counts, make_graphic
+from .matroids import Matroid, _census_rule, _deadline, _dual_counts, make_graphic
 
 
 def partitions(n: int):
@@ -188,14 +188,16 @@ def flow_kn_egf(n: int) -> IntPoly:
 
 
 def flow_kn_tutte(n: int, budget_s: float | None = None) -> IntPoly:
-    """F_{K_n} by the scan over edge subsets, ``Matroid._census``.  The
-    budget (finite, >= 0) only sets a deadline: without one the scan's node
-    bound admits K8 and refuses K9; with one any n runs until
-    BudgetExceeded, to show how fast brute force loses to the partitions."""
+    """F_{K_n} by the scan over edge subsets, ``Matroid._census``, behind
+    the census rule (TooLarge past 4,096 edges, K92).  The budget (finite,
+    >= 0) only sets a deadline: without one the scan's node bound admits
+    K8 and refuses K9; with one any smaller n runs until BudgetExceeded, to
+    show how fast brute force loses to the partitions."""
     if n < 1:
         raise BadParams("flow_kn wants n >= 1")
-    m = make_graphic(complete_graph(n))
-    counts = _dual_counts(Matroid._census(m, _deadline(budget_s)), m.ground_size, n - 1)
+    m, deadline = make_graphic(complete_graph(n)), _deadline(budget_s)
+    _census_rule(m, deadline)
+    counts = _dual_counts(Matroid._census(m, deadline), m.ground_size, n - 1)
     return _chi_from_counts(counts, m.ground_size - (n - 1))
 
 

@@ -26,6 +26,7 @@ of ``duality.rank_table``.  Each class takes its cheapest exact census:
     class            census route
     UniformMatroid   closed form, C(n, a) at min(m, a)
     GraphicMatroid   ``graphs._vertex_census`` (3^|V'|) or ``Matroid._scan``
+    LinearMatroidFp  ``_span_census`` over F_2 where it fits, else the scan
     DualView         its base's census, reindexed
     others           ``Matroid._scan``
 
@@ -40,7 +41,8 @@ route asks ``rank`` for r(E) at most.
 
 Each route refuses its own work up front: ``_scan`` past its node bound
 unless a finite deadline bounds it, and, as memory bounds, a census past
-4,096 elements and the vertex route where its tables outgrow 2^30 bits.
+4,096 elements and the vertex and span routes where their tables or
+spans outgrow 2^30 bits; those two leave what they do not fit to the scan.
 
 Graphic rank is the join count of the one union-find, ``graphs._union``,
 on ``graph``, the input relabeled onto its non-isolated vertices V' by
@@ -62,7 +64,7 @@ SUBSET_GUARD = 24  # log2 of the scan's node bound and of a census's n^2
 # seeded sparse graphs of 25-40 edges it beat delete/contract by 3.7x-74x
 # up to 13 vertices, broke even near 15 and lost at 16 (CHANGES.md).
 VERTEX_GUARD = 13
-VERTEX_TABLE_BITS = 30
+TABLE_BITS = 30  # log2 of the bits the vertex tables or the spans may hold
 # Time of one vertex-route step over one edge subset, fitted to
 # break-even timings of the vertex route and the scan on graphs of 2 to 11
 # non-isolated vertices (CHANGES.md): the value keeps every graph of at
@@ -82,6 +84,14 @@ def _deadline(budget_s: float | None) -> float | None:
     if budget_s is not None and not 0 <= budget_s < inf:
         raise BadParams(f"a budget must be finite and >= 0 seconds, got {budget_s}")
     return None if budget_s is None else monotonic() + budget_s
+
+
+def _census_rule(m: "Matroid", deadline: float | None) -> None:
+    """The entry checks of every census: TooLarge when n^2 >
+    2^SUBSET_GUARD (counts reach n bits), then the deadline."""
+    if m.ground_size**2 > 1 << SUBSET_GUARD:
+        raise TooLarge(f"{m.label}: a census of over 2^{SUBSET_GUARD // 2} elements")
+    _check_deadline(deadline)
 
 
 def _bits(mask: int):
@@ -166,10 +176,8 @@ class Matroid:
     def rank_size_counts(self, deadline: float | None = None) -> Counter:
         """Census {(|A|, r(A)): count} over all 2^n subsets, by this
         class's ``_census``; raises BudgetExceeded past ``deadline``, and
-        TooLarge when n^2 > 2^SUBSET_GUARD (counts reach n bits)."""
-        if self.ground_size**2 > 1 << SUBSET_GUARD:
-            raise TooLarge(f"{self.label}: a census of over 2^{SUBSET_GUARD // 2} elements")
-        _check_deadline(deadline)
+        TooLarge by ``_census_rule``."""
+        _census_rule(self, deadline)
         return self._census(deadline)
 
     def _census(self, deadline: float | None) -> Counter:
@@ -375,12 +383,12 @@ class GraphicMatroid(Matroid):
         edge that closes a cycle, so it stays ahead only on sparse graphs,
         such as forests of 5 or more vertices.  Past SUBSET_GUARD edges it
         also needs |V'| <= VERTEX_GUARD and tables of 2^|V'| |V'| (|E|+1)^2
-        plus (|E|+1)^3 / 2 bits <= 2^VERTEX_TABLE_BITS."""
+        plus (|E|+1)^3 / 2 bits <= 2^TABLE_BITS."""
         nv, m = self.graph.n, self.ground_size
         fits = (
             m <= SUBSET_GUARD
             or nv <= VERTEX_GUARD
-            and (nv << nv) * (m + 1) ** 2 + (m + 1) ** 3 // 2 <= 1 << VERTEX_TABLE_BITS
+            and (nv << nv) * (m + 1) ** 2 + (m + 1) ** 3 // 2 <= 1 << TABLE_BITS
         ) and VERTEX_STEP_COST * (3**nv + (1 << nv + 3)) < 1 << m
         return "vertex" if fits else "edge"
 
@@ -469,6 +477,65 @@ class LinearMatroidFp(Matroid):
     def _span_test(self):
         """The empty set's echelon basis and the step ``__init__`` built."""
         return [None] * self._dim, self._extend
+
+    def census_route(self) -> str:
+        """"span" when p = 2, 2^dim <= 2^16, the span DP's states,
+        sum_{i<n} min(2^i, S) with S the number of subspaces of F_2^dim,
+        fit both 2^SUBSET_GUARD and the scan's nodes, the sets of at most
+        r(E) elements, and the min(2^n, S) spans it ends with, 2^dim bits
+        each, fit 2^TABLE_BITS bits; else "scan"."""
+        from .projective import _gaussian_row  # projective imports is_prime
+
+        n, dim = self.ground_size, self._dim
+        if self.p != 2 or dim > 16:
+            return "scan"
+        s = sum(_gaussian_row(dim, 2))
+        k = min(n, s.bit_length())  # min(2^i, S) = 2^i for i < k
+        states = (1 << k) - 1 + (n - k) * s
+        nodes = sum(comb(n, j) for j in range(self.full_rank() + 1))
+        fits = min(1 << n, s) << dim <= 1 << TABLE_BITS
+        return "span" if fits and states <= min(1 << SUBSET_GUARD, nodes) else "scan"
+
+    def _census(self, deadline: float | None) -> Counter:
+        if self.census_route() == "span":
+            return _span_census(self.vectors, self._dim, deadline)
+        return Matroid._census(self, deadline)
+
+
+def _span_census(vectors, dim: int, deadline: float | None) -> Counter:
+    """Census of the column matroid of ``vectors`` over F_2 by one pass
+    over the elements with one state per span.  A span is an int over the
+    2^dim vectors of F_2^dim, bit u set when u is in it, so the empty set
+    spans 1; its value packs the taken sets by size at x = 2^(n+1).  An
+    element in the span multiplies the value by 1 + x; any other also adds
+    x times it under the span joined with the span moved by the element,
+    one masked swap of 2^b-bit blocks per set bit b.  A span of 2^r
+    vectors has rank r.  Checks the deadline once per element."""
+    n, w = len(vectors), len(vectors) + 1
+    ones = (1 << (1 << dim)) - 1
+    # low[b]: the vectors whose bit b is 0, every other 2^b-bit block
+    low = [ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(dim)]
+    states = Counter({1: 1})
+    for v in vectors:
+        _check_deadline(deadline)
+        v = sum(c << b for b, c in enumerate(v))
+        moves = [(low[b], 1 << b) for b in _bits(v)]
+        for span, val in list(states.items()):
+            grown = span
+            if not span >> v & 1:
+                for mask, k in moves:
+                    grown = (grown & mask) << k | grown >> k & mask
+                grown |= span
+            states[grown] += val << w
+    by_rank: Counter = Counter()
+    for span, val in states.items():
+        by_rank[span.bit_count().bit_length() - 1] += val
+    counts: Counter = Counter()
+    for r, val in by_rank.items():
+        for a in range(n + 1):
+            if c := val >> a * w & (1 << w) - 1:
+                counts[(a, r)] = c
+    return counts
 
 
 class TableMatroid(Matroid):

@@ -96,7 +96,7 @@ def test_budgets_must_be_finite(capsys):
     # a nan or infinite deadline never passes, so it would lift the scan's
     # node bound and bound nothing: each command refuses such a budget, and
     # a negative one, before any work, where flow-kn and bench on K12 and
-    # chi on pg:6,2 once ran for ever
+    # chi on pg:8,2 would run for ever
     def too_slow(*_):
         raise TimeoutError("a bad budget was not refused at once")
 
@@ -107,7 +107,7 @@ def test_budgets_must_be_finite(capsys):
                 ["flow-kn", "--n", "12", "--method", "tutte"],
                 ["bench", "flow-kn", "--n-max", "12", "--methods", "tutte"],
                 ["bench", "flow-kn", "--n-max", "3"],
-                ["chi", "--matroid", "pg:6,2"],
+                ["chi", "--matroid", "pg:8,2"],
             ):
                 signal.setitimer(signal.ITIMER_REAL, 1.0)
                 code, out, err = run(capsys, argv + ["--budget-s", budget])
@@ -117,9 +117,10 @@ def test_budgets_must_be_finite(capsys):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-    # a finite deadline lifts the walk's node bound: pg:6,2 walks until it
-    # passes, where without a budget it is refused
-    code, out, err = run(capsys, ["chi", "--matroid", "pg:6,2", "--budget-s", "0.2"])
+    # a finite deadline lifts the walk's node bound: pg:8,2, too large for
+    # the span DP, walks until it passes, where without a budget it is
+    # refused
+    code, out, err = run(capsys, ["chi", "--matroid", "pg:8,2", "--budget-s", "0.2"])
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] == "BudgetExceeded"
 
@@ -152,19 +153,21 @@ def test_chi_dual_suffix(capsys):
 
 
 def test_chi_walks_pg_specs_past_24_points(capsys):
-    # each route refuses only its own work: chi's walk and the dual's
-    # census scan take pg:5,2 and pg:4,3, while the commands that need a
-    # table or the broken circuits keep their guards, and pg:6,2's dual
-    # census is refused by the scan's node bound
-    for n, q in ((5, 2), (4, 3)):
+    # each route refuses only its own work: the span DP takes pg:5,2,
+    # pg:6,2 and their duals, chi's walk pg:4,3, while the commands that
+    # need a table or the broken circuits keep their guards, and pg:8,2's
+    # dual census, too large for the span DP, is refused by the scan's
+    # node bound
+    for n, q in ((5, 2), (4, 3), (6, 2)):
         code, out, _ = run(capsys, ["chi", "--matroid", f"pg:{n},{q}"])
         assert code == 0
         assert json.loads(out)["poly"]["coeffs"] == [str(c) for c in chi_pg(n, q).coeffs]
-    code, out, _ = run(capsys, ["chi", "--matroid", "pg:5,2:dual"])
-    assert code == 0
-    assert json.loads(out)["poly"]["coeffs"] == [str(c) for c in chi_pg_dual(5, 2).coeffs]
+    for n in (5, 6):
+        code, out, _ = run(capsys, ["chi", "--matroid", f"pg:{n},2:dual"])
+        assert code == 0
+        assert json.loads(out)["poly"]["coeffs"] == [str(c) for c in chi_pg_dual(n, 2).coeffs]
     for argv in (
-        ["chi", "--matroid", "pg:6,2:dual"],
+        ["chi", "--matroid", "pg:8,2:dual"],
         ["verify", "--identity", "kung", "--matroid", "pg:5,2"],
         ["oracle", "chi-bc", "--matroid", "pg:5,2"],
     ):
@@ -311,14 +314,15 @@ def test_oracle_missing_arguments_exit_2(capsys):
 def test_oversized_pg_spec_is_refused_before_it_is_built(capsys):
     # make_pg lists every point, so pg:30,2 and pg:12,5 would take
     # minutes and gigabytes, and pg:100000000,3's point count alone a
-    # power of 3 with 10^8 digits; pg:6,2 has over 2^24 sets of at most 6
-    # of its 63 points; every command must refuse them within 1 s
+    # power of 3 with 10^8 digits; pg:8,2 has over 2^24 sets of at most 8
+    # of its 255 points, and its span DP would hold about 98.5M states;
+    # every command must refuse them within 1 s
     def too_slow(*_):
         raise TimeoutError("the command ran for 1 s before it refused the spec")
 
     old = signal.signal(signal.SIGALRM, too_slow)
     try:
-        for spec in ("pg:30,2", "pg:12,5:dual", "pg:100000000,3", "pg:6,2", "pg:6,2:dual"):
+        for spec in ("pg:30,2", "pg:12,5:dual", "pg:100000000,3", "pg:8,2", "pg:8,2:dual"):
             for argv in (
                 ["chi", "--matroid", spec],
                 ["verify", "--identity", "kung", "--matroid", spec],

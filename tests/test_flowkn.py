@@ -1,5 +1,6 @@
 """Unit tests for the fast complete-graph flow polynomial routes."""
 
+import signal
 from itertools import combinations
 from math import comb, factorial
 
@@ -242,6 +243,27 @@ def test_flow_kn_tutte_route(monkeypatch):
     assert flow_kn_tutte(8, budget_s=60.0) == flow_kn_partitions(8)
     with pytest.raises(BudgetExceeded):
         flow_kn_tutte(9, budget_s=0.2)
+
+
+def test_flow_kn_tutte_keeps_the_census_rule_under_a_budget():
+    # K92 has 4,186 edges, past the census rule's 4,096: counts of 4,186
+    # bits are refused at once, where the budgeted scan once ran for the
+    # whole budget and raised BudgetExceeded
+    def too_slow(*_):
+        raise TimeoutError("the scan started before the census rule refused K92")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(TooLarge):
+            flow_kn_tutte(92, budget_s=0.5)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    # K91's 4,095 edges pass the rule, so the budget then bounds the scan
+    with pytest.raises(BudgetExceeded):
+        flow_kn_tutte(91, budget_s=0.05)
 
 
 def test_flow_kn_tutte_refuses_a_budget_that_never_ends():

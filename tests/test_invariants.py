@@ -18,7 +18,7 @@ from matpoly.algebra import (
 import matpoly.invariants as invariants_module
 import matpoly.matroids as matroids_module
 from matpoly.duality import rank_table
-from matpoly.flowkn import flow_kn_partitions
+from matpoly.flowkn import flow_kn_partitions, leading_binomial_check
 from matpoly.graphs import MultiGraph, complete_graph, component_count
 from matpoly.invariants import (
     _chi_from_counts,
@@ -335,11 +335,36 @@ def test_dense_graphs_past_24_edges_take_the_vertex_census():
 
 
 def test_pg_invariants_past_24_points_equal_the_closed_forms():
-    # pg:5,2 (31 points) and pg:4,3 (40) pass 24 elements, but their
-    # census scans stay within the node bound
+    # pg:5,2 (31 points) and pg:4,3 (40) pass 24 elements, but the span
+    # DP and the census scan stay within their bounds
     for n, q in ((5, 2), (4, 3)):
         assert tutte(make_pg(n, q)) == tutte_pg(n, q), (n, q)
     assert chi_subset(make_pg(5, 2).dual()) == chi_pg_dual(5, 2)
+
+
+def test_pg_6_2_census_equals_the_closed_forms_within_a_second():
+    # 63 points: the span DP holds at most 2,825 states, one per subspace
+    # of F_2^6, where the scan would pass 2^24 nodes
+    def too_slow(*_):
+        raise TimeoutError("the census of pg:6,2 ran for 1 s")
+
+    m = make_pg(6, 2)
+    old = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        assert chi_subset(m) == chi_pg(6, 2)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        f = chi_subset(m.dual())
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        assert tutte(m) == tutte_pg(6, 2)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert f == chi_pg_dual(6, 2)
+    # the paper's Pascal-row law: the top 31 coefficients of the dual of
+    # PG(5, 2) are the signed binomials C(63, k), and the 32nd is not
+    assert leading_binomial_check(f, 63, 31) and not leading_binomial_check(f, 63, 32)
 
 
 def test_census_rules_refuse_within_a_second():
@@ -420,9 +445,9 @@ def test_chromatic_flow_consistency_with_tutte():
 def walk_cases():
     """Matroids whose census scans them, so ``chi_subset`` walks: seeded
     F_p configurations (p in {2, 3, 5, 7, 2^31 - 1, 2^61 - 1}, dimension
-    2 to 6) with zero and repeated vectors and scalar multiples, seeded
-    multigraphs on the edge route with loops and parallel edges,
-    minor-view stacks and table matroids."""
+    2 to 6) on the scan route, with zero and repeated vectors and scalar
+    multiples, seeded multigraphs on the edge route with loops and
+    parallel edges, minor-view stacks and table matroids."""
     rng = random.Random(230001)
     cases = []
     for k in range(90):
@@ -435,7 +460,9 @@ def walk_cases():
         if k >= 60 and p > 2:  # c v for c outside {0, 1}
             vecs += [tuple(rng.randrange(2, p) * x for x in v) for v in vecs[:2]]
         rng.shuffle(vecs)
-        cases.append(LinearMatroidFp(vecs, p, f"F{p}"))
+        m = LinearMatroidFp(vecs, p, f"F{p}")
+        if m.census_route() == "scan":  # 14 of the 24 over F_2 take the span DP
+            cases.append(m)
     graphs = 0
     while graphs < 40:
         n = rng.randrange(8, 13)
@@ -468,6 +495,7 @@ def test_chi_walk_matches_the_census_and_the_broken_circuit_oracle():
         if m.ground_size <= 18:
             assert got == chi_via_broken_circuits(m), m.label
         seen[type(m).__name__] += 1
+        seen["F_2"] += getattr(m, "p", 0) == 2
         seen["zero" if got == IntPoly.zero() else "nonzero"] += 1
         if isinstance(m, GraphicMatroid):
             seen["loop"] += any(u == v for u, v in m.graph.edges)
@@ -476,8 +504,8 @@ def test_chi_walk_matches_the_census_and_the_broken_circuit_oracle():
 
 
 def test_chi_walk_cuts_every_fold_of_the_census_scan(monkeypatch):
-    # both run ``Matroid._scan`` on pg:4,2; the walk ends each branch at
-    # a fold, so it makes 923 span tests against the census scan's 1,820
+    # both run ``Matroid._scan`` on pg:3,3; the walk ends each branch at
+    # a fold, so it makes 265 span tests against the census scan's 377
     calls = [0]
     span_test = LinearMatroidFp._span_test
 
@@ -491,37 +519,44 @@ def test_chi_walk_cuts_every_fold_of_the_census_scan(monkeypatch):
         return start, counted_extend
 
     monkeypatch.setattr(LinearMatroidFp, "_span_test", counted)
-    m = make_pg(4, 2)
-    assert chi_subset(m) == chi_pg(4, 2)
-    assert calls[0] == 923
+    m = make_pg(3, 3)
+    assert m.census_route() == "scan"
+    assert chi_subset(m) == chi_pg(3, 3)
+    assert calls[0] == 265
     calls[0] = 0
     m.rank_size_counts()
-    assert calls[0] == 1820
+    assert calls[0] == 377
 
 
 def test_chi_walk_gives_the_pg_product_beyond_24_elements():
-    # pg:4,3 has 40 elements and pg:5,2 31; at most 102,091 and 206,368
-    # sets of at most r(E) elements bound their walks.  pg:2,1009 has
-    # 1,010 elements, more than the interpreter's default recursion limit
+    # pg:4,3 has 40 elements; at most 102,091 sets of at most r(E)
+    # elements bound its walk.  pg:2,1009 has 1,010 elements, more than
+    # the interpreter's default recursion limit.  pg:5,2 (31 elements)
+    # reads the span DP's census
     for n, q in ((4, 3), (5, 2), (2, 1009)):
-        assert chi_subset(make_pg(n, q)) == chi_pg(n, q), (n, q)
+        m = make_pg(n, q)
+        assert invariants_module._scans(m) == (q != 2), (n, q)
+        assert chi_subset(m) == chi_pg(n, q), (n, q)
 
 
 def test_chi_walk_refuses_before_it_visits_a_node(monkeypatch):
-    # pg:6,2 has about 7.6e7 sets of at most 6 of its 63 elements
+    # pg:8,2 has over 2^24 sets of at most 8 of its 255 elements, and the
+    # span DP would hold about 98.5M states, so it walks
     def no_walk(self):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(LinearMatroidFp, "_span_test", no_walk)
     with pytest.raises(TooLarge):
-        chi_subset(make_pg(6, 2))
+        chi_subset(make_pg(8, 2))
+    # pg:6,2, refused before the span DP, reads its census with no walk
+    assert chi_subset(make_pg(6, 2)) == chi_pg(6, 2)
 
 
 def test_chi_walk_fails_when_the_span_test_never_reports_a_span(monkeypatch):
     path_with_cycle = MultiGraph(12, [(i, i + 1) for i in range(10)] + [(0, 3)])
     table = make_pg(3, 2)
     cases = [
-        make_pg(3, 2),
+        make_pg(3, 3),
         make_graphic(path_with_cycle),
         TableMatroid(table.ground_size, rank_table(table)),
     ]

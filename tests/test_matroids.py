@@ -4,7 +4,7 @@ import random
 import signal
 import tracemalloc
 from collections import Counter
-from math import inf
+from math import comb, inf
 from time import monotonic
 
 import pytest
@@ -566,7 +566,7 @@ def test_fp_scan_matches_generic_scan_where_folding_dominates():
 
 
 def scan_stops(m, monkeypatch):
-    """Stops the echelon scan makes during ``m.rank_size_counts()``."""
+    """Stops the echelon scan makes during ``Matroid._census(m, None)``."""
     stops = [0]
     scan = Matroid._scan
 
@@ -579,16 +579,16 @@ def scan_stops(m, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(Matroid, "_scan", counting_scan)
-        m.rank_size_counts()
+        Matroid._census(m, None)
     return stops[0]
 
 
 def test_fp_scan_branches_only_outside_the_span(monkeypatch):
     # branching on every element took 3,936 stops on pg:4,2 and 3,117,760
     # on pg:5,2; folding the elements inside the span leaves 1,381 and
-    # 114,205
-    assert scan_stops(make_pg(4, 2), monkeypatch) <= 1381
-    assert scan_stops(make_pg(5, 2), monkeypatch) < 200_000
+    # 114,205 (``Matroid._census``, since their census takes the span DP)
+    assert 0 < scan_stops(make_pg(4, 2), monkeypatch) <= 1381
+    assert 0 < scan_stops(make_pg(5, 2), monkeypatch) < 200_000
 
 
 def test_fp_census_gives_the_pg_closed_forms_at_paper_scale():
@@ -596,6 +596,57 @@ def test_fp_census_gives_the_pg_closed_forms_at_paper_scale():
     m = make_pg(5, 2)
     assert _chi_from_counts(m.rank_size_counts(), 5) == chi_pg(5, 2)
     assert _chi_from_counts(m.dual().rank_size_counts(), 26) == chi_pg_dual(5, 2)
+
+
+def f2_configs():
+    """The empty matroid and 49 seeded F_2 configurations, dimension 0 to
+    6 and up to 16 elements, with zero and repeated vectors."""
+    rng = random.Random(330033)
+    configs = [LinearMatroidFp([], 2, "empty")]
+    for k in range(49):
+        dim = k % 7
+        vecs = [tuple(rng.randrange(2) for _ in range(dim)) for _ in range(rng.randrange(15))]
+        if rng.random() < 0.5:
+            vecs.append((0,) * dim)
+        vecs += vecs[: rng.randrange(3)]
+        rng.shuffle(vecs)
+        configs.append(LinearMatroidFp(vecs[:16], 2, "F2"))
+    return configs
+
+
+def test_f2_span_census_matches_the_scan_and_brute_force():
+    # the DP itself on every configuration, and through the census on
+    # those that the route sends to it
+    routes = Counter()
+    for m in f2_configs():
+        n, d = m.ground_size, m.dual()
+        got = matroids._span_census(m.vectors, m._dim, None)
+        assert got == Matroid._census(m, None) == brute_census(m), m.vectors
+        assert _dual_counts(got, n, m.full_rank()) == brute_census(d), m.vectors
+        assert m.rank_size_counts() == got and d.rank_size_counts() == brute_census(d)
+        routes[m.census_route()] += 1
+    assert routes["span"] >= 10 and routes["scan"] >= 10, routes
+
+
+def test_f2_census_takes_the_span_dp_where_it_fits():
+    # S_2(dim) subspaces of F_2^dim bound the DP's states: 67 at dim 4,
+    # 2,825 at 6, 417,199 at 8, where pg:8,2's 255 elements would take
+    # about 98.5M states and its scan over 2^24 nodes: both refuse it
+    routes = {(n, q): make_pg(n, q).census_route() for n, q in ((4, 2), (6, 2), (8, 2), (3, 3))}
+    assert routes == {(4, 2): "span", (6, 2): "span", (8, 2): "scan", (3, 3): "scan"}
+    # rank 1 in F_2^1: 2n - 1 states against the scan's n + 1 nodes
+    assert LinearMatroidFp([(1,)] * 3, 2, "ones").census_route() == "scan"
+    assert LinearMatroidFp([(1,)] * 2, 2, "ones").census_route() == "span"
+    # a span of 2^17 vectors is past the 2^16 bound
+    assert LinearMatroidFp([(1,) * 16], 2, "dim16").census_route() == "span"
+    assert LinearMatroidFp([(1,) * 17], 2, "dim17").census_route() == "scan"
+    # n independent vectors of F_2^16 end in 2^n spans of 2^16 bits: 14 of
+    # them fit 2^30 bits, while 15 and 16 (within the state rule) do not
+    units = [tuple(int(i == j) for j in range(16)) for i in range(16)]
+    routes = [LinearMatroidFp(units[:n], 2, "units").census_route() for n in (14, 15, 16)]
+    assert routes == ["span", "scan", "scan"]
+    m = LinearMatroidFp(units, 2, "units")
+    assert m.rank_size_counts() == Counter({(a, a): comb(16, a) for a in range(17)})
 
 
 def test_scan_depth_is_the_rank_not_the_ground_size():
@@ -681,7 +732,9 @@ def test_each_census_rule_refuses_only_its_own_work():
         # and an infinite deadline does not lift that bound
         lambda: Matroid._census(k9, None),
         lambda: Matroid._census(k9, inf),
-        make_pg(6, 2).rank_size_counts,
+        # pg:8,2: the span DP's states pass 2^24, so it takes the scan
+        make_pg(8, 2).rank_size_counts,
+        make_pg(8, 2).dual().rank_size_counts,
     ] + [
         # every census: counts reach n bits, so n^2 > 2^24 is refused, on
         # any route and under any deadline
@@ -708,13 +761,15 @@ def test_each_census_rule_refuses_only_its_own_work():
 def census_routes():
     """name -> (census taking a deadline, whether its checks recur)."""
     u, k7, pg = make_uniform(3, 14), make_graphic(complete_graph(7)), make_pg(4, 2)
-    # the folded scans of uniform:8,20 and K7 (59,944 nodes) pass 2^14
-    # nodes, so they reach their in-loop deadline checks
+    # the folded scans of uniform:8,20, K7 (59,944 nodes) and pg:5,2 pass
+    # 2^14 nodes, so they reach their in-loop deadline checks; the span DP
+    # checks once per element
     big = make_uniform(8, 20)
     return {
         "uniform": u.rank_size_counts,
-        "fp": pg.rank_size_counts,
-        "fp-large": make_pg(5, 2).rank_size_counts,
+        "fp": make_pg(3, 3).rank_size_counts,
+        "fp-large": lambda deadline: Matroid._census(make_pg(5, 2), deadline),
+        "fp-span": make_pg(5, 2).rank_size_counts,
         "graphic": k7.rank_size_counts,
         "graphic-vertex": k7.vertex_census,
         "graphic-edge": lambda deadline: Matroid._census(k7, deadline),
@@ -731,7 +786,7 @@ def test_every_census_route_raises_on_an_expired_deadline():
 
 def test_census_scans_check_the_deadline_while_running(monkeypatch):
     routes = census_routes()
-    for name in ("fp-large", "graphic-vertex", "graphic-edge", "generic"):
+    for name in ("fp-large", "fp-span", "graphic-vertex", "graphic-edge", "generic"):
         # the clock passes the deadline right after the entry check
         reads = []
 
