@@ -31,11 +31,11 @@ from time import monotonic
 
 from .algebra import BiPoly, IntPoly
 from .duality import IdentityKind, verify_identity
-from .errors import BadParams, BudgetExceeded, MatpolyError, TooLarge
+from .errors import BadParams, BudgetExceeded, MatpolyError, TooLarge, _deadline
 from .flowkn import flow_kn_egf, flow_kn_partitions, flow_kn_tutte
 from .graphs import graph_from_json
 from .invariants import chi_subset
-from .matroids import _deadline, make_graphic, make_pg, make_uniform
+from .matroids import make_graphic, make_pg, make_uniform
 from .oracles import chi_via_broken_circuits, count_colorings, count_nz_flows
 from .projective import chi_pg_dual, tutte_pg
 
@@ -138,7 +138,7 @@ def cmd_flow_kn(args) -> tuple[dict, int]:
 def cmd_chi(args) -> tuple[dict, int]:
     m, _g = parse_matroid_spec(args.matroid)
     poly = chi_subset(m, _deadline(args.budget_s))
-    return {"matroid": args.matroid, "method": "subset", "poly": poly}, 0
+    return {"matroid": args.matroid, "method": m.census_route(), "poly": poly}, 0
 
 
 def cmd_chi_pg_dual(args) -> tuple[dict, int]:
@@ -158,16 +158,14 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_oracle(args) -> tuple[dict, int]:
     if args.what in ("colorings", "flows"):
-        if args.graph is None:
-            raise BadParams("--graph is required for counting oracles")
+        if args.graph is None or args.q is None or args.matroid is not None:
+            raise BadParams(f"{args.what} takes --graph and --q, and no --matroid")
         g = graph_from_json(args.graph)
-        if args.q is None:
-            raise BadParams("--q is required for counting oracles")
         count = (count_colorings if args.what == "colorings" else count_nz_flows)(g, args.q)
         return {"count": str(count), "graph": args.graph, "oracle": args.what,
                 "q": args.q}, 0
-    if args.matroid is None:
-        raise BadParams("--matroid is required for chi-bc")
+    if args.matroid is None or args.graph is not None or args.q is not None:
+        raise BadParams("chi-bc takes --matroid, and no --graph or --q")
     m, _g = parse_matroid_spec(args.matroid)
     poly = chi_via_broken_circuits(m)
     return {"matroid": args.matroid, "oracle": "chi-bc", "poly": poly}, 0

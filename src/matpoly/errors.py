@@ -7,8 +7,13 @@ promises divisibility, hitting one of these means the input violated the
 identity's hypotheses or there is a bug, so they are never silently
 swallowed.  Series coefficients are integers by construction, so no
 integrality error exists.  ``BudgetExceeded`` is raised by
-cooperatively time-limited computations.
+cooperatively time-limited computations, by ``_check_deadline`` on a
+deadline that ``_deadline`` made from a budget (BadParams unless it is
+finite and >= 0).
 """
+
+from math import inf
+from time import monotonic
 
 
 class MatpolyError(Exception):
@@ -33,3 +38,15 @@ class BadConstantTerm(MatpolyError):
 
 class BudgetExceeded(MatpolyError):
     """A time-budgeted computation ran past its deadline."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and monotonic() > deadline:
+        raise BudgetExceeded("subset scan ran past its deadline")
+
+
+def _deadline(budget_s: float | None) -> float | None:
+    """monotonic() + budget_s, or None; BadParams unless 0 <= budget_s < inf."""
+    if budget_s is not None and not 0 <= budget_s < inf:
+        raise BadParams(f"a budget must be finite and >= 0 seconds, got {budget_s}")
+    return None if budget_s is None else monotonic() + budget_s

@@ -50,10 +50,10 @@ from itertools import zip_longest
 from math import comb, factorial, prod
 
 from .algebra import IntPoly, _signed_div, series_exp, series_log, substitute_one_minus_x
-from .errors import BadParams
+from .errors import BadParams, _deadline
 from .graphs import complete_graph
 from .invariants import _chi_from_counts
-from .matroids import Matroid, _census_rule, _deadline, _dual_counts, make_graphic
+from .matroids import Matroid, _census_rule, _dual_counts, make_graphic
 
 
 def partitions(n: int):

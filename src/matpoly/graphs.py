@@ -14,7 +14,7 @@ import json
 import os
 from collections import Counter
 
-from .errors import BadParams
+from .errors import BadParams, _check_deadline
 
 
 class MultiGraph:
@@ -213,12 +213,12 @@ def connected_partitions(g: MultiGraph):
     yield from rec((1 << g.n) - 1)
 
 
-def _vertex_census(g: MultiGraph, deadline: float | None, check) -> Counter:
+def _vertex_census(g: MultiGraph, deadline: float | None) -> Counter:
     """The cycle matroid's census {(|A|, r(A)): count} by the
     Fortuin-Kasteleyn vertex-subset expansion (Bjorklund, Husfeldt, Kaski,
     Koivisto, FOCS 2008), in 3^|V'| steps over the vertices V' of g, none
-    isolated in a ``GraphicMatroid``.  ``check(deadline)`` runs first and
-    once per 16 vertex sets, and raises to stop the pass.
+    isolated in a ``GraphicMatroid``.  The deadline is checked first and
+    once per 16 vertex sets; past it, BudgetExceeded stops the pass.
 
     With e(S) the number of edges inside S (loops and parallel edges
     included), conn[S] counts the connected spanning edge sets of
@@ -233,7 +233,7 @@ def _vertex_census(g: MultiGraph, deadline: float | None, check) -> Counter:
     v = 2^B, q = 2^(B(|E|+1)), B = |E| + 1: each term and each sum
     counts distinct edge sets, so no coefficient reaches 2^B and the
     packed arithmetic is exact."""
-    check(deadline)
+    _check_deadline(deadline)
     m, nv = len(g.edges), g.n
     full = (1 << nv) - 1
     bits = m + 1
@@ -267,7 +267,7 @@ def _vertex_census(g: MultiGraph, deadline: float | None, check) -> Counter:
     z = [1] + [0] * full
     for s in range(1, full + 1):
         if not s & 0xF:
-            check(deadline)
+            _check_deadline(deadline)
         low = s & -s
         rest = sub = s ^ low
         # Z is needed only on V' and the sets that miss vertex 0, and

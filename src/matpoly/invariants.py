@@ -19,10 +19,11 @@ Each matroid class takes the census by its cheapest exact route (see
 3^|V'| steps for a graph with few vertices for its edges, one state per
 span over F_2, and otherwise, where those do not fit, one scan,
 ``Matroid._scan``, that branches only on elements outside the span of
-the taken ones.  Where the census would scan, ``chi_subset``
-runs that scan with every fold cut, so that its leaf counts only the
-no-broken-circuit sets.  ``chromatic_poly`` turns to ``chi_delcon`` only
-when ``chi_subset`` is refused.
+the taken ones.  Where ``census_route()`` is "scan" (F_p matroids off
+the span DP, minor and table matroids and graphs on the scan route),
+``chi_subset`` runs that scan with every fold cut, so that its leaf
+counts only the no-broken-circuit sets.  ``chromatic_poly`` turns to
+``chi_delcon`` only when ``chi_subset`` is refused.
 ``chi_delcon`` is the independent recursive route (delete/contract) used
 to cross-check ``chi_subset``; on a graphic matroid it recurses on its
 own minors, memoized for one call on each minor's graph: equal labeled
@@ -34,15 +35,9 @@ from __future__ import annotations
 from math import comb
 
 from .algebra import BiPoly, IntPoly, poly_pow, substitute_one_minus_x
-from .errors import BadParams, TooLarge
+from .errors import BadParams, TooLarge, _check_deadline
 from .graphs import MultiGraph
-from .matroids import (
-    GraphicMatroid,
-    LinearMatroidFp,
-    Matroid,
-    _check_deadline,
-    make_graphic,
-)
+from .matroids import GraphicMatroid, Matroid, make_graphic
 
 
 def _chi_from_counts(counts, rank: int) -> IntPoly:
@@ -53,25 +48,16 @@ def _chi_from_counts(counts, rank: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _scans(m: Matroid) -> bool:
-    """True when m's census would run ``Matroid._scan`` on m itself: as
-    its ``census_route`` says, or, for a class without one, when it keeps
-    ``Matroid._census``."""
-    if isinstance(m, (GraphicMatroid, LinearMatroidFp)):
-        return m.census_route() in ("edge", "scan")
-    return type(m)._census is Matroid._census
-
-
 def chi_subset(m: Matroid, deadline: float | None = None) -> IntPoly:
-    """Characteristic polynomial read off m's census, or, where the
-    census would scan m, by ``Matroid._scan`` with folds cut.  A stop of
-    the census scan with k free elements adds (-1)^|mask| x^(R - r)
-    (1 - 1)^k, which is 0 at every fold and at every spanning stop with
+    """Characteristic polynomial read off m's census, or, where m's
+    ``census_route()`` is "scan", by ``Matroid._scan`` with folds cut.  A
+    stop of the census scan with k free elements adds (-1)^|mask|
+    x^(R - r) (1 - 1)^k, which is 0 at every fold and at every spanning stop with
     i < n, so the walk ends each branch at a fold and its leaf adds only
     at i = n.  The sets left are the no-broken-circuit sets (Whitney's
     broken-circuit theorem), with |mask| = r at each.  Raises
     BudgetExceeded once ``monotonic()`` passes ``deadline``."""
-    if _scans(m):
+    if m.census_route() == "scan":
         n, top = m.ground_size, m.full_rank()
         _check_deadline(deadline)
         coeffs = [0] * (top + 1)

@@ -21,14 +21,15 @@ Every invariant is read off one object, the rank-size census
 {(|A|, r(A)): count}.  ``rank_size_counts(deadline)`` is its one entry
 point: it checks the deadline and calls the class's ``_census``.
 ``rank_table()`` lists r(A) for every mask, for the lattice transforms
-of ``duality.rank_table``.  Each class takes its cheapest exact census:
+of ``duality.rank_table``.  Each class takes its cheapest exact census
+and names it by ``census_route()``, which ``invariants.chi_subset`` reads:
 
-    class            census route
-    UniformMatroid   closed form, C(n, a) at min(m, a)
-    GraphicMatroid   ``graphs._vertex_census`` (3^|V'|) or ``Matroid._scan``
-    LinearMatroidFp  ``_span_census`` over F_2 where it fits, else the scan
-    DualView         its base's census, reindexed
-    others           ``Matroid._scan``
+    class            census_route()    census
+    UniformMatroid   "closed"          C(n, a) at min(m, a)
+    GraphicMatroid   "vertex"/"scan"   ``graphs._vertex_census`` (3^|V'|)
+    LinearMatroidFp  "span"/"scan"     ``_span_census`` over F_2
+    DualView         "dual"            its base's census, reindexed
+    others           "scan"            ``Matroid._scan``
 
 ``Matroid._scan`` is the one walk over subsets, with three leaves: the
 rank table, every other census, and chi (``invariants.chi_subset``).
@@ -53,11 +54,11 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from math import comb, inf, isfinite
-from time import monotonic
+from math import comb, isfinite
 
-from .errors import BadParams, BudgetExceeded, TooLarge
+from .errors import BadParams, TooLarge, _check_deadline
 from .graphs import MultiGraph, _union, _vertex_census, quotient, subgraph
+from .projective import _gaussian_row, _pg_guard, is_prime
 
 SUBSET_GUARD = 24  # log2 of the scan's node bound and of a census's n^2
 # The vertex route's caps past SUBSET_GUARD edges (``census_route``).  On
@@ -74,24 +75,18 @@ TABLE_BITS = 30  # log2 of the bits the vertex tables or the spans may hold
 VERTEX_STEP_COST = 0.035
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and monotonic() > deadline:
-        raise BudgetExceeded("subset scan ran past its deadline")
-
-
-def _deadline(budget_s: float | None) -> float | None:
-    """monotonic() + budget_s, or None; BadParams unless 0 <= budget_s < inf."""
-    if budget_s is not None and not 0 <= budget_s < inf:
-        raise BadParams(f"a budget must be finite and >= 0 seconds, got {budget_s}")
-    return None if budget_s is None else monotonic() + budget_s
-
-
 def _census_rule(m: "Matroid", deadline: float | None) -> None:
     """The entry checks of every census: TooLarge when n^2 >
     2^SUBSET_GUARD (counts reach n bits), then the deadline."""
     if m.ground_size**2 > 1 << SUBSET_GUARD:
         raise TooLarge(f"{m.label}: a census of over 2^{SUBSET_GUARD // 2} elements")
     _check_deadline(deadline)
+
+
+def _small_sets(n: int, r: int) -> int:
+    """The scan's nodes, the sets of at most r of n elements, counted to
+    r <= SUBSET_GUARD + 1, at which any n > SUBSET_GUARD has 2^r of them."""
+    return sum(comb(n, j) for j in range(min(r, SUBSET_GUARD + 1) + 1))
 
 
 def _bits(mask: int):
@@ -173,6 +168,10 @@ class Matroid:
         self._scan(leaf)
         return out
 
+    def census_route(self) -> str:
+        """The census route: "closed", "dual", "vertex", "span" or "scan"."""
+        return "scan"
+
     def rank_size_counts(self, deadline: float | None = None) -> Counter:
         """Census {(|A|, r(A)): count} over all 2^n subsets, by this
         class's ``_census``; raises BudgetExceeded past ``deadline``, and
@@ -219,8 +218,7 @@ class Matroid:
         n = self.ground_size
         top = self.full_rank()
         if n > SUBSET_GUARD and (deadline is None or not isfinite(deadline)):
-            k = min(top, SUBSET_GUARD + 1)  # <= 25 of n > 24 already pass it
-            if sum(comb(n, j) for j in range(k + 1)) > 1 << SUBSET_GUARD:
+            if _small_sets(n, top) > 1 << SUBSET_GUARD:
                 raise TooLarge(
                     f"{self.label}: over 2^{SUBSET_GUARD} sets of <= {top} elements"
                 )
@@ -279,6 +277,9 @@ class DualView(Matroid):
     # Bound on the class itself so perfbench/tracer.py times dual censuses
     # under their own name.
     rank_size_counts = Matroid.rank_size_counts
+
+    def census_route(self) -> str:
+        return "dual"
 
     def rank_table(self) -> list[int]:
         """The base's table read backwards: E - A is full ^ A, the index
@@ -341,6 +342,9 @@ class UniformMatroid(Matroid):
     def _rank_impl(self, mask: int) -> int:
         return min(self.m, mask.bit_count())
 
+    def census_route(self) -> str:
+        return "closed"
+
     def _census(self, deadline: float | None) -> Counter:
         n, m = self.ground_size, self.m
         return Counter({(a, min(m, a)): comb(n, a) for a in range(n + 1)})
@@ -376,12 +380,12 @@ class GraphicMatroid(Matroid):
 
     def census_route(self) -> str:
         """"vertex" when VERTEX_STEP_COST * (3^|V'| + 2^(|V'|+3)) < 2^|E|,
-        with V' the non-isolated vertices, else "edge", the scan over edge
-        subsets.  The vertex route takes 3^|V'| steps over pairs of nested
-        vertex sets; building its tables of 2^|V'| entries and its fixed
-        cost come to about eight steps per entry.  The scan folds every
-        edge that closes a cycle, so it stays ahead only on sparse graphs,
-        such as forests of 5 or more vertices.  Past SUBSET_GUARD edges it
+        with V' the non-isolated vertices, else "scan", over edge subsets.
+        The vertex route takes 3^|V'| steps over pairs of nested vertex
+        sets; building its tables of 2^|V'| entries and its fixed cost come
+        to about eight steps per entry.  The scan folds every edge that
+        closes a cycle, so it stays ahead only on sparse graphs, such as
+        forests of 5 or more vertices.  Past SUBSET_GUARD edges it
         also needs |V'| <= VERTEX_GUARD and tables of 2^|V'| |V'| (|E|+1)^2
         plus (|E|+1)^3 / 2 bits <= 2^TABLE_BITS."""
         nv, m = self.graph.n, self.ground_size
@@ -390,11 +394,11 @@ class GraphicMatroid(Matroid):
             or nv <= VERTEX_GUARD
             and (nv << nv) * (m + 1) ** 2 + (m + 1) ** 3 // 2 <= 1 << TABLE_BITS
         ) and VERTEX_STEP_COST * (3**nv + (1 << nv + 3)) < 1 << m
-        return "vertex" if fits else "edge"
+        return "vertex" if fits else "scan"
 
     def _census(self, deadline: float | None) -> Counter:
         if self.census_route() == "vertex":
-            return self.vertex_census(deadline)
+            return _vertex_census(self.graph, deadline)
         return Matroid._census(self, deadline)
 
     def _span_test(self):
@@ -411,12 +415,6 @@ class GraphicMatroid(Matroid):
             return None if lu == lv else label.replace(lv, lu)
 
         return "".join(map(chr, range(self.graph.n))), extend
-
-    def vertex_census(self, deadline: float | None = None) -> Counter:
-        """Census by the Fortuin-Kasteleyn vertex-subset expansion in 3^|V'|
-        steps, ``graphs._vertex_census`` on ``graph``; raises BudgetExceeded
-        past ``deadline``."""
-        return _vertex_census(self.graph, deadline, _check_deadline)
 
 
 class LinearMatroidFp(Matroid):
@@ -484,15 +482,13 @@ class LinearMatroidFp(Matroid):
         fit both 2^SUBSET_GUARD and the scan's nodes, the sets of at most
         r(E) elements, and the min(2^n, S) spans it ends with, 2^dim bits
         each, fit 2^TABLE_BITS bits; else "scan"."""
-        from .projective import _gaussian_row  # projective imports is_prime
-
         n, dim = self.ground_size, self._dim
         if self.p != 2 or dim > 16:
             return "scan"
         s = sum(_gaussian_row(dim, 2))
         k = min(n, s.bit_length())  # min(2^i, S) = 2^i for i < k
         states = (1 << k) - 1 + (n - k) * s
-        nodes = sum(comb(n, j) for j in range(self.full_rank() + 1))
+        nodes = _small_sets(n, self.full_rank())
         fits = min(1 << n, s) << dim <= 1 << TABLE_BITS
         return "span" if fits and states <= min(1 << SUBSET_GUARD, nodes) else "scan"
 
@@ -584,23 +580,6 @@ def make_graphic(g: MultiGraph, label: str | None = None) -> GraphicMatroid:
     return GraphicMatroid(g, label)
 
 
-def is_prime(p: int) -> bool:
-    """Miller-Rabin on the 13 primes up to 41, exact below the least
-    composite that passes them all, 3317044064679887385961981 (Sorenson and
-    Webster, Math. Comp. 86, 2017); larger p raise TooLarge."""
-    if p >= 3317044064679887385961981:
-        raise TooLarge(f"primality is decided only below 3.3e24, not at {p}")
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if p < 2 or any(p % a == 0 for a in bases):
-        return p in bases
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s, d odd
-    d = (p - 1) >> s
-    return all(
-        pow(a, d, p) == 1 or any(pow(a, d << j, p) == p - 1 for j in range(s))
-        for a in bases
-    )
-
-
 def make_pg(n: int, p: int) -> LinearMatroidFp:
     """Projective geometry PG(n-1, p) over a prime field: one point per
     1-dimensional subspace of F_p^n, normalized so the first nonzero
@@ -608,8 +587,6 @@ def make_pg(n: int, p: int) -> LinearMatroidFp:
     first, then every tail after the 1.  Only the points are visited, and
     ``product`` gets no ``range(p)`` to hold when the tail is empty.  Over
     2^16 points raise TooLarge."""
-    from .projective import _pg_guard  # projective imports is_prime
-
     _pg_guard(n, p)
     points = [
         (0,) * lead + (1,) + tail

@@ -24,6 +24,8 @@ assumed.  Both sums, and make_pg, refuse [n] > 2^16 before q^n is built.
 
 Gaussian binomials come, one row per closed form, from the q-Pascal
 recurrence (n k)_q = (n-1 k-1)_q + q^k (n-1 k)_q, which stays in integers.
+
+``is_prime`` is the one prime-field check, here and in ``matroids``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from itertools import accumulate
 
 from .algebra import BiPoly, IntPoly, _one_minus_x_sum, _signed_div
 from .errors import BadParams, NotDivisible, TooLarge
-from .matroids import is_prime
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -56,6 +57,23 @@ def _gaussian_row(n: int, q: int) -> list[int]:
         for j in range(1, m):
             row[j] = prev[j - 1] + q**j * prev[j]
     return row
+
+
+def is_prime(p: int) -> bool:
+    """Miller-Rabin on the 13 primes up to 41, exact below the least
+    composite that passes them all, 3317044064679887385961981 (Sorenson and
+    Webster, Math. Comp. 86, 2017); larger p raise TooLarge."""
+    if p >= 3317044064679887385961981:
+        raise TooLarge(f"primality is decided only below 3.3e24, not at {p}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s, d odd
+    d = (p - 1) >> s
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << j, p) == p - 1 for j in range(s))
+        for a in bases
+    )
 
 
 def _check_pg_params(n: int, q: int):

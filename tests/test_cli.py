@@ -146,6 +146,21 @@ def test_chi_graphic_from_file_and_inline(capsys, tmp_path):
     }
 
 
+def test_chi_names_the_route_that_ran(capsys, tmp_path):
+    k4 = tmp_path / "k4.json"
+    k4.write_text(K4_JSON)
+    for spec, route in (
+        ("pg:3,2:dual", "dual"),
+        ("pg:4,2", "span"),
+        ("pg:3,3", "scan"),
+        ("uniform:2,4", "closed"),
+        (f"graphic:{k4}", "vertex"),
+    ):
+        code, out, _ = run(capsys, ["chi", "--matroid", spec])
+        assert code == 0, spec
+        assert json.loads(out)["method"] == route, spec
+
+
 def test_chi_dual_suffix(capsys):
     code, out, _ = run(capsys, ["chi", "--matroid", "pg:3,2:dual"])
     assert code == 0
@@ -305,6 +320,11 @@ def test_oracle_missing_arguments_exit_2(capsys):
         ["oracle", "colorings", "--graph", TRIANGLE_JSON],
         ["oracle", "flows", "--q", "3"],
         ["oracle", "chi-bc"],
+        # each refuses the arguments it would ignore
+        ["oracle", "chi-bc", "--matroid", "pg:3,2", "--q", "3"],
+        ["oracle", "chi-bc", "--matroid", "pg:3,2", "--graph", TRIANGLE_JSON],
+        ["oracle", "colorings", "--graph", TRIANGLE_JSON, "--q", "3", "--matroid", "pg:3,2"],
+        ["oracle", "flows", "--graph", K4_JSON, "--q", "4", "--matroid", "pg:3,2"],
     ):
         code, _, err = run(capsys, argv)
         assert code == 2, argv

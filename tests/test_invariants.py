@@ -15,8 +15,8 @@ from matpoly.algebra import (
     poly_pow,
     substitute_one_minus_x,
 )
+import matpoly.errors as errors_module
 import matpoly.invariants as invariants_module
-import matpoly.matroids as matroids_module
 from matpoly.duality import rank_table
 from matpoly.flowkn import flow_kn_partitions, leading_binomial_check
 from matpoly.graphs import MultiGraph, complete_graph, component_count
@@ -472,7 +472,7 @@ def walk_cases():
         edges += edges[: rng.randrange(3)]
         rng.shuffle(edges)
         m = make_graphic(MultiGraph(n, edges))
-        if m.census_route() == "edge":
+        if m.census_route() == "scan":
             cases.append(m)
             graphs += 1
     pg, k5 = make_pg(3, 3), make_graphic(complete_graph(5))
@@ -489,7 +489,7 @@ def walk_cases():
 def test_chi_walk_matches_the_census_and_the_broken_circuit_oracle():
     seen = Counter()
     for m in walk_cases():
-        assert invariants_module._scans(m), m.label
+        assert m.census_route() == "scan", m.label
         got = chi_subset(m)
         assert got == _chi_from_counts(m.rank_size_counts(), m.full_rank()), m.label
         if m.ground_size <= 18:
@@ -535,7 +535,7 @@ def test_chi_walk_gives_the_pg_product_beyond_24_elements():
     # reads the span DP's census
     for n, q in ((4, 3), (5, 2), (2, 1009)):
         m = make_pg(n, q)
-        assert invariants_module._scans(m) == (q != 2), (n, q)
+        assert (m.census_route() == "scan") == (q != 2), (n, q)
         assert chi_subset(m) == chi_pg(n, q), (n, q)
 
 
@@ -589,7 +589,7 @@ def test_chi_walk_checks_the_deadline(monkeypatch):
         reads.append(None)
         return 0.0 if len(reads) == 1 else 10.0
 
-    monkeypatch.setattr(matroids_module, "monotonic", clock)
+    monkeypatch.setattr(errors_module, "monotonic", clock)
     with pytest.raises(BudgetExceeded):
         chi_subset(make_pg(4, 3), deadline=5.0)
     assert len(reads) == 2

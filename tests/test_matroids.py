@@ -9,11 +9,11 @@ from time import monotonic
 
 import pytest
 
-from matpoly import BadParams, BudgetExceeded, TooLarge, matroids
+from matpoly import BadParams, BudgetExceeded, TooLarge, errors, matroids
 from matpoly.algebra import falling_factorial
 from matpoly.duality import rank_table
 from matpoly.flowkn import flow_kn_partitions
-from matpoly.graphs import MultiGraph, complete_graph, component_count
+from matpoly.graphs import MultiGraph, _vertex_census, complete_graph, component_count
 from matpoly.invariants import _chi_from_counts, chi_subset
 from matpoly.matroids import (
     DualView,
@@ -345,7 +345,7 @@ def test_graphic_census_routes_match_generic_scan():
     for g in graphs:
         m = make_graphic(g)
         d = m.dual()
-        got = (m.vertex_census(), Matroid._census(m, None), m.rank_size_counts())
+        got = (_vertex_census(m.graph, None), Matroid._census(m, None), m.rank_size_counts())
         got_dual, table, dual_table = d.rank_size_counts(), m.rank_table(), d.rank_table()
         want = brute_census(m)
         assert got == (want, want, want), g.edges
@@ -381,7 +381,7 @@ def test_graphic_scan_labels_only_non_isolated_vertices():
     for edges in (path, [(u + pad, v + pad) for u, v in path]):
         padded = make_graphic(MultiGraph(13 + pad, edges))
         assert padded.graph.n == 13 and padded.graph.edges == g.edges
-        assert padded.census_route() == "edge"
+        assert padded.census_route() == "scan"
         assert chi_subset(padded) == chi_subset(m)
         assert rank_table(padded) == rank_table(m)
         # a rank query runs the union-find on the 13 ends too, so it
@@ -411,7 +411,7 @@ def test_vertex_census_matches_edge_census_on_seeded_multigraphs():
             edges += [(u, v)] * min(rng.choice((1, 1, 1, 2, 4)), 16 - len(edges))
         g = MultiGraph(n, edges)
         m = make_graphic(g)
-        assert m.vertex_census() == Matroid._census(m, None), g.edges
+        assert _vertex_census(m.graph, None) == Matroid._census(m, None), g.edges
         seen["loop"] += any(u == v for u, v in g.edges)
         seen["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
         seen["isolated"] += len({v for e in g.edges for v in e}) < n
@@ -426,7 +426,7 @@ def test_vertex_census_of_dense_graphs_past_the_subset_guard():
     # of K_n is x chi
     for n in (9, 10, 11):
         m = make_graphic(complete_graph(n))
-        counts = m.vertex_census()
+        counts = _vertex_census(m.graph, None)
         e = m.ground_size
         flow = _chi_from_counts(_dual_counts(counts, e, n - 1), e - (n - 1))
         assert flow == flow_kn_partitions(n), n
@@ -689,7 +689,7 @@ def test_graphic_census_route_follows_the_cost_estimate():
     # the 12-vertex path has only 2^11 edge subsets; on a triangle the
     # scan's fixed cost outweighs the vertex route's tables
     path12 = MultiGraph(12, [(i, i + 1) for i in range(11)])
-    assert make_graphic(path12).census_route() == "edge"
+    assert make_graphic(path12).census_route() == "scan"
     assert make_graphic(complete_graph(3)).census_route() == "vertex"
     # isolated vertices do not count against the vertex route
     k4_spread = MultiGraph(12, [(u * 3, v * 3) for u, v in complete_graph(4).edges])
@@ -701,16 +701,16 @@ def test_graphic_census_route_past_24_edges_bounds_the_vertex_tables():
     # and tables of 2^|V'| |V'| (|E|+1)^2 + (|E|+1)^3 / 2 <= 2^30 bits:
     # K13 uses 0.62 of them
     assert make_graphic(complete_graph(13)).census_route() == "vertex"
-    assert make_graphic(complete_graph(14)).census_route() == "edge"
+    assert make_graphic(complete_graph(14)).census_route() == "scan"
     k13 = complete_graph(13).edges
     many = MultiGraph(13, [k13[i % len(k13)] for i in range(1001)])
-    assert make_graphic(many).census_route() == "edge"
+    assert make_graphic(many).census_route() == "scan"
     # two vertices: the tables pass 2^30 bits at 1,284 edges
-    for m, route in ((1283, "vertex"), (1284, "edge"), (10_000, "edge")):
+    for m, route in ((1283, "vertex"), (1284, "scan"), (10_000, "scan")):
         assert make_graphic(MultiGraph(2, [(0, 1)] * m)).census_route() == route, m
     # a connected 16-vertex, 25-edge graph: delete/contract took 0.79 s
     # and the vertex census 2.57 s
-    assert make_graphic(grid_4x4_and_a_diagonal()).census_route() == "edge"
+    assert make_graphic(grid_4x4_and_a_diagonal()).census_route() == "scan"
 
 
 def grid_4x4_and_a_diagonal():
@@ -771,7 +771,7 @@ def census_routes():
         "fp-large": lambda deadline: Matroid._census(make_pg(5, 2), deadline),
         "fp-span": make_pg(5, 2).rank_size_counts,
         "graphic": k7.rank_size_counts,
-        "graphic-vertex": k7.vertex_census,
+        "graphic-vertex": lambda deadline: _vertex_census(k7.graph, deadline),
         "graphic-edge": lambda deadline: Matroid._census(k7, deadline),
         "dual": pg.dual().rank_size_counts,
         "generic": MinorView(big, big.full_mask).rank_size_counts,
@@ -794,10 +794,59 @@ def test_census_scans_check_the_deadline_while_running(monkeypatch):
             reads.append(None)
             return 0.0 if len(reads) == 1 else 10.0
 
-        monkeypatch.setattr(matroids, "monotonic", clock)
+        monkeypatch.setattr(errors, "monotonic", clock)
         with pytest.raises(BudgetExceeded):
             routes[name](deadline=5.0)
         assert len(reads) == 2, name
+
+
+def test_census_route_names_the_kernel_that_runs(monkeypatch):
+    # each census kernel logs its name when it runs, and the scan whether
+    # it cuts folds, the walk of chi_subset
+    log = []
+    vertex, span, scan = matroids._vertex_census, matroids._span_census, Matroid._scan
+
+    def logged_vertex(g, deadline):
+        log.append(("vertex", False))
+        return vertex(g, deadline)
+
+    def logged_span(vectors, dim, deadline):
+        log.append(("span", False))
+        return span(vectors, dim, deadline)
+
+    def logged_scan(self, leaf, deadline=None, *, cut_folds=False):
+        log.append(("scan", cut_folds))
+        return scan(self, leaf, deadline, cut_folds=cut_folds)
+
+    monkeypatch.setattr(matroids, "_vertex_census", logged_vertex)
+    monkeypatch.setattr(matroids, "_span_census", logged_span)
+    monkeypatch.setattr(Matroid, "_scan", logged_scan)
+    units = [tuple(int(i == j) for j in range(16)) for i in range(15)]
+    pg = make_pg(3, 2)
+    bases = [
+        make_uniform(3, 8),
+        make_graphic(complete_graph(7)),
+        make_graphic(MultiGraph(12, [(i, i + 1) for i in range(11)])),
+        make_pg(4, 2),
+        LinearMatroidFp(units, 2, "units"),
+        make_pg(3, 3),
+        MinorView(pg, 0b1110111, 0b0001000),
+        TableMatroid(pg.ground_size, rank_table(pg)),
+    ]
+    cases = bases + [m.dual() for m in bases]
+    seen = Counter()
+    for m in cases:
+        route = m.census_route()
+        assert route in ("closed", "dual", "vertex", "span", "scan"), m.label
+        kernel = m.base.census_route() if route == "dual" else route
+        log.clear()
+        m.rank_size_counts()
+        assert log == ([] if kernel == "closed" else [(kernel, False)]), m.label
+        log.clear()
+        chi_subset(m)
+        assert (("scan", True) in log) == (route == "scan"), m.label
+        seen[route] += 1
+    assert seen == {"closed": 1, "vertex": 1, "span": 1, "scan": 5, "dual": 8}, seen
 
 
 def test_table_matroid_accepts_valid_and_rejects_invalid():
