@@ -42,7 +42,7 @@ class BudgetExceeded(MatpolyError):
 
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and monotonic() > deadline:
-        raise BudgetExceeded("subset scan ran past its deadline")
+        raise BudgetExceeded("ran past its deadline")
 
 
 def _deadline(budget_s: float | None) -> float | None:

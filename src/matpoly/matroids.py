@@ -12,17 +12,16 @@ with S the minor's ground set and C the set contracted away, so view
 stacks of any depth stay exact.  ``restrict(M, S)`` has C empty;
 ``contract(M, S)`` keeps S as the ground set and contracts C = E - S.
 
-``rank`` memoizes every value it computes in the per-instance dict
-``_rank_cache``, so point queries fill it.  ``_peek`` is its read-only
-twin: a cache hit, or the value computed and not stored.  Both views
-ask their base through ``_peek``, so only the view's own cache grows.
+A matroid keeps one rank, r(E) (``full_rank``), and computes every
+other rank when asked, so no query grows it.
 
 Every invariant is read off one object, the rank-size census
 {(|A|, r(A)): count}.  ``rank_size_counts(deadline)`` is its one entry
-point: it checks the deadline and calls the class's ``_census``.
-``rank_table()`` lists r(A) for every mask, for the lattice transforms
-of ``duality.rank_table``.  Each class takes its cheapest exact census
-and names it by ``census_route()``, which ``invariants.chi_subset`` reads:
+point: it checks the deadline and runs ``Matroid._census`` where the
+route is "scan", else the class's ``_census``.  ``rank_table()`` lists
+r(A) for every mask, for the lattice transforms of
+``duality.rank_table``.  Each class takes its cheapest exact census and
+names it by ``census_route()``, which ``invariants.chi_subset`` reads:
 
     class            census_route()    census
     UniformMatroid   "closed"          C(n, a) at min(m, a)
@@ -34,16 +33,14 @@ and names it by ``census_route()``, which ``invariants.chi_subset`` reads:
 ``Matroid._scan`` is the one walk over subsets, with three leaves: the
 rank table, every other census, and chi (``invariants.chi_subset``).
 It branches only on elements outside the span of the taken ones, by the
-one per-class hook ``_span_test``, so its depth is at most r(E).  It
-reads the rank cache through ``_peek`` and never writes to it, nor to
-a view's base's, so a table or census runs in memory bounded by its own
-output (a cache of all 2^22 masks of uniform:10,22 held 342 MB).  Every
-route asks ``rank`` for r(E) at most.
+one per-class hook ``_span_test``, so its depth is at most r(E).
 
 Each route refuses its own work up front: ``_scan`` past its node bound
 unless a finite deadline bounds it, and, as memory bounds, a census past
-4,096 elements and the vertex and span routes where their tables or
-spans outgrow 2^30 bits; those two leave what they do not fit to the scan.
+4,096 elements, a rank table whose 2^n cells of 64 bits outgrow 2^30
+bits (past 24 elements), and the vertex and span routes where their
+tables or spans outgrow 2^30 bits; those two leave what they do not fit
+to the scan.
 
 Graphic rank is the join count of the one union-find, ``graphs._union``,
 on ``graph``, the input relabeled onto its non-isolated vertices V' by
@@ -65,7 +62,7 @@ SUBSET_GUARD = 24  # log2 of the scan's node bound and of a census's n^2
 # seeded sparse graphs of 25-40 edges it beat delete/contract by 3.7x-74x
 # up to 13 vertices, broke even near 15 and lost at 16 (CHANGES.md).
 VERTEX_GUARD = 13
-TABLE_BITS = 30  # log2 of the bits the vertex tables or the spans may hold
+TABLE_BITS = 30  # log2 of the bits a rank table, vertex tables or spans may hold
 # Time of one vertex-route step over one edge subset, fitted to
 # break-even timings of the vertex route and the scan on graphs of 2 to 11
 # non-isolated vertices (CHANGES.md): the value keeps every graph of at
@@ -115,23 +112,20 @@ class Matroid:
     def rank(self, mask: int) -> int:
         if not 0 <= mask <= self.full_mask:
             raise BadParams(f"mask {mask:#x} outside ground set of {self.label}")
-        cached = self._rank_cache.get(mask)
-        if cached is None:
-            cached = self._rank_impl(mask)
-            self._rank_cache[mask] = cached
-        return cached
-
-    def _peek(self, mask: int) -> int:
-        """r(mask) from the cache if it is there, else computed and not
-        stored."""
-        cached = self._rank_cache.get(mask)
-        return self._rank_impl(mask) if cached is None else cached
+        kept = self._rank_cache.get(mask)
+        return self._rank_impl(mask) if kept is None else kept
 
     def _rank_impl(self, mask: int) -> int:
         raise NotImplementedError
 
     def full_rank(self) -> int:
-        return self.rank(self.full_mask)
+        """r(E), computed once through ``rank`` and kept in ``_rank_cache``,
+        which holds nothing else; the dict keeps its name because
+        perfbench/tracer.py reads it."""
+        full = self.full_mask
+        if full not in self._rank_cache:
+            self._rank_cache[full] = self.rank(full)
+        return self._rank_cache[full]
 
     def dual(self) -> "Matroid":
         return DualView(self)
@@ -152,8 +146,12 @@ class Matroid:
         """r(A) for every mask A, as a dense list of length 2^n, from
         ``_scan``: a stop at element i writes its rank into the masks
         mask + F + B for every F within ``free``; for each F, the 2^(n-i)
-        masks mask + F + B sit 2^i apart, so one slice each."""
+        masks mask + F + B sit 2^i apart, so one slice each.  Raises
+        TooLarge, before any rank query, when the 2^n cells of 64 bits
+        would pass 2^TABLE_BITS bits, that is past 24 elements."""
         n = self.ground_size
+        if 64 << n > 1 << TABLE_BITS:
+            raise TooLarge(f"{self.label}: a rank table of 2^{n} cells")
         out = [0] * (1 << n)
 
         def leaf(i, mask, free, rk):
@@ -173,18 +171,21 @@ class Matroid:
         return "scan"
 
     def rank_size_counts(self, deadline: float | None = None) -> Counter:
-        """Census {(|A|, r(A)): count} over all 2^n subsets, by this
-        class's ``_census``; raises BudgetExceeded past ``deadline``, and
-        TooLarge by ``_census_rule``."""
+        """Census {(|A|, r(A)): count} over all 2^n subsets, by
+        ``Matroid._census`` where ``census_route()`` is "scan", else by
+        this class's ``_census``; raises BudgetExceeded past ``deadline``,
+        and TooLarge by ``_census_rule``."""
         _census_rule(self, deadline)
+        if self.census_route() == "scan":
+            return Matroid._census(self, deadline)
         return self._census(deadline)
 
     def _census(self, deadline: float | None) -> Counter:
-        """``_scan``; a stop at element i with k = |free| + n - i free
-        elements (folded ones and the untaken tail) adds C(k, j) sets of
-        size |mask| + j at its rank, for every j.  Stops are tallied by
-        (k, |mask|, rank) first, so each binomial row is added once per
-        tally rather than once per stop."""
+        """The census by ``_scan``; a stop at element i with k = |free| +
+        n - i free elements (folded ones and the untaken tail) adds C(k, j)
+        sets of size |mask| + j at its rank, for every j.  Stops are
+        tallied by (k, |mask|, rank) first, so each binomial row is added
+        once per tally rather than once per stop."""
         n = self.ground_size
         stops: Counter = Counter()
 
@@ -248,13 +249,12 @@ class Matroid:
         extend(state, i) is None when element i is in its span, else the
         state of the set grown by i.  No state is changed in place.  The
         generic state is the taken mask: i is in its span when
-        r(mask + i) is still |mask|, read through ``_peek`` so the scan
-        fills no rank cache."""
-        peek = self._peek
+        r(mask + i) is still |mask|."""
+        rank = self._rank_impl
 
         def extend(mask, i):
             grown = mask | 1 << i
-            return None if peek(grown) == mask.bit_count() else grown
+            return None if rank(grown) == mask.bit_count() else grown
 
         return 0, extend
 
@@ -269,7 +269,7 @@ class DualView(Matroid):
 
     def _rank_impl(self, mask: int) -> int:
         b = self.base
-        return b._peek(b.full_mask & ~mask) + mask.bit_count() - b.full_rank()
+        return b._rank_impl(b.full_mask & ~mask) + mask.bit_count() - b.full_rank()
 
     def dual(self) -> Matroid:
         return self.base
@@ -283,12 +283,10 @@ class DualView(Matroid):
 
     def rank_table(self) -> list[int]:
         """The base's table read backwards: E - A is full ^ A, the index
-        of A counted from the end."""
-        base = self.base
-        top = base.full_rank()
-        return [
-            r + a.bit_count() - top for a, r in enumerate(reversed(base.rank_table()))
-        ]
+        of A counted from the end, and r(E) is the last cell."""
+        table = self.base.rank_table()
+        top = table[-1]
+        return [r + a.bit_count() - top for a, r in enumerate(reversed(table))]
 
     def _census(self, deadline: float | None) -> Counter:
         base = self.base
@@ -329,7 +327,7 @@ class MinorView(Matroid):
         for i, e in enumerate(self.elements):
             if mask >> i & 1:
                 out |= 1 << e
-        return self.base._peek(out) - self._away_rank
+        return self.base._rank_impl(out) - self._away_rank
 
 
 class UniformMatroid(Matroid):
@@ -397,9 +395,7 @@ class GraphicMatroid(Matroid):
         return "vertex" if fits else "scan"
 
     def _census(self, deadline: float | None) -> Counter:
-        if self.census_route() == "vertex":
-            return _vertex_census(self.graph, deadline)
-        return Matroid._census(self, deadline)
+        return _vertex_census(self.graph, deadline)
 
     def _span_test(self):
         """Component-label span test: the state holds one character per
@@ -493,9 +489,7 @@ class LinearMatroidFp(Matroid):
         return "span" if fits and states <= min(1 << SUBSET_GUARD, nodes) else "scan"
 
     def _census(self, deadline: float | None) -> Counter:
-        if self.census_route() == "span":
-            return _span_census(self.vectors, self._dim, deadline)
-        return Matroid._census(self, deadline)
+        return _span_census(self.vectors, self._dim, deadline)
 
 
 def _span_census(vectors, dim: int, deadline: float | None) -> Counter:

@@ -14,7 +14,7 @@ from matpoly.algebra import falling_factorial
 from matpoly.duality import rank_table
 from matpoly.flowkn import flow_kn_partitions
 from matpoly.graphs import MultiGraph, _vertex_census, complete_graph, component_count
-from matpoly.invariants import _chi_from_counts, chi_subset
+from matpoly.invariants import _chi_from_counts, chi_delcon, chi_subset
 from matpoly.matroids import (
     DualView,
     LinearMatroidFp,
@@ -27,7 +27,7 @@ from matpoly.matroids import (
     make_pg,
     make_uniform,
 )
-from matpoly.oracles import circuits, flats_of_rank
+from matpoly.oracles import chi_via_broken_circuits, circuits, flats_of_rank
 from matpoly.projective import chi_pg, chi_pg_dual
 
 from corpus import GRAPHS, all_matroids, small_matroids
@@ -241,7 +241,6 @@ def test_census_matches_brute_force():
         MinorView(k5, 0b1110111111, k5.full_mask & ~0b1110111111).dual(),
     ]
     for m in small_matroids(9) + extra:
-        # the scans run on cold instances; the references fill the caches
         d = m.dual()
         got = (m.rank_size_counts(), d.rank_size_counts(), m.rank_table(), d.rank_table())
         want = (brute_census(m), brute_census(d), brute_table(m), brute_table(d))
@@ -253,18 +252,6 @@ def test_census_reads_but_does_not_fill_the_rank_cache():
     u = make_uniform(3, 12)
     chi_subset(u)
     assert len(u._rank_cache) <= 4
-    # after a rank query on every mask every census rank is a cache hit;
-    # a TableMatroid takes the generic span test, which a make_pg matroid
-    # does not
-    want = brute_census(make_pg(3, 2))
-    m = TableMatroid(7, rank_table(make_pg(3, 2)), "pg:3,2 table")
-    brute_table(m)
-
-    def no_rank_impl(mask):
-        raise AssertionError(f"rank of {mask:#x} recomputed")
-
-    m._rank_impl = no_rank_impl
-    assert m.rank_size_counts() == want
 
 
 def test_census_deadline_base_class():
@@ -288,20 +275,11 @@ def test_census_reads_but_does_not_fill_the_rank_cache_restrict_view():
         chi_subset(r)
         assert len(r._rank_cache) <= 4, view
         assert len(u._rank_cache) <= 4, view
-    m = MinorView(make_pg(3, 3), 0b1111111111110)
-    want = brute_census(m)
-
-    def no_rank_impl(mask):
-        raise AssertionError(f"rank of {mask:#x} recomputed")
-
-    m._rank_impl = no_rank_impl
-    assert m.rank_size_counts() == want
 
 
 def test_rank_table_fills_no_rank_cache():
-    # the scan asks ``rank`` for r(E) alone and reads every other rank
-    # through ``_peek``; a contraction also keeps r of its contracted set
-    # in its base's cache
+    # the scan asks ``rank`` for r(E) alone and computes every other rank
+    # through ``_rank_impl``
     for m in (make_graphic(complete_graph(6)), make_uniform(3, 12)):
         m.rank_table()
         assert len(m._rank_cache) <= 4, m
@@ -315,6 +293,49 @@ def test_rank_table_fills_no_rank_cache():
         m.rank_table()
         assert len(m._rank_cache) <= 4, m
         assert len(base._rank_cache) <= 4, m
+
+
+def test_no_query_grows_a_matroid():
+    # a matroid keeps r(E) and nothing else, and a view leaves its base
+    # as it found it, whatever either is asked
+    pg33 = make_pg(3, 3)
+    cases = [
+        make_uniform(3, 8),
+        make_graphic(complete_graph(5)),
+        make_pg(3, 2),
+        pg33,
+        TableMatroid(7, rank_table(make_pg(3, 2)), "pg:3,2 table"),
+        pg33.restrict(0b1111111111110),
+        pg33.contract(0b1111111111110),
+    ]
+    for m in cases + [m.dual() for m in cases]:
+        brute_table(m)
+        for e in range(m.ground_size):
+            m.is_loop(e), m.is_coloop(e)
+        m.rank_size_counts(), m.rank_table(), chi_subset(m), chi_delcon(m)
+        circuits(m), flats_of_rank(m, m.full_rank() - 1), chi_via_broken_circuits(m)
+        x = m
+        while x is not None:
+            assert set(x._rank_cache) <= {x.full_mask}, (m, x)
+            x = getattr(x, "base", None)
+
+
+def test_rank_table_rule_refuses_before_any_rank_query(monkeypatch):
+    # 2^11 cells of 64 bits pass 2^16 bits, and 2^10 fit
+    def no_work(*_):
+        raise AssertionError("a rank table ran before its rule refused it")
+
+    u = make_uniform(3, 11)
+    refused = (u, u.dual(), MinorView(make_uniform(3, 12), 0b111111111110))
+    monkeypatch.setattr(matroids, "TABLE_BITS", 16)
+    with monkeypatch.context() as patch:
+        patch.setattr(Matroid, "_scan", no_work)
+        patch.setattr(Matroid, "rank", no_work)
+        for m in refused:
+            with pytest.raises(TooLarge):
+                m.rank_table()
+    m = make_uniform(3, 10)
+    assert m.rank_table() == brute_table(m)
 
 
 def test_census_deadline_restrict_view():
@@ -559,8 +580,6 @@ def test_fp_scan_matches_generic_scan_where_folding_dominates():
     for m in low_rank_fp_configs():
         d = m.dual()
         got = (m.rank_size_counts(), d.rank_size_counts(), m.rank_table(), d.rank_table())
-        # brute_census(m) fills m's cache, so the other references read it
-        # instead of eliminating each mask again
         want = (brute_census(m), brute_census(d), brute_table(m), brute_table(d))
         assert got == want, (m.p, m.vectors)
 
@@ -658,7 +677,7 @@ def test_scan_depth_is_the_rank_not_the_ground_size():
     for m, want in (
         (ones, u),
         (ones.dual(), u.dual()),
-        # a minor takes the generic ``_peek`` span test
+        # a minor takes the generic span test
         (MinorView(u, u.full_mask), u),
     ):
         assert m.rank_size_counts() == want.rank_size_counts(), m.label
@@ -721,9 +740,9 @@ def grid_4x4_and_a_diagonal():
 
 def test_each_census_rule_refuses_only_its_own_work():
     # the refusals run under a 1 s alarm, since each one would otherwise
-    # start a scan of over 2^24 nodes
+    # start a scan of over 2^24 nodes or fill a table of 2^30 cells
     def too_slow(*_):
-        raise TimeoutError("a census started before its rule refused it")
+        raise TimeoutError("work started before its rule refused it")
 
     k9 = make_graphic(complete_graph(9))
     u = make_uniform(1, 4097)
@@ -741,6 +760,11 @@ def test_each_census_rule_refuses_only_its_own_work():
         lambda m=m, deadline=deadline: m.rank_size_counts(deadline)
         for m in (u, u.dual(), LinearMatroidFp([(1,)] * 4097, 2, "ones"))
         for deadline in (None, monotonic() + 60)
+    ] + [
+        # every rank table: 2^30 cells of 64 bits pass 2^30 bits, though
+        # the scans take only 4,526 and 466 nodes
+        make_uniform(3, 30).rank_table,
+        make_pg(2, 29).rank_table,
     ]
     old = signal.signal(signal.SIGALRM, too_slow)
     try:
