@@ -24,10 +24,11 @@ the span DP, minor and table matroids and graphs on the scan route),
 ``chi_subset`` runs that scan with every fold cut, so that its leaf
 counts only the no-broken-circuit sets.  ``chromatic_poly`` turns to
 ``chi_delcon`` only when ``chi_subset`` is refused.
-``chi_delcon`` is the independent recursive route (delete/contract) used
-to cross-check ``chi_subset``; on a graphic matroid it recurses on its
-own minors, memoized for one call on each minor's graph: equal labeled
-graphs have equal cycle matroids.
+``chi_delcon`` is the independent route used to cross-check
+``chi_subset``: one delete/contract recursion for every class, on the
+minors that ``restrict`` and ``contract`` build.  When the matroid is
+graphic, each minor's result is memoized for one call on the minor's
+graph: equal labeled graphs have equal cycle matroids.
 """
 
 from __future__ import annotations
@@ -73,35 +74,22 @@ def chi_subset(m: Matroid, deadline: float | None = None) -> IntPoly:
     return _chi_from_counts(counts, max(rho for _a, rho in counts))
 
 
-def _delcon(m: Matroid) -> IntPoly:
+def _delcon(m: Matroid, memo: dict) -> IntPoly:
+    key = None
+    if isinstance(m, GraphicMatroid):
+        g = m.graph
+        key = g.n, tuple(sorted((u, v) if u <= v else (v, u) for u, v in g.edges))
+        if key in memo:
+            return memo[key]
     n = m.ground_size
-    for e in range(n):
-        if m.is_loop(e):
-            return IntPoly.zero()
-    for e in range(n):
-        if not m.is_coloop(e):
-            keep = m.full_mask & ~(1 << e)
-            return _delcon(m.restrict(keep)) - _delcon(m.contract(keep))
-    # all coloops: chi of a direct sum of n coloops is (x-1)^n
-    return poly_pow(IntPoly((-1, 1)), n)
-
-
-def _delcon_graphic(m: GraphicMatroid, memo: dict) -> IntPoly:
-    g = m.graph
-    key = g.n, tuple(sorted((u, v) if u <= v else (v, u) for u, v in g.edges))
-    res = memo.get(key)
-    if res is None:
-        if any(u == v for u, v in g.edges):
-            res = IntPoly.zero()
-        else:
-            n = m.ground_size
-            pick = next((e for e in range(n) if not m.is_coloop(e)), None)
-            if pick is None:
-                res = poly_pow(IntPoly((-1, 1)), n)
-            else:
-                keep = m.full_mask & ~(1 << pick)
-                deleted, contracted = m.restrict(keep), m.contract(keep)
-                res = _delcon_graphic(deleted, memo) - _delcon_graphic(contracted, memo)
+    if any(map(m.is_loop, range(n))):
+        res = IntPoly.zero()
+    elif (pick := next((e for e in range(n) if not m.is_coloop(e)), None)) is None:
+        res = poly_pow(IntPoly((-1, 1)), n)
+    else:
+        keep = m.full_mask & ~(1 << pick)
+        res = _delcon(m.restrict(keep), memo) - _delcon(m.contract(keep), memo)
+    if key is not None:
         memo[key] = res
     return res
 
@@ -111,12 +99,10 @@ def chi_delcon(m: Matroid) -> IntPoly:
 
     Any loop forces the zero polynomial; a matroid whose n elements are
     all coloops is a direct sum of coloops with chi = (x-1)^n; otherwise
-    pick an element e that is neither and use
+    pick the first element e that is neither and use
     chi(M) = chi(M delete e) - chi(M contract e).
     """
-    if isinstance(m, GraphicMatroid):
-        return _delcon_graphic(m, {})
-    return _delcon(m)
+    return _delcon(m, {})
 
 
 def tutte(m: Matroid) -> BiPoly:

@@ -44,7 +44,8 @@ to the scan.
 
 Graphic rank is the join count of the one union-find, ``graphs._union``,
 on ``graph``, the input relabeled onto its non-isolated vertices V' by
-``graphs.subgraph``, which both census routes and minors read too.
+``graphs.subgraph``, which both census routes and minors read too;
+``GraphicMatroid.is_loop`` reads its edge's two ends instead.
 """
 
 from __future__ import annotations
@@ -361,6 +362,12 @@ class GraphicMatroid(Matroid):
     def _rank_impl(self, mask: int) -> int:
         return _union(self.graph, mask)[1]
 
+    def is_loop(self, e: int) -> bool:
+        if not 0 <= e < self.ground_size:
+            raise BadParams(f"element {e} outside ground set of {self.label}")
+        u, v = self.graph.edges[e]
+        return u == v
+
     def restrict(self, mask: int) -> "GraphicMatroid":
         return GraphicMatroid(
             subgraph(self.graph, mask), f"restrict({self.label},{mask:#x})"
@@ -579,7 +586,8 @@ def make_pg(n: int, p: int) -> LinearMatroidFp:
     1-dimensional subspace of F_p^n, normalized so the first nonzero
     coordinate is 1, listed in lexicographic order: most leading zeros
     first, then every tail after the 1.  Only the points are visited, and
-    ``product`` gets no ``range(p)`` to hold when the tail is empty.  Over
+    ``product`` gets no ``range(p)`` to hold when the tail is empty.  The
+    points span F_p^n, so r(E) = n is kept without a rank query.  Over
     2^16 points raise TooLarge."""
     _pg_guard(n, p)
     points = [
@@ -587,4 +595,6 @@ def make_pg(n: int, p: int) -> LinearMatroidFp:
         for lead in range(n - 1, -1, -1)
         for tail in product(*[range(p)] * (n - 1 - lead))
     ]
-    return LinearMatroidFp(points, p, f"pg:{n},{p}")
+    m = LinearMatroidFp(points, p, f"pg:{n},{p}")
+    m._rank_cache[m.full_mask] = n
+    return m

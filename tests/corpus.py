@@ -5,8 +5,12 @@ most 5 vertices: paths, cycles, cliques, a star, disconnected pieces,
 and the degenerate cases (loops, parallel edges) that exercise the
 matroid semantics.  Uniform parameters cover every m for n = 1..7 and
 the projective parameters are the three smallest prime-power planes
-that stay within subset-enumeration range.
+that stay within subset-enumeration range.  ``partition_multigraphs``
+draws seeded multigraphs small enough for ``set_partitions``, the
+brute-force reference of the partition-sum identities.
 """
+
+import random
 
 from matpoly import MultiGraph, complete_graph, make_graphic, make_pg, make_uniform
 
@@ -56,3 +60,48 @@ def all_matroids():
 
 def small_matroids(max_elements):
     return [m for m in all_matroids() if m.ground_size <= max_elements]
+
+
+def grid_graph(rows, cols):
+    """The rows x cols grid, vertex c + cols r at row r and column c; the
+    edges along each row come first, then those down each column."""
+    across = [(cols * r + c, cols * r + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(cols * r + c, cols * r + c + cols) for r in range(rows - 1) for c in range(cols)]
+    return MultiGraph(rows * cols, across + down)
+
+
+def partition_multigraphs(seed, count):
+    """Seeded multigraphs on 1-7 vertices and up to 10 edges, with loops,
+    parallel edges and isolated vertices."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, size = rng.randint(1, 7), rng.randint(0, 10)
+        # half of the graphs start from a path through every vertex
+        edges = [(v, v + 1) for v in range(n - 1)] if rng.random() < 0.5 else []
+        while len(edges) < size:
+            u, v = rng.randrange(n), rng.randrange(n)
+            edges += [(u, v)] * min(rng.choice((1, 1, 1, 2, 3)), size - len(edges))
+        out.append(MultiGraph(n, edges))
+    return out
+
+
+def set_partitions(items):
+    """Every set partition of the list ``items``, as a list of blocks:
+    the first item starts a block of its own or joins a block of a
+    partition of the rest."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [[first] + block] + part[i + 1 :]
+
+
+def blocks_and_inside_edges(g, part):
+    """(|part|, e(part)): the blocks of a partition of g's vertices and
+    the edges of g inside a block, loops included."""
+    block = {v: i for i, b in enumerate(part) for v in b}
+    return len(part), sum(block[u] == block[v] for u, v in g.edges)

@@ -6,9 +6,24 @@ from itertools import product
 
 import pytest
 
-from corpus import GRAPHS, graphic_matroids, pg_matroids, uniform_matroids
+from corpus import (
+    GRAPHS,
+    blocks_and_inside_edges,
+    graphic_matroids,
+    grid_graph,
+    partition_multigraphs,
+    pg_matroids,
+    set_partitions,
+    uniform_matroids,
+)
 from matpoly import BadParams, TooLarge, duality
-from matpoly.algebra import BiPoly, IntPoly, exact_div_monomial, poly_pow
+from matpoly.algebra import (
+    BiPoly,
+    IntPoly,
+    exact_div_monomial,
+    falling_factorial,
+    poly_pow,
+)
 from matpoly.duality import (
     GRAPH_KINDS,
     IdentityKind,
@@ -183,6 +198,22 @@ def test_flow_via_connected_partitions_known_values():
     assert flow_via_connected_partitions(disc) == flow_poly(disc)
     with pytest.raises(TooLarge):
         flow_via_connected_partitions(MultiGraph(13, ()))
+
+
+def test_partition_sum_equals_a_sum_over_all_set_partitions():
+    # within a block of a set partition s of V, the connected blocks with
+    # no edges between them are the components of that block, so each s
+    # picks exactly one partition into connected blocks: the sum is
+    # sum_s (1-x)^e(s) x(x-1)...(x-|s|+1), e(s) the edges inside blocks
+    graphs = partition_multigraphs(360001, 60)
+    graphs += [complete_graph(n) for n in range(1, 7)] + [grid_graph(3, 3)]
+    one_minus_x = IntPoly((1, -1))
+    for g in graphs:
+        want = IntPoly.zero()
+        for part in set_partitions(list(range(g.n))):
+            blocks, inside = blocks_and_inside_edges(g, part)
+            want = want + poly_pow(one_minus_x, inside) * falling_factorial(blocks)
+        assert duality._partition_sum(g) == want, g.edges
 
 
 def test_th2_passes_on_k8():

@@ -3,6 +3,7 @@
 import random
 import signal
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
@@ -42,7 +43,7 @@ from matpoly.matroids import (
 from matpoly.oracles import chi_via_broken_circuits
 from matpoly.projective import chi_pg, chi_pg_dual, tutte_pg
 
-from corpus import GRAPHS, UNIFORM_PARAMS, all_matroids, small_matroids
+from corpus import GRAPHS, UNIFORM_PARAMS, all_matroids, grid_graph, small_matroids
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -318,8 +319,47 @@ def test_chromatic_poly_past_the_subset_guard(monkeypatch):
     # 0.79 s here, the vertex census 2.57 s
     rows = [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
     cols = [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)]
-    chromatic_poly(MultiGraph(16, rows + cols + [(0, 5)]))
+    p = chromatic_poly(MultiGraph(16, rows + cols + [(0, 5)]))
     assert delcon_sizes == [30, 30, 25]
+    assert (p(3), p(4)) == (2_688, 3_431_688)
+    assert (p(3), p(4)) == (grid_4x4_diagonal_colorings(3), grid_4x4_diagonal_colorings(4))
+
+
+def grid_4x4_diagonal_colorings(q):
+    """Proper q-colorings of the 4x4 grid plus the edge from vertex 0
+    (row 0, column 0) to vertex 5 (row 1, column 1), counted row by row:
+    each proper row coloring keeps the number of ways to color the rows
+    above it."""
+    rows = [c for c in product(range(q), repeat=4) if all(c[i] != c[i + 1] for i in range(3))]
+    ways = dict.fromkeys(rows, 1)
+    for r in range(1, 4):
+        ways = {
+            low: sum(
+                n
+                for high, n in ways.items()
+                if all(high[i] != low[i] for i in range(4)) and (r > 1 or high[0] != low[1])
+            )
+            for low in rows
+        }
+    return sum(ways.values())
+
+
+def test_chi_delcon_calls_on_graphs(monkeypatch):
+    # one call per minor visited, memo hits included: the memo on each
+    # minor's graph keeps the 3x5 grid at 24,855 calls
+    calls = []
+    recursion = invariants_module._delcon
+
+    def counted(m, memo):
+        calls.append(m)
+        return recursion(m, memo)
+
+    monkeypatch.setattr(invariants_module, "_delcon", counted)
+    c30 = MultiGraph(30, [(v, (v + 1) % 30) for v in range(30)])
+    for g, want in ((grid_graph(3, 4), 2_757), (grid_graph(3, 5), 24_855), (c30, 59)):
+        calls.clear()
+        chi_delcon(make_graphic(g))
+        assert len(calls) == want, g.n
 
 
 def test_dense_graphs_past_24_edges_take_the_vertex_census():

@@ -30,7 +30,14 @@ from matpoly.matroids import (
 from matpoly.oracles import chi_via_broken_circuits, circuits, flats_of_rank
 from matpoly.projective import chi_pg, chi_pg_dual
 
-from corpus import GRAPHS, all_matroids, small_matroids
+from corpus import (
+    GRAPHS,
+    all_matroids,
+    blocks_and_inside_edges,
+    partition_multigraphs,
+    set_partitions,
+    small_matroids,
+)
 
 
 def brute_census(m):
@@ -80,6 +87,11 @@ def test_loops_and_coloops():
     g = make_graphic(MultiGraph(2, ((0, 0), (0, 1))))
     assert [g.is_loop(e) for e in range(2)] == [True, False]
     assert [g.is_coloop(e) for e in range(2)] == [False, True]
+    # a graph reads its loops off its edges, and refuses an element
+    # outside its ground set as a rank query would
+    for e in (-1, 2):
+        with pytest.raises(BadParams):
+            g.is_loop(e)
     # duality swaps the two notions
     d = g.dual()
     assert [d.is_loop(e) for e in range(2)] == [False, True]
@@ -186,6 +198,24 @@ def test_pg_construction():
         make_pg(3, 4)  # field order must be prime
     with pytest.raises(BadParams):
         make_pg(0, 2)
+
+
+def test_make_pg_records_its_full_rank(monkeypatch):
+    # the points of PG(n-1, p) span F_p^n, so r(E) = n is known when the
+    # geometry is built; the computed rank agrees
+    sizes = ((1, 2), (3, 3), (5, 2), (16, 2))
+    for n, p in sizes[:3]:
+        m = make_pg(n, p)
+        assert m._rank_impl(m.full_mask) == n, (n, p)
+
+    def no_rank(self, mask):
+        raise AssertionError("a rank query ran")
+
+    monkeypatch.setattr(LinearMatroidFp, "_rank_impl", no_rank)
+    for n, p in sizes:
+        assert make_pg(n, p).full_rank() == n, (n, p)
+    with pytest.raises(TooLarge):
+        chi_subset(make_pg(16, 2))
 
 
 def test_is_prime():
@@ -452,6 +482,29 @@ def test_vertex_census_of_dense_graphs_past_the_subset_guard():
         flow = _chi_from_counts(_dual_counts(counts, e, n - 1), e - (n - 1))
         assert flow == flow_kn_partitions(n), n
         assert _chi_from_counts(counts, n - 1).shift(1) == falling_factorial(n), n
+
+
+def test_vertex_census_equals_the_fortuin_kasteleyn_partition_sum():
+    # Z(q, v) = sum_A q^k(A) v^|A| over edge sets A, with k(A) the
+    # components on V', groups the q-colorings by their color classes:
+    # Z = sum over set partitions s of V' of (1+v)^e(s) q(q-1)...(q-|s|+1),
+    # e(s) the edges inside blocks, loops included; q^k v^a is the census
+    # count at (a, |V'| - k)
+    seen = Counter()
+    for g in partition_multigraphs(360001, 60):
+        h = make_graphic(g).graph
+        want = Counter()
+        for part in set_partitions(list(range(h.n))):
+            blocks, inside = blocks_and_inside_edges(h, part)
+            for k, f in enumerate(falling_factorial(blocks).coeffs):
+                for a in range(inside + 1):
+                    want[(a, h.n - k)] += comb(inside, a) * f
+        assert _vertex_census(h, None) == want, g.edges
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
+        seen["isolated"] += h.n < g.n
+        seen["7 vertices"] += h.n == 7
+    assert min(seen.values()) >= 5, seen
 
 
 # primes near 2^31 and 2^61 make packed digits of 62-65 and 122-125 bits
